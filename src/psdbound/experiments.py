@@ -26,8 +26,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bounds import PatakiRange, log2_big, pataki_range, triangular
-from .combinatorics import delta
+from .bounds import PatakiRange, pataki_range, triangular
+from .combinatorics import check_delta_exponent_bound
 from .pencil import Pencil
 from .sdp import STATUS_OPTIMAL, solve_sdp
 
@@ -216,28 +216,22 @@ def tightness_report(m: int, trials: int, seed: int) -> TightnessReport:
     The empirical part is skipped (trials = 0 in the report) when m exceeds
     the desk-scale SDP limit; the exact degree is fine up to m = 16.
     """
-    if m % 2 != 0 or m < 4:
-        raise ValueError(f"need even m >= 4, got {m}")
-    n = triangular(m // 2) + 1
-    r = m // 2 + 1
-    d = delta(n, m, r)
-    log2_d = log2_big(d)
-    holds = d**20 >= 1 << (m * m)
+    growth = check_delta_exponent_bound(m)
     freq = None
     target_count = None
     if trials > 0 and m <= SDP_SIZE_LIMIT:
-        freq = rank_frequency(m, n, trials, seed)
-        target_count = freq.counts.get(r, 0)
+        freq = rank_frequency(m, growth.n, trials, seed)
+        target_count = freq.counts.get(growth.r, 0)
     return TightnessReport(
         m=m,
-        n=n,
-        r=r,
-        delta=d,
-        log2_delta=log2_d,
-        threshold=m * m / 20.0,
-        bound_holds=holds,
-        sqrt20_bound=math.sqrt(20.0 * log2_d),
-        rank_bound=math.sqrt(log2_d),
+        n=growth.n,
+        r=growth.r,
+        delta=growth.delta,
+        log2_delta=growth.log2_delta,
+        threshold=growth.threshold,
+        bound_holds=growth.holds,
+        sqrt20_bound=math.sqrt(20.0 * growth.log2_delta),
+        rank_bound=math.sqrt(growth.log2_delta),
         trials=freq.trials if freq is not None else 0,
         seed=seed,
         frequency=freq,

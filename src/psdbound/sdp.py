@@ -13,8 +13,9 @@ pair
     max  c^T x   s.t.  A0 + A(x) psd                (dual)
 
 with infeasible starts and fixed deterministic step rules: identical
-inputs give identical outputs on a given platform.  Everything is dense;
-intended scale is m <= 24, n <= 80.
+inputs give identical outputs on a given platform.  The Schur complement is
+the Gram matrix of the NT-scaled coefficient matrices F^T A_i F, where
+F F^T = W^{-1}.  Everything is dense; intended scale is m <= 24, n <= 80.
 """
 
 from __future__ import annotations
@@ -107,6 +108,18 @@ def _sym(mat: np.ndarray) -> np.ndarray:
     return (mat + mat.T) / 2.0
 
 
+def _schur_gram(a_flat: np.ndarray, f_mat: np.ndarray) -> np.ndarray:
+    """Schur complement S_ij = <A_i, W^-1 A_j W^-1> for F F^T = W^-1.
+
+    ``a_flat`` holds A1..An as rows of length m*m.  S_ij = <F^T A_i F,
+    F^T A_j F>, so S is the Gram matrix of the scaled stack: symmetric and
+    positive semidefinite by construction.
+    """
+    n, m = a_flat.shape[0], f_mat.shape[0]
+    b_flat = (f_mat.T @ a_flat.reshape(n, m, m) @ f_mat).reshape(n, m * m)
+    return b_flat @ b_flat.T
+
+
 def _sym_block_basis(q: np.ndarray) -> list[np.ndarray]:
     """Symmetric rank-one/two basis of the block spanned by columns of q."""
     k = q.shape[1]
@@ -119,7 +132,7 @@ def _sym_block_basis(q: np.ndarray) -> list[np.ndarray]:
 
 
 def _polish_once(
-    pencil: Pencil, cv: np.ndarray, X: np.ndarray, r: int
+    a0: np.ndarray, a_flat: np.ndarray, cv: np.ndarray, X: np.ndarray, r: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
     """One crossover round at fixed optimal-face rank r.
 
@@ -128,33 +141,30 @@ def _polish_once(
     the dual iterate does.  (x, M) is refit by least squares against
     A0 + A(x) = Q1 M Q1^T, X is re-evaluated through the pencil (exact
     feasibility), and Z is refit inside the kernel block against
-    A*(Z) + c = 0.
+    A*(Z) + c = 0.  ``a_flat`` holds A1..An as rows of length m*m.
     """
-    m, n = pencil.m, pencil.n
-    mats = pencil.mats
+    m = a0.shape[0]
+    n = a_flat.shape[0]
     w, v = np.linalg.eigh(X)
     v = v[:, ::-1]  # descending eigenvalues
     q1, q2 = v[:, :r], v[:, r:]
 
     bas1 = _sym_block_basis(q1)
-    lhs = np.column_stack([ai.ravel() for ai in mats[1:]] + [-e.ravel() for e in bas1])
-    sol_vec, *_ = np.linalg.lstsq(lhs, -mats[0].ravel(), rcond=None)
+    lhs = np.column_stack([a_flat.T] + [-e.ravel() for e in bas1])
+    sol_vec, *_ = np.linalg.lstsq(lhs, -a0.ravel(), rcond=None)
     x_new = sol_vec[:n]
 
     z_new = np.zeros((m, m))
     bas2 = _sym_block_basis(q2)
     if bas2:
-        lhs2 = np.array([[float(np.vdot(ai, e)) for e in bas2] for ai in mats[1:]])
+        lhs2 = a_flat @ np.array(bas2).reshape(len(bas2), m * m).T
         n_vec, *_ = np.linalg.lstsq(lhs2, -cv, rcond=None)
         for coef, e in zip(n_vec, bas2):
             z_new += coef * e
     wq, vq = np.linalg.eigh(z_new)
     z_new = _sym((vq * np.maximum(wq, 0.0)) @ vq.T)  # clip stray negatives
 
-    x_big = mats[0].copy()
-    for xi, ai in zip(x_new, mats[1:]):
-        x_big += xi * ai
-    x_big = _sym(x_big)
+    x_big = _sym(a0 + (x_new @ a_flat).reshape(m, m))
     if not (
         np.all(np.isfinite(x_new))
         and np.all(np.isfinite(x_big))
@@ -165,7 +175,8 @@ def _polish_once(
 
 
 def _polish(
-    pencil: Pencil,
+    a0: np.ndarray,
+    a_flat: np.ndarray,
     cv: np.ndarray,
     x: np.ndarray,
     X: np.ndarray,
@@ -180,7 +191,7 @@ def _polish(
     sharpens the next split).  ``score`` maps a triple to a scalar merit;
     the best refit seen is returned, or None if nothing finite came out.
     """
-    m = pencil.m
+    m = a0.shape[0]
     wx = np.linalg.eigvalsh(X)
     wz = np.linalg.eigvalsh(Z)
     r_from_x = int(np.sum(wx > 1e-7 * max(wx[-1], 0.0))) if wx[-1] > 0 else 0
@@ -190,7 +201,7 @@ def _polish(
     for r in sorted({r_from_x, r_from_z}):
         cur = X
         for _ in range(rounds):
-            out = _polish_once(pencil, cv, cur, r)
+            out = _polish_once(a0, a_flat, cv, cur, r)
             if out is None:
                 break
             val = score(out)
@@ -228,6 +239,7 @@ def solve_sdp(
         raise ValueError(f"objective must have length {n}, got shape {cv.shape}")
     mats = pencil.mats
     a0 = mats[0]
+    a_flat = np.array(mats[1:]).reshape(n, m * m)  # row i is A_{i+1}, raveled
 
     lam0 = float(np.linalg.eigvalsh(a0)[0]) if m else 0.0
     if require_interior and lam0 <= 0.0:
@@ -247,10 +259,7 @@ def solve_sdp(
     Z = max(1.0, norm_c) * np.eye(m)
 
     def apply_a(v: np.ndarray) -> np.ndarray:
-        acc = np.zeros((m, m))
-        for vi, ai in zip(v, mats[1:]):
-            acc += vi * ai
-        return acc
+        return (v @ a_flat).reshape(m, m)
 
     def comp_norm(xm: np.ndarray, zm: np.ndarray) -> float:
         return float(np.linalg.norm(xm @ zm)) / (
@@ -288,7 +297,7 @@ def solve_sdp(
 
     for it in range(1, max_iter + 1):
         rd = a0 + apply_a(x) - X
-        rp = -(cv + adjoint(pencil, Z))
+        rp = -(cv + a_flat @ Z.ravel())
         gap = float(np.vdot(X, Z))
         value = float(cv @ x)
         feas_p = float(np.linalg.norm(rd)) / (1.0 + norm_a0)
@@ -358,13 +367,10 @@ def solve_sdp(
                 continue
             break
         wg = np.maximum(wg, 1e-30 * wg[-1])
-        winv = _sym(xih @ ((vg * np.sqrt(wg)) @ vg.T) @ xih)
+        f_mat = (xih @ vg) * np.sqrt(np.sqrt(wg))  # F F^T = W^{-1}
+        winv = f_mat @ f_mat.T
 
-        t_mats = [winv @ ai @ winv for ai in mats[1:]]
-        schur = np.empty((n, n))
-        for i in range(n):
-            for j in range(i, n):
-                schur[i, j] = schur[j, i] = float(np.vdot(mats[1 + i], t_mats[j]))
+        schur = _schur_gram(a_flat, f_mat)
         # tiny ridge keeps borderline-dependent pencils solvable
         schur[np.diag_indices(n)] += 1e-14 * max(1.0, float(np.trace(schur)) / max(n, 1))
 
@@ -374,7 +380,7 @@ def solve_sdp(
             # direction for  Delta_X + W Delta_Z W = target,  plus the two
             # linear groups; reduces to the Schur system in Delta_x
             g_mat = _sym(winv @ target @ winv) - wrw
-            rhs = np.array([float(np.vdot(mats[1 + i], g_mat)) for i in range(n)]) - rp
+            rhs = a_flat @ g_mat.ravel() - rp
             dx = np.linalg.solve(schur, rhs)
             adx = apply_a(dx)
             d_big = adx + rd
@@ -425,7 +431,7 @@ def solve_sdp(
 
     def metrics(px: np.ndarray, pX: np.ndarray, pZ: np.ndarray) -> tuple[float, float, float, float]:
         frd = float(np.linalg.norm(a0 + apply_a(px) - pX)) / (1.0 + norm_a0)
-        frp = float(np.linalg.norm(cv + adjoint(pencil, pZ))) / (1.0 + norm_c)
+        frp = float(np.linalg.norm(cv + a_flat @ pZ.ravel())) / (1.0 + norm_c)
         g = float(np.vdot(pX, pZ))
         rg = abs(g) / (1.0 + abs(float(cv @ px)))
         return frd, frp, rg, comp_norm(pX, pZ)
@@ -439,7 +445,7 @@ def solve_sdp(
         scored = [(max(metrics(*cand)), cand) for cand in candidates]
         scored.sort(key=lambda pair: pair[0])
         cur_score, (x, X, Z) = scored[0]
-        polished = _polish(pencil, cv, x, X, Z, score=lambda t: max(metrics(*t)))
+        polished = _polish(a0, a_flat, cv, x, X, Z, score=lambda t: max(metrics(*t)))
         if polished is not None and max(metrics(*polished)) < cur_score:
             x, X, Z = polished
         feas_p, feas_d, rel_gap, rel_comp = metrics(x, X, Z)
@@ -454,6 +460,8 @@ def solve_sdp(
             status = STATUS_FAILURE
 
     rd = a0 + apply_a(x) - X
+    # the reported residual goes through the pencil's own adjoint, a route
+    # apart from the stacked copy the iteration used
     rp = -(cv + adjoint(pencil, Z))
     gap = float(np.vdot(X, Z))
     value = float(cv @ x)

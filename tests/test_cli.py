@@ -229,6 +229,18 @@ class TestSamplingCommands:
         assert data["pipeline"]["d_est"] == 5
         assert_golden_schema("pipeline", data)
 
+    def test_non_finite_pencil_exit_2(self, capsys, tmp_path):
+        bad = tmp_path / "nan.json"
+        save_pencil(disk_fixture(), bad)
+        data = json.loads(bad.read_text())
+        data["mats"][1][0] = float("nan")
+        bad.write_text(json.dumps(data))
+        assert "NaN" in bad.read_text()
+        code, _ = run_cli(
+            capsys, "sample-polar", "--pencil", str(bad), "--num-dirs", "5", "--seed", "1"
+        )
+        assert code == 2
+
     def test_degenerate_input_exit_3(self, capsys, tmp_path):
         bad = tmp_path / "bad.json"
         save_pencil(

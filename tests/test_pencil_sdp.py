@@ -8,8 +8,10 @@ import pytest
 from psdbound.bounds import pataki_range
 from psdbound.pencil import Pencil, adjoint, eval_pencil, load_pencil, save_pencil, symmetrize
 from psdbound.polar import disk_fixture, pentagon_fixture, pentagon_vertices, segment_fixture
+from psdbound.experiments import random_pencil, shift_to_interior
 from psdbound.sdp import (
     NotInteriorError,
+    _schur_gram,
     rank_of,
     solve_sdp,
     support_value,
@@ -40,6 +42,14 @@ class TestPencil:
             symmetrize(np.array([[1.0, 2.0], [1.0, 3.0]]))
         with pytest.raises(ValueError):
             symmetrize(np.zeros((2, 3)))
+
+    def test_non_finite_rejected(self):
+        with pytest.raises(ValueError):
+            Pencil((np.eye(2), [[np.nan, 0.0], [0.0, 1.0]]))
+        with pytest.raises(ValueError):
+            Pencil((np.diag([np.inf, 1.0]),))
+        with pytest.raises(ValueError):
+            Pencil((np.eye(2), np.eye(2)), projection=[[np.nan]])
 
     def test_shape_validation(self):
         with pytest.raises(ValueError):
@@ -198,6 +208,38 @@ class TestSolveSdp:
             assert np.linalg.eigvalsh(sol.X)[0] >= -1e-7 * max(1, sol.spectrum_X[0])
             assert np.linalg.eigvalsh(sol.Z)[0] >= -1e-7 * max(1, sol.spectrum_Z[0])
         assert checked >= 30
+
+    def test_large_strictly_feasible_instance(self):
+        # (m, n) = (24, 80), both sides strictly feasible: A0 shifted to
+        # lambda_min >= 1 and c = -A*(Z0) with Z0 positive definite
+        rng = np.random.default_rng((2024, 11))
+        p, _ = shift_to_interior(random_pencil(24, 80, rng), 1.0)
+        g = rng.standard_normal((24, 24))
+        c = -adjoint(p, g @ g.T / 24 + 0.1 * np.eye(24))
+        sol = solve_sdp(p, c)
+        assert sol.status == "optimal"
+        scale = max(1.0, sol.spectrum_X[0], sol.spectrum_Z[0])
+        x_big = eval_pencil(p, sol.x)
+        assert np.linalg.norm(x_big - sol.X) <= 1e-7 * (1 + np.linalg.norm(p.mats[0]))
+        assert np.linalg.norm(adjoint(p, sol.Z) + c) <= 1e-7 * (1 + np.linalg.norm(c))
+        assert np.linalg.eigvalsh(sol.X)[0] >= -1e-7 * scale
+        assert np.linalg.eigvalsh(sol.Z)[0] >= -1e-7 * scale
+        dual_value = float(np.vdot(p.mats[0], sol.Z))
+        assert abs(sol.value - dual_value) <= 1e-6 * (1 + abs(sol.value))
+
+    def test_schur_gram_matches_pairwise_products(self):
+        rng = np.random.default_rng(5)
+        m, n = 5, 7
+        a_stack = np.array([(g + g.T) / 2 for g in rng.standard_normal((n, m, m))])
+        f_mat = rng.standard_normal((m, m))
+        winv = f_mat @ f_mat.T
+        want = np.array(
+            [[np.vdot(ai, winv @ aj @ winv) for aj in a_stack] for ai in a_stack]
+        )
+        got = _schur_gram(a_stack.reshape(n, m * m), f_mat)
+        assert np.array_equal(got, got.T)
+        assert np.allclose(got, want, rtol=0, atol=1e-12 * np.abs(want).max())
+        assert np.linalg.eigvalsh(got)[0] >= -1e-12 * np.abs(want).max()
 
     def test_pataki_containment_200_trials(self):
         rng_ranks = pataki_range(3, 3).ranks
