@@ -102,6 +102,11 @@ def poly_degree(poly: Polynomial) -> int:
     return max(sum(e for _, e in mono) for mono in poly)
 
 
+def _bezout(equations: Sequence[Polynomial]) -> int:
+    """Bezout degree product, constant equations counting as degree 1."""
+    return math.prod(max(poly_degree(eq), 1) for eq in equations)
+
+
 def _poly_add_term(poly: Polynomial, mono: Monomial, coeff: Fraction) -> None:
     if not coeff:
         return
@@ -258,12 +263,8 @@ def build_kkt(pencil: Pencil, c: Sequence[float] | None) -> PolySystem:
                 _poly_add_term(poly, mono, Fraction(1))
             equations.append(poly)
 
-    eq_tuple = tuple(equations)
-    bezout = 1
-    for eq in eq_tuple:
-        bezout *= max(poly_degree(eq), 1)
-    info = SystemInfo(n=n, m=m, variant=VARIANT_PLAIN, bezout_product=bezout)
-    return PolySystem(variables=table.names, equations=eq_tuple, metadata=info)
+    info = SystemInfo(n=n, m=m, variant=VARIANT_PLAIN, bezout_product=_bezout(equations))
+    return PolySystem(variables=table.names, equations=tuple(equations), metadata=info)
 
 
 def build_kkt_normalized(pencil: Pencil) -> PolySystem:
@@ -282,10 +283,7 @@ def build_kkt_normalized(pencil: Pencil) -> PolySystem:
         )
     _poly_add_term(norm_poly, (), Fraction(-1))
     equations = base.equations + (norm_poly,)
-    bezout = 1
-    for eq in equations:
-        bezout *= max(poly_degree(eq), 1)
-    info = replace(base.metadata, variant=VARIANT_NORMALIZED, bezout_product=bezout)
+    info = replace(base.metadata, variant=VARIANT_NORMALIZED, bezout_product=_bezout(equations))
     return PolySystem(variables=base.variables, equations=equations, metadata=info)
 
 
@@ -320,13 +318,10 @@ def build_kkt_rank(pencil: Pencil, r: int, *, force: bool = False) -> PolySystem
     x_minors = minors(table.big_x, r + 1)
     z_minors = minors(table.big_z, m - r + 1)
     equations = base.equations + tuple(x_minors) + tuple(z_minors)
-    bezout = 1
-    for eq in equations:
-        bezout *= max(poly_degree(eq), 1)
     info = replace(
         base.metadata,
         variant=VARIANT_RANK,
-        bezout_product=bezout,
+        bezout_product=_bezout(equations),
         rank=r,
         minor_counts=(len(x_minors), len(z_minors)),
     )
@@ -396,7 +391,7 @@ def _format_term(system: PolySystem, mono: Monomial, coeff: Fraction) -> str:
     return "*".join(parts)
 
 
-def _mono_sort_key(system: PolySystem, mono: Monomial):
+def _mono_sort_key(mono: Monomial):
     total = sum(e for _, e in mono)
     return (-total, mono)
 
@@ -414,7 +409,7 @@ def export_plain(system: PolySystem) -> str:
             meta += f" minors_x={info.minor_counts[0]} minors_z={info.minor_counts[1]}"
         lines.append(meta)
     for eq in system.equations:
-        monos = sorted(eq, key=lambda mn: _mono_sort_key(system, mn))
+        monos = sorted(eq, key=_mono_sort_key)
         if not monos:
             lines.append("0 = 0")
             continue
@@ -484,10 +479,6 @@ def parse_plain(text: str) -> PolySystem:
             _poly_add_term(poly, tuple(sorted(mono_parts.items())), coeff)
         equations.append(poly)
 
-    eq_tuple = tuple(equations)
-    bezout = 1
-    for eq in eq_tuple:
-        bezout *= max(poly_degree(eq), 1)
     n = int(meta_kv.get("n", sum(1 for v in variables if v.startswith("x"))))
     m_val = meta_kv.get("m")
     if m_val is None:
@@ -500,11 +491,11 @@ def parse_plain(text: str) -> PolySystem:
         n=n,
         m=int(m_val),
         variant=meta_kv.get("variant", VARIANT_PLAIN),
-        bezout_product=bezout,
+        bezout_product=_bezout(equations),
         rank=int(meta_kv["rank"]) if "rank" in meta_kv else None,
         minor_counts=minor_counts,
     )
-    return PolySystem(variables=variables, equations=eq_tuple, metadata=info)
+    return PolySystem(variables=variables, equations=tuple(equations), metadata=info)
 
 
 def export_json(system: PolySystem) -> str:

@@ -11,7 +11,7 @@ The interchange format is JSON:
      "projection": [[n floats] x k]}        # optional
 
 Symmetry is validated on load with tolerance 1e-12 and then enforced
-exactly; a NaN or infinite entry is rejected.
+exactly; an empty (m = 0) matrix or a NaN or infinite entry is rejected.
 """
 
 from __future__ import annotations
@@ -31,9 +31,11 @@ def symmetrize(mat: np.ndarray, tol: float = SYMMETRY_TOL) -> np.ndarray:
     a = np.asarray(mat, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
+    if a.size == 0:
+        raise ValueError("matrix is empty: a pencil needs m >= 1")
     if not np.all(np.isfinite(a)):
         raise ValueError("matrix has a non-finite entry")
-    scale = max(1.0, float(np.abs(a).max()) if a.size else 1.0)
+    scale = max(1.0, float(np.abs(a).max()))
     if float(np.abs(a - a.T).max()) > tol * scale:
         raise ValueError("matrix is not symmetric within tolerance")
     return (a + a.T) / 2.0

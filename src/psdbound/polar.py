@@ -34,7 +34,7 @@ from .sdp import STATUS_OPTIMAL, solve_sdp
 
 EPS_VALUE = 1e-9  # support values below this are treated as degenerate
 EPS_KERNEL = 1e-7  # relative singular-value threshold declaring a kernel
-OVERSAMPLE = 3  # default directions per monomial at the largest degree
+OVERSAMPLE = 3  # rows per monomial kept by the degree fit
 
 
 class AllSkippedError(RuntimeError):
@@ -51,6 +51,7 @@ class BoundaryCloud:
 
     ``points[i] = directions[i] / values[i]``; ``skipped`` records the
     directions that produced no point (solver status or near-zero value).
+    A NaN or infinite entry in the points, directions or values is rejected.
     """
 
     ambient_dim: int
@@ -59,6 +60,11 @@ class BoundaryCloud:
     values: np.ndarray
     skipped: list[dict] = field(default_factory=list)
     seed: int | None = None
+
+    def __post_init__(self) -> None:
+        for name in ("points", "directions", "values"):
+            if not np.all(np.isfinite(getattr(self, name))):
+                raise ValueError(f"cloud {name} have a non-finite entry")
 
     def __len__(self) -> int:
         return len(self.points)
@@ -98,28 +104,20 @@ class BoundaryCloud:
         return buf.getvalue()
 
 
-def sample_polar_boundary(
-    pencil: Pencil,
-    num_dirs: int,
-    seed: int,
-    *,
-    eps_value: float = EPS_VALUE,
-    solver_kwargs: dict | None = None,
-) -> BoundaryCloud:
+def sample_polar_boundary(pencil: Pencil, num_dirs: int, seed: int) -> BoundaryCloud:
     """Sample boundary points of the polar of the pencil's body.
 
     Directions are unit Gaussians in the image space (seeded); each is
     lifted through the projection adjoint when one is present, the support
     SDP is solved, and the direction divided by its support value is
-    stored.  Unbounded or failed solves, and support values below
-    ``eps_value``, land in ``skipped``.
+    stored.  Unbounded or failed solves, and support values at or below
+    ``EPS_VALUE``, land in ``skipped``.
     """
     if num_dirs < 1:
         raise ValueError(f"need at least one direction, got {num_dirs}")
     k = pencil.image_dim
     rng = np.random.default_rng(seed)
     raw = rng.standard_normal((num_dirs, k))
-    kwargs = solver_kwargs or {}
 
     points = []
     directions = []
@@ -132,11 +130,11 @@ def sample_polar_boundary(
             skipped.append({"index": idx, "reason": "degenerate_direction"})
             continue
         y = y / norm
-        sol = solve_sdp(pencil, pencil.lift_direction(y), **kwargs)
+        sol = solve_sdp(pencil, pencil.lift_direction(y))
         if sol.status != STATUS_OPTIMAL:
             skipped.append({"index": idx, "reason": sol.status})
             continue
-        if sol.value <= eps_value:
+        if sol.value <= EPS_VALUE:
             skipped.append({"index": idx, "reason": "near_zero_value"})
             continue
         points.append(y / sol.value)
@@ -253,23 +251,17 @@ def evaluate_fit(report: DegreeFitReport, points: np.ndarray) -> np.ndarray:
     return mat @ report.fitted_coefficients
 
 
-def fit_min_vanishing_degree(
-    cloud: BoundaryCloud,
-    max_degree: int,
-    *,
-    eps_kernel: float = EPS_KERNEL,
-    stop_at_first: bool = False,
-) -> DegreeFitReport:
+def fit_min_vanishing_degree(cloud: BoundaryCloud, max_degree: int) -> DegreeFitReport:
     """Smallest degree D <= max_degree of a polynomial vanishing on the cloud.
 
     For each degree the monomial evaluation matrix is assembled on points
     rescaled to unit RMS radius (Vandermonde conditioning) and a kernel is
-    declared when the smallest singular value drops below ``eps_kernel``
+    declared when the smallest singular value is at most ``EPS_KERNEL``
     times the largest.  Needs at least 2 monomial_count points per tested
-    degree and caps the rows at 3 monomial_count (evenly subsampled), so
-    oversampling stabilizes the rank decision.  By default all degrees up
-    to ``max_degree`` are tested so the report carries the full kernel
-    profile; ``stop_at_first`` quits at the first kernel instead.
+    degree and caps the rows at ``OVERSAMPLE`` monomial_count (evenly
+    subsampled), so oversampling stabilizes the rank decision.  Every
+    degree up to ``max_degree`` that the cloud can test is tested, so the
+    report carries the full kernel profile.
     """
     if max_degree < 1:
         raise ValueError(f"need max_degree >= 1, got {max_degree}")
@@ -303,7 +295,7 @@ def fit_min_vanishing_degree(
         mat = _eval_monomials(scaled[idx], monos)
         u, svals, vt = np.linalg.svd(mat, full_matrices=False)
         sigma_max = float(svals[0])
-        kernel_dim = int(np.sum(svals <= eps_kernel * sigma_max))
+        kernel_dim = int(np.sum(svals <= EPS_KERNEL * sigma_max))
         gap = None
         if kernel_dim >= 1:
             below = float(svals[-1])
@@ -330,8 +322,6 @@ def fit_min_vanishing_degree(
             back /= float(np.linalg.norm(back))
             fitted_monos = monos
             fitted_coeffs = back
-            if stop_at_first:
-                break
 
     max_abs_eval = None
     if fitted_degree is not None:
@@ -346,7 +336,7 @@ def fit_min_vanishing_degree(
         fitted_monomials=fitted_monos,
         fitted_coefficients=fitted_coeffs,
         max_abs_eval=max_abs_eval,
-        eps_kernel=eps_kernel,
+        eps_kernel=EPS_KERNEL,
         seed=cloud.seed,
     )
 
@@ -450,14 +440,7 @@ class PipelineResult:
         }
 
 
-def bound_pipeline(
-    pencil: Pencil,
-    num_dirs: int,
-    max_degree: int,
-    seed: int,
-    *,
-    eps_kernel: float = EPS_KERNEL,
-) -> PipelineResult:
+def bound_pipeline(pencil: Pencil, num_dirs: int, max_degree: int, seed: int) -> PipelineResult:
     """Sample the polar boundary, fit the minimal degree, convert to a bound.
 
     When no vanishing polynomial of degree <= max_degree exists the result
@@ -466,7 +449,7 @@ def bound_pipeline(
     reported as such.
     """
     cloud = sample_polar_boundary(pencil, num_dirs, seed)
-    report = fit_min_vanishing_degree(cloud, max_degree, eps_kernel=eps_kernel)
+    report = fit_min_vanishing_degree(cloud, max_degree)
     if report.fitted_degree is not None:
         d_used = report.fitted_degree
         conclusive = True

@@ -16,11 +16,18 @@ with infeasible starts and fixed deterministic step rules: identical
 inputs give identical outputs on a given platform.  The Schur complement is
 the Gram matrix of the NT-scaled coefficient matrices F^T A_i F, where
 F F^T = W^{-1}.  Everything is dense; intended scale is m <= 24, n <= 80.
+
+The numerics are fixed module constants, not options: the path phase
+targets relative feasibility and gap ``TOL``, a stalled solve is accepted
+at ``ACCEPT``, a solve runs at most ``MAX_ITER`` iterations, and an x (or
+Z) whose norm passes ``DIVERGE_NORM`` ends it as unbounded (or
+infeasible).  Numerical ranks use ``RANK_EPS``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Sequence
 
 import numpy as np
@@ -30,7 +37,10 @@ from .pencil import Pencil, adjoint
 RANK_EPS = 1e-6
 RANK_GAP_FLAG = 100.0  # flag leading/trailing eigenvalue ratios below this
 
-_TRACE = False  # per-iteration convergence printout, for debugging
+TOL = 1e-10  # target relative feasibility and gap of the path phase
+ACCEPT = 1e-7  # relative feasibility and gap a stalled solve may still accept
+MAX_ITER = 100
+DIVERGE_NORM = 1e8  # ||x|| (or ||Z|| / max(1, ||c||)) past this ends the solve
 
 STATUS_OPTIMAL = "optimal"
 STATUS_INFEASIBLE = "infeasible"
@@ -49,15 +59,15 @@ def sym_eig(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return w[::-1].copy(), v[:, ::-1].copy()
 
 
-def rank_of(mat: np.ndarray, scale: float = 0.0, eps: float = RANK_EPS) -> int:
-    """Numerical rank: eigenvalues above eps * max(scale, lambda_max).
+def rank_of(mat: np.ndarray, scale: float = 0.0) -> int:
+    """Numerical rank: eigenvalues above RANK_EPS * max(scale, lambda_max).
 
     With the default scale 0 the threshold is relative to the matrix's own
     top eigenvalue; pass an external scale to make near-zero matrices rank 0.
     """
     w = np.linalg.eigvalsh(np.asarray(mat, dtype=float))
     top = float(w[-1]) if w.size else 0.0
-    thr = eps * max(scale, top)
+    thr = RANK_EPS * max(scale, top)
     return int(np.sum(w > thr))
 
 
@@ -86,6 +96,15 @@ class SdpSolution:
     iterations: int
     rank_uncertain: bool = False
     ray: np.ndarray | None = field(default=None)
+
+
+def _uncertain(spec: np.ndarray, rank: int) -> bool:
+    """Whether the descending spectrum's gap at the rank cut is below RANK_GAP_FLAG."""
+    if rank == 0 or rank >= spec.size:
+        return False
+    lo = abs(float(spec[rank]))
+    hi = abs(float(spec[rank - 1]))
+    return lo > 0 and hi / lo < RANK_GAP_FLAG
 
 
 def _max_step(mat: np.ndarray, direction: np.ndarray) -> float:
@@ -118,6 +137,72 @@ def _schur_gram(a_flat: np.ndarray, f_mat: np.ndarray) -> np.ndarray:
     n, m = a_flat.shape[0], f_mat.shape[0]
     b_flat = (f_mat.T @ a_flat.reshape(n, m, m) @ f_mat).reshape(n, m * m)
     return b_flat @ b_flat.T
+
+
+def _residuals(
+    a0: np.ndarray,
+    a_flat: np.ndarray,
+    cv: np.ndarray,
+    norm_a0: float,
+    norm_c: float,
+    x: np.ndarray,
+    X: np.ndarray,
+    Z: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, tuple[float, float, float, float]]:
+    """Residuals rd = A0 + A(x) - X and rp = -(A*(Z) + c), and the relative
+    errors (primal, dual, gap, complementarity) the solver steers and
+    accepts by.  ``a_flat`` holds A1..An as rows of length m*m."""
+    m = a0.shape[0]
+    rd = a0 + (x @ a_flat).reshape(m, m) - X
+    rp = -(cv + a_flat @ Z.ravel())
+    errors = (
+        float(np.linalg.norm(rd)) / (1.0 + norm_a0),
+        float(np.linalg.norm(rp)) / (1.0 + norm_c),
+        abs(float(np.vdot(X, Z))) / (1.0 + abs(float(cv @ x))),
+        float(np.linalg.norm(X @ Z)) / (1.0 + float(np.linalg.norm(X)) * float(np.linalg.norm(Z))),
+    )
+    return rd, rp, errors
+
+
+def _nt_scaling(X: np.ndarray, Z: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+    """Nesterov-Todd factor F (F F^T = W^-1 for W Z W = X) and Z^-1.
+
+    None when X, the middle matrix X^1/2 Z X^1/2 or Z is numerically
+    singular: the float floor is reached.
+    """
+    wx, vx = np.linalg.eigh(X)
+    if wx[0] <= 0 or not np.isfinite(wx[-1]):
+        return None
+    wx = np.maximum(wx, 1e-30 * wx[-1])
+    xh = (vx * np.sqrt(wx)) @ vx.T
+    xih = (vx / np.sqrt(wx)) @ vx.T
+    wg, vg = np.linalg.eigh(_sym(xh @ Z @ xh))
+    if wg[0] <= 0 or not np.isfinite(wg[-1]):
+        return None
+    wg = np.maximum(wg, 1e-30 * wg[-1])
+    wz, vz = np.linalg.eigh(Z)
+    if wz[0] <= 0 or not np.isfinite(wz[-1]):
+        return None
+    wz = np.maximum(wz, 1e-30 * wz[-1])
+    return (xih @ vg) * np.sqrt(np.sqrt(wg)), (vz / wz) @ vz.T
+
+
+def _newton(
+    a_flat: np.ndarray,
+    schur: np.ndarray,
+    winv: np.ndarray,
+    wrw: np.ndarray,
+    rd: np.ndarray,
+    rp: np.ndarray,
+    target: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Direction for  Delta_X + W Delta_Z W = target  plus the two linear
+    groups, reduced to the Schur system in Delta_x (``wrw`` = W^-1 rd W^-1)."""
+    m = winv.shape[0]
+    g_mat = _sym(winv @ target @ winv) - wrw
+    dx = np.linalg.solve(schur, a_flat @ g_mat.ravel() - rp)
+    adx = (dx @ a_flat).reshape(m, m)
+    return dx, adx + rd, g_mat - _sym(winv @ adx @ winv)
 
 
 def _sym_block_basis(q: np.ndarray) -> list[np.ndarray]:
@@ -175,19 +260,12 @@ def _polish_once(
 
 
 def _polish(
-    a0: np.ndarray,
-    a_flat: np.ndarray,
-    cv: np.ndarray,
-    x: np.ndarray,
-    X: np.ndarray,
-    Z: np.ndarray,
-    score,
-    rounds: int = 3,
+    a0: np.ndarray, a_flat: np.ndarray, cv: np.ndarray, X: np.ndarray, Z: np.ndarray, score
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
     """Crossover refinement assuming strict complementarity.
 
     Tries the face ranks suggested by the spectra of X and of Z, iterating
-    each a few rounds (the refit x sharpens the kernel of A0 + A(x), which
+    each three rounds (the refit x sharpens the kernel of A0 + A(x), which
     sharpens the next split).  ``score`` maps a triple to a scalar merit;
     the best refit seen is returned, or None if nothing finite came out.
     """
@@ -200,7 +278,7 @@ def _polish(
     best_score = np.inf
     for r in sorted({r_from_x, r_from_z}):
         cur = X
-        for _ in range(rounds):
+        for _ in range(3):
             out = _polish_once(a0, a_flat, cv, cur, r)
             if out is None:
                 break
@@ -212,26 +290,15 @@ def _polish(
     return best_triple
 
 
-def solve_sdp(
-    pencil: Pencil,
-    c: Sequence[float],
-    *,
-    require_interior: bool = True,
-    tol_gap: float = 1e-10,
-    tol_feas: float = 1e-10,
-    accept_gap: float = 1e-7,
-    accept_feas: float = 1e-7,
-    max_iter: int = 100,
-    diverge_norm: float = 1e8,
-) -> SdpSolution:
+def solve_sdp(pencil: Pencil, c: Sequence[float], *, require_interior: bool = True) -> SdpSolution:
     """Solve max c^T x over the pencil's spectrahedron.
 
     ``require_interior`` enforces A0 positive definite (rejecting other
     inputs with :class:`NotInteriorError`); pass False to attempt a fully
     infeasible start, as the random-instance experiments do.  A solve that
-    stalls before the target tolerances still returns ``optimal`` if it
-    cleared the acceptance tolerances (1e-7 relative gap, 1e-6 on the
-    Frobenius norm of X Z).
+    stalls before the target tolerance ``TOL`` still returns ``optimal`` if
+    it cleared ``ACCEPT`` on feasibility and relative gap and 1e-6 on the
+    relative Frobenius norm of X Z.
     """
     m, n = pencil.m, pencil.n
     cv = np.asarray(c, dtype=float)
@@ -241,7 +308,7 @@ def solve_sdp(
     a0 = mats[0]
     a_flat = np.array(mats[1:]).reshape(n, m * m)  # row i is A_{i+1}, raveled
 
-    lam0 = float(np.linalg.eigvalsh(a0)[0]) if m else 0.0
+    lam0 = float(np.linalg.eigvalsh(a0)[0])
     if require_interior and lam0 <= 0.0:
         raise NotInteriorError(
             f"A0 must be positive definite for an interior start (lambda_min = {lam0:.3e})"
@@ -258,60 +325,20 @@ def solve_sdp(
         X = scale0 * np.eye(m)
     Z = max(1.0, norm_c) * np.eye(m)
 
-    def apply_a(v: np.ndarray) -> np.ndarray:
-        return (v @ a_flat).reshape(m, m)
-
-    def comp_norm(xm: np.ndarray, zm: np.ndarray) -> float:
-        return float(np.linalg.norm(xm @ zm)) / (
-            1.0 + float(np.linalg.norm(xm)) * float(np.linalg.norm(zm))
-        )
-
+    residuals = partial(_residuals, a0, a_flat, cv, norm_a0, norm_c)
     status = STATUS_FAILURE
     best = None  # (metric, x, X, Z)
     best_path = np.inf
     best_path_iter = None  # (x, X, Z) at the smallest path error
     stall = 0
-    it = 0
     centering = False  # final phase: pure centering steps at frozen mu
     mu_fix = 0.0
     center_left = 0
 
-    def try_recentre() -> bool:
-        """Restart from the best iterate in pure-centering mode.
-
-        Invoked when the path phase bottoms out (stall or a numerically
-        singular iterate).  Centering at the largest mu the acceptance gap
-        allows re-aligns X and Z; tiny mu would leave the Newton system too
-        ill-conditioned to centre at all.
-        """
-        nonlocal centering, mu_fix, center_left, x, X, Z
-        if centering or best_path_iter is None or best_path > 1e-6:
-            return False
-        x, X, Z = (arr.copy() for arr in best_path_iter)
-        gap_b = float(np.vdot(X, Z))
-        val_b = float(cv @ x)
-        mu_fix = max(gap_b / m, accept_gap * (1.0 + abs(val_b)) / (3.0 * m), 1e-300)
-        centering = True
-        center_left = 16
-        return True
-
-    for it in range(1, max_iter + 1):
-        rd = a0 + apply_a(x) - X
-        rp = -(cv + a_flat @ Z.ravel())
-        gap = float(np.vdot(X, Z))
-        value = float(cv @ x)
-        feas_p = float(np.linalg.norm(rd)) / (1.0 + norm_a0)
-        feas_d = float(np.linalg.norm(rp)) / (1.0 + norm_c)
-        rel_gap = abs(gap) / (1.0 + abs(value))
-        rel_comp = comp_norm(X, Z)
-
+    for it in range(1, MAX_ITER + 1):
+        rd, rp, (feas_p, feas_d, rel_gap, rel_comp) = residuals(x, X, Z)
         path_err = max(feas_p, feas_d, rel_gap)
         metric = max(path_err, rel_comp)
-        if _TRACE:  # pragma: no cover - debugging aid
-            print(
-                f"    it{it:3d} fp={feas_p:.1e} fd={feas_d:.1e} rg={rel_gap:.1e} "
-                f"rc={rel_comp:.1e} stall={stall} centering={centering}"
-            )
         if best is None or metric < best[0] * 0.9999:
             best = (metric, x.copy(), X.copy(), Z.copy())
         if path_err < best_path * 0.9999:
@@ -321,7 +348,7 @@ def solve_sdp(
         else:
             stall += 1
 
-        on_target = feas_p <= tol_feas and feas_d <= tol_feas and rel_gap <= tol_gap
+        on_target = feas_p <= TOL and feas_d <= TOL and rel_gap <= TOL
         if on_target and rel_comp <= 3e-8:
             status = STATUS_OPTIMAL
             break
@@ -329,79 +356,51 @@ def solve_sdp(
             # the path phase has converged or bottomed out: either way the
             # iterate may be off-centre (X and Z misaligned, typically at a
             # curved optimal face), so finish with pure centering steps
-            if try_recentre():
-                continue  # recompute residuals from the restored iterate
-            break
-        if centering:
-            center_left -= 1
-            if center_left < 0:
+            nt = None
+        else:
+            if centering:
+                center_left -= 1
+                if center_left < 0:
+                    break
+            xnorm = float(np.linalg.norm(x))
+            znorm = float(np.linalg.norm(Z))
+            if not np.isfinite(xnorm) or not np.isfinite(znorm):
                 break
-
-        xnorm = float(np.linalg.norm(x))
-        znorm = float(np.linalg.norm(Z))
-        if not np.isfinite(xnorm) or not np.isfinite(znorm):
-            break
-        if xnorm > diverge_norm:
-            status = STATUS_UNBOUNDED if value > 0 else STATUS_FAILURE
-            break
-        if znorm > diverge_norm * max(1.0, norm_c):
-            status = STATUS_INFEASIBLE
-            break
-
-        mu = max(gap / m, 1e-300)
-
-        # Nesterov-Todd scaling point: W Z W = X.  A numerically singular
-        # iterate means the float floor is reached: recentre or stop.
-        wx, vx = np.linalg.eigh(X)
-        if wx[0] <= 0 or not np.isfinite(wx[-1]):
-            if try_recentre():
-                continue
-            break
-        wx = np.maximum(wx, 1e-30 * wx[-1])
-        xh = (vx * np.sqrt(wx)) @ vx.T
-        xih = (vx / np.sqrt(wx)) @ vx.T
-        g_mid = _sym(xh @ Z @ xh)
-        wg, vg = np.linalg.eigh(g_mid)
-        if wg[0] <= 0 or not np.isfinite(wg[-1]):
-            if try_recentre():
-                continue
-            break
-        wg = np.maximum(wg, 1e-30 * wg[-1])
-        f_mat = (xih @ vg) * np.sqrt(np.sqrt(wg))  # F F^T = W^{-1}
+            if xnorm > DIVERGE_NORM:
+                status = STATUS_UNBOUNDED if float(cv @ x) > 0 else STATUS_FAILURE
+                break
+            if znorm > DIVERGE_NORM * max(1.0, norm_c):
+                status = STATUS_INFEASIBLE
+                break
+            nt = _nt_scaling(X, Z)
+        if nt is None:
+            # restart once from the best path iterate in pure-centering
+            # mode, at the largest mu the acceptance gap allows: tiny mu
+            # would leave the Newton system too ill-conditioned to centre
+            if centering or best_path > 1e-6:
+                break
+            x, X, Z = (arr.copy() for arr in best_path_iter)
+            mu_fix = max(
+                float(np.vdot(X, Z)) / m, ACCEPT * (1.0 + abs(float(cv @ x))) / (3.0 * m), 1e-300
+            )
+            centering = True
+            center_left = 16
+            continue
+        f_mat, zinv = nt
         winv = f_mat @ f_mat.T
-
         schur = _schur_gram(a_flat, f_mat)
         # tiny ridge keeps borderline-dependent pencils solvable
         schur[np.diag_indices(n)] += 1e-14 * max(1.0, float(np.trace(schur)) / max(n, 1))
-
         wrw = winv @ rd @ winv
-
-        def solve_newton(target: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-            # direction for  Delta_X + W Delta_Z W = target,  plus the two
-            # linear groups; reduces to the Schur system in Delta_x
-            g_mat = _sym(winv @ target @ winv) - wrw
-            rhs = a_flat @ g_mat.ravel() - rp
-            dx = np.linalg.solve(schur, rhs)
-            adx = apply_a(dx)
-            d_big = adx + rd
-            d_dual = g_mat - _sym(winv @ adx @ winv)
-            return dx, d_big, d_dual
-
-        wz, vz = np.linalg.eigh(Z)
-        if wz[0] <= 0 or not np.isfinite(wz[-1]):
-            if try_recentre():
-                continue
-            break
-        wz = np.maximum(wz, 1e-30 * wz[-1])
-        zinv = (vz / wz) @ vz.T
 
         if centering:
             target_mu = mu_fix
             tau = 0.9
         else:
+            mu = max(float(np.vdot(X, Z)) / m, 1e-300)
             try:
                 # predictor: sigma = 0 target in  Delta_X + W Delta_Z W = -X
-                dx_a, dX_a, dZ_a = solve_newton(-X)
+                dx_a, dX_a, dZ_a = _newton(a_flat, schur, winv, wrw, rd, rp, -X)
             except np.linalg.LinAlgError:
                 break
             ap_a = _max_step(X, dX_a)
@@ -410,14 +409,13 @@ def solve_sdp(
             sigma = min(1.0, max((mu_aff / mu) ** 3, 1e-12))
             # keep the gap from outrunning infeasibility: residuals shrink by
             # (1 - alpha) per step, so hold the path back while they lag
-            if max(feas_p, feas_d) > max(0.1 * rel_gap, tol_feas):
+            if max(feas_p, feas_d) > max(0.1 * rel_gap, TOL):
                 sigma = max(sigma, 0.5)
             target_mu = sigma * mu
-            rel_err = max(feas_p, feas_d, rel_gap)
-            tau = 0.9 if rel_err > 1e-4 else (0.98 if rel_err > 1e-9 else 0.995)
+            tau = 0.9 if path_err > 1e-4 else (0.98 if path_err > 1e-9 else 0.995)
 
         try:
-            dx, dX, dZ = solve_newton(target_mu * zinv - X)
+            dx, dX, dZ = _newton(a_flat, schur, winv, wrw, rd, rp, target_mu * zinv - X)
         except np.linalg.LinAlgError:
             break
 
@@ -429,37 +427,23 @@ def solve_sdp(
         X = _sym(X + alpha_p * dX)
         Z = _sym(Z + alpha_d * dZ)
 
-    def metrics(px: np.ndarray, pX: np.ndarray, pZ: np.ndarray) -> tuple[float, float, float, float]:
-        frd = float(np.linalg.norm(a0 + apply_a(px) - pX)) / (1.0 + norm_a0)
-        frp = float(np.linalg.norm(cv + a_flat @ pZ.ravel())) / (1.0 + norm_c)
-        g = float(np.vdot(pX, pZ))
-        rg = abs(g) / (1.0 + abs(float(cv @ px)))
-        return frd, frp, rg, comp_norm(pX, pZ)
+    def score(triple: tuple[np.ndarray, np.ndarray, np.ndarray]) -> float:
+        return max(residuals(*triple)[2])
 
     if status not in (STATUS_UNBOUNDED, STATUS_INFEASIBLE):
         # pick the better of the last and the best-seen iterate, then try the
         # strict-complementarity crossover to zero out the product error
-        candidates = [(x, X, Z)]
-        if best is not None:
-            candidates.append((best[1], best[2], best[3]))
-        scored = [(max(metrics(*cand)), cand) for cand in candidates]
-        scored.sort(key=lambda pair: pair[0])
-        cur_score, (x, X, Z) = scored[0]
-        polished = _polish(a0, a_flat, cv, x, X, Z, score=lambda t: max(metrics(*t)))
-        if polished is not None and max(metrics(*polished)) < cur_score:
+        x, X, Z = min([(x, X, Z), best[1:]], key=score)
+        polished = _polish(a0, a_flat, cv, X, Z, score)
+        if polished is not None and score(polished) < score((x, X, Z)):
             x, X, Z = polished
-        feas_p, feas_d, rel_gap, rel_comp = metrics(x, X, Z)
-        if (
-            feas_p <= accept_feas
-            and feas_d <= accept_feas
-            and rel_gap <= accept_gap
-            and rel_comp <= 1e-6
-        ):
+        feas_p, feas_d, rel_gap, rel_comp = residuals(x, X, Z)[2]
+        if feas_p <= ACCEPT and feas_d <= ACCEPT and rel_gap <= ACCEPT and rel_comp <= 1e-6:
             status = STATUS_OPTIMAL
         else:
             status = STATUS_FAILURE
 
-    rd = a0 + apply_a(x) - X
+    rd = residuals(x, X, Z)[0]
     # the reported residual goes through the pencil's own adjoint, a route
     # apart from the stacked copy the iteration used
     rp = -(cv + adjoint(pencil, Z))
@@ -470,23 +454,14 @@ def solve_sdp(
     rank_x = rank_of(X)
     rank_z = rank_of(Z)
 
-    def uncertain(spec: np.ndarray, rank: int) -> bool:
-        if rank == 0 or rank >= spec.size:
-            return False
-        lo = abs(float(spec[rank]))
-        hi = abs(float(spec[rank - 1]))
-        return lo > 0 and hi / lo < RANK_GAP_FLAG
-
     ray = None
-    if status == STATUS_UNBOUNDED:
-        xnorm = float(np.linalg.norm(x))
-        if xnorm > 0:
-            cand = x / xnorm
-            lam = float(np.linalg.eigvalsh(apply_a(cand))[0])
-            if lam >= -1e-6 * scale0 and float(cv @ cand) > 0:
-                ray = cand
-            else:
-                status = STATUS_FAILURE
+    if status == STATUS_UNBOUNDED:  # ||x|| > DIVERGE_NORM
+        cand = x / float(np.linalg.norm(x))
+        lam = float(np.linalg.eigvalsh((cand @ a_flat).reshape(m, m))[0])
+        if lam >= -1e-6 * scale0 and float(cv @ cand) > 0:
+            ray = cand
+        else:
+            status = STATUS_FAILURE
 
     return SdpSolution(
         x=x,
@@ -500,16 +475,16 @@ def solve_sdp(
         spectrum_X=spec_x,
         spectrum_Z=spec_z,
         iterations=it,
-        rank_uncertain=uncertain(spec_x, rank_x) or uncertain(spec_z, rank_z),
+        rank_uncertain=_uncertain(spec_x, rank_x) or _uncertain(spec_z, rank_z),
         ray=ray,
     )
 
 
-def support_value(pencil: Pencil, direction: np.ndarray, **kwargs) -> SdpSolution:
+def support_value(pencil: Pencil, direction: np.ndarray) -> SdpSolution:
     """Support problem max <direction, pi(x)> over the spectrahedron.
 
     Directions live in the image space when the pencil carries a
     projection; they are pulled back through the adjoint before solving.
     """
     c = pencil.lift_direction(np.asarray(direction, dtype=float))
-    return solve_sdp(pencil, c, **kwargs)
+    return solve_sdp(pencil, c)

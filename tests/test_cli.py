@@ -3,6 +3,7 @@
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from psdbound.cli import main
@@ -239,6 +240,27 @@ class TestSamplingCommands:
         code, _ = run_cli(
             capsys, "sample-polar", "--pencil", str(bad), "--num-dirs", "5", "--seed", "1"
         )
+        assert code == 2
+
+    def test_empty_pencil_exit_2(self, capsys, tmp_path):
+        bad = tmp_path / "empty.json"
+        bad.write_text(json.dumps({"m": 0, "n": 0, "mats": [[]]}))
+        code, _ = run_cli(
+            capsys, "sample-polar", "--pencil", str(bad), "--num-dirs", "5", "--seed", "1"
+        )
+        assert code == 2
+
+    def test_non_finite_cloud_exit_2(self, capsys, tmp_path):
+        ang = np.linspace(0.0, 2.0 * np.pi, 60, endpoint=False)
+        directions = np.column_stack([np.cos(ang), np.sin(ang)])
+        points = directions.tolist()
+        points[17][0] = float("nan")
+        cloud = {"ambient_dim": 2, "points": points, "directions": directions.tolist(),
+                 "values": [1.0] * 60, "skipped": [], "seed": None}
+        bad = tmp_path / "cloud.json"
+        bad.write_text(json.dumps(cloud))
+        assert "NaN" in bad.read_text()
+        code, _ = run_cli(capsys, "fit-degree", "--cloud", str(bad), "--max-degree", "2")
         assert code == 2
 
     def test_degenerate_input_exit_3(self, capsys, tmp_path):

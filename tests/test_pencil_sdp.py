@@ -51,6 +51,12 @@ class TestPencil:
         with pytest.raises(ValueError):
             Pencil((np.eye(2), np.eye(2)), projection=[[np.nan]])
 
+    def test_empty_rejected(self):
+        with pytest.raises(ValueError, match="matrix is empty"):
+            Pencil((np.zeros((0, 0)),))
+        with pytest.raises(ValueError, match="matrix is empty"):
+            Pencil.from_dict({"m": 0, "n": 0, "mats": [[]]})
+
     def test_shape_validation(self):
         with pytest.raises(ValueError):
             Pencil(mats=(np.eye(2), np.eye(3)))
@@ -160,6 +166,13 @@ class TestSolveSdp:
         assert sol.ray is not None
         assert sol.ray @ [1.0] > 0
         assert np.linalg.eigvalsh(sol.ray[0] * np.eye(2))[0] >= -1e-6
+
+    def test_infeasible(self):
+        # -1 + x >= 0 and -1 - x >= 0 have no common solution
+        p = Pencil(mats=(-np.eye(2), np.diag([1.0, -1.0])))
+        sol = solve_sdp(p, [1.0], require_interior=False)
+        assert sol.status == "infeasible"
+        assert sol.ray is None
 
     def test_disk_support_is_norm(self):
         p = disk_fixture()

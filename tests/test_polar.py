@@ -83,6 +83,16 @@ class TestSampling:
         assert np.array_equal(back.points, pentagon_cloud.points)
         assert back.seed == pentagon_cloud.seed
 
+    @pytest.mark.parametrize("name", ["points", "directions", "values"])
+    def test_non_finite_rejected(self, name):
+        data = {"ambient_dim": 2, "points": [[1.0, 0.0], [0.0, 1.0]],
+                "directions": [[1.0, 0.0], [0.0, 1.0]], "values": [1.0, 1.0]}
+        bad = np.array(data[name])
+        bad.flat[0] = np.inf
+        data[name] = bad.tolist()
+        with pytest.raises(ValueError, match=f"cloud {name}"):
+            BoundaryCloud.from_dict(data)
+
     def test_csv_export(self, pentagon_cloud):
         text = pentagon_cloud.points_csv()
         lines = text.strip().splitlines()
