@@ -30,7 +30,7 @@ import numpy as np
 
 from .bounds import psd_rank_lower_bound
 from .pencil import Pencil
-from .sdp import STATUS_OPTIMAL, solve_sdp
+from .sdp import STATUS_OPTIMAL, solve_sdp_many
 
 EPS_VALUE = 1e-9  # support values below this are treated as degenerate
 EPS_KERNEL = 1e-7  # relative singular-value threshold declaring a kernel
@@ -51,7 +51,10 @@ class BoundaryCloud:
 
     ``points[i] = directions[i] / values[i]``; ``skipped`` records the
     directions that produced no point (solver status or near-zero value).
-    A NaN or infinite entry in the points, directions or values is rejected.
+    A NaN or infinite entry in the points, directions or values is
+    rejected, and so are arrays of different lengths and a point that is
+    not its direction over its value (relative error above 1e-12), as a
+    truncated or hand-edited cloud file would give.
     """
 
     ambient_dim: int
@@ -65,6 +68,17 @@ class BoundaryCloud:
         for name in ("points", "directions", "values"):
             if not np.all(np.isfinite(getattr(self, name))):
                 raise ValueError(f"cloud {name} have a non-finite entry")
+        if self.points.shape != self.directions.shape or self.values.shape != (len(self.points),):
+            raise ValueError(
+                f"cloud points, directions and values have shapes {self.points.shape}, "
+                f"{self.directions.shape} and {self.values.shape}"
+            )
+        # points[i] * values[i] = directions[i]: the relative error of
+        # points[i] against directions[i] / values[i], without the division
+        err = np.linalg.norm(self.points * self.values[:, None] - self.directions, axis=1)
+        off = np.flatnonzero(~(err <= 1e-12 * np.linalg.norm(self.directions, axis=1)))
+        if off.size:
+            raise ValueError(f"cloud point {off[0]} is not its direction over its value")
 
     def __len__(self) -> int:
         return len(self.points)
@@ -109,9 +123,10 @@ def sample_polar_boundary(pencil: Pencil, num_dirs: int, seed: int) -> BoundaryC
 
     Directions are unit Gaussians in the image space (seeded); each is
     lifted through the projection adjoint when one is present, the support
-    SDP is solved, and the direction divided by its support value is
-    stored.  Unbounded or failed solves, and support values at or below
-    ``EPS_VALUE``, land in ``skipped``.
+    SDPs of all directions are solved in one stacked run
+    (:func:`~psdbound.sdp.solve_sdp_many`), and each direction divided by
+    its support value is stored.  Unbounded or failed solves, and support
+    values at or below ``EPS_VALUE``, land in ``skipped``.
     """
     if num_dirs < 1:
         raise ValueError(f"need at least one direction, got {num_dirs}")
@@ -119,18 +134,23 @@ def sample_polar_boundary(pencil: Pencil, num_dirs: int, seed: int) -> BoundaryC
     rng = np.random.default_rng(seed)
     raw = rng.standard_normal((num_dirs, k))
 
+    units = {}
+    for idx, y in enumerate(raw):
+        norm = float(np.linalg.norm(y))
+        if norm >= 1e-12:
+            units[idx] = y / norm
+    lifted = [pencil.lift_direction(y) for y in units.values()]
+    solutions = dict(zip(units, solve_sdp_many(pencil, lifted)))
+
     points = []
     directions = []
     values = []
     skipped: list[dict] = []
     for idx in range(num_dirs):
-        y = raw[idx]
-        norm = float(np.linalg.norm(y))
-        if norm < 1e-12:
+        if idx not in units:
             skipped.append({"index": idx, "reason": "degenerate_direction"})
             continue
-        y = y / norm
-        sol = solve_sdp(pencil, pencil.lift_direction(y))
+        y, sol = units[idx], solutions[idx]
         if sol.status != STATUS_OPTIMAL:
             skipped.append({"index": idx, "reason": sol.status})
             continue

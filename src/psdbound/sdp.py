@@ -17,6 +17,27 @@ inputs give identical outputs on a given platform.  The Schur complement is
 the Gram matrix of the NT-scaled coefficient matrices F^T A_i F, where
 F F^T = W^{-1}.  Everything is dense; intended scale is m <= 24, n <= 80.
 
+One pencil, many objectives: :func:`solve_sdp_many` runs a single
+iteration loop over a stack of problems.  Matrices are stacks with one
+row per problem (``x`` is (B, n), ``X`` and ``Z`` are (B, m, m)) and go
+through numpy's stacked linear algebra, which does the same arithmetic on
+each slice as on a lone matrix; inner products are one BLAS dot per row
+(``np.vecdot``), never a GEMM across rows.  Scalar decisions (statuses,
+step lengths, centering) run row by row in Python with the same
+expressions as a lone solve.  So each problem's result is bitwise
+identical to solving it alone, whatever batch it sits in and in whatever
+order; :func:`solve_sdp` is the one-objective case.
+
+A problem whose solve has ended stops taking steps.  Its row leaves the
+stack once half the stack's rows have ended, or at once if its iterate is
+not finite, so the stack changes shape only a few times per run.  When a
+stacked Cholesky fails on one slice, the slices are factored one by one
+and that slice falls back to its eigenpairs; a singular Schur system ends
+only its own problem; both as in a lone solve.  The crossover polish and
+the result assembly run problem by problem after the loop.  Objectives
+run in chunks whose scaled coefficient stack (B, n, m, m) stays under
+``CHUNK_BYTES``.
+
 The numerics are fixed module constants, not options: the path phase
 targets relative feasibility and gap ``TOL``, a stalled solve is accepted
 at ``ACCEPT``, a solve runs at most ``MAX_ITER`` iterations, and an x (or
@@ -26,8 +47,8 @@ infeasible).  Numerical ranks use ``RANK_EPS``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
-from functools import partial
 from typing import Sequence
 
 import numpy as np
@@ -41,6 +62,7 @@ TOL = 1e-10  # target relative feasibility and gap of the path phase
 ACCEPT = 1e-7  # relative feasibility and gap a stalled solve may still accept
 MAX_ITER = 100
 DIVERGE_NORM = 1e8  # ||x|| (or ||Z|| / max(1, ||c||)) past this ends the solve
+CHUNK_BYTES = 1 << 24  # bytes of one chunk's scaled coefficient stack (B, n, m, m)
 
 STATUS_OPTIMAL = "optimal"
 STATUS_INFEASIBLE = "infeasible"
@@ -107,84 +129,146 @@ def _uncertain(spec: np.ndarray, rank: int) -> bool:
     return lo > 0 and hi / lo < RANK_GAP_FLAG
 
 
-def _max_step(mat: np.ndarray, direction: np.ndarray) -> float:
-    """Largest alpha <= 1 with mat + alpha*direction still positive definite."""
-    try:
-        chol = np.linalg.cholesky(mat)
-    except np.linalg.LinAlgError:
-        w, v = np.linalg.eigh(mat)
-        w = np.maximum(w, 1e-300)
-        chol = v * np.sqrt(w)
-    y = np.linalg.solve(chol, direction)
-    s = np.linalg.solve(chol, y.T).T
-    lam_min = float(np.linalg.eigvalsh((s + s.T) / 2.0)[0])
-    if lam_min >= -1e-14:
-        return 1.0
-    return min(1.0, -1.0 / lam_min)
+def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise <a_k, b_k> over two stacks: one BLAS dot per row, the same
+    arithmetic as np.vdot(a_k, b_k) (and as np.linalg.norm's square)."""
+    return np.vecdot(a.reshape(len(a), -1), b.reshape(len(b), -1))
 
 
 def _sym(mat: np.ndarray) -> np.ndarray:
-    return (mat + mat.T) / 2.0
+    return (mat + mat.mT) / 2.0
+
+
+def _factor(mats: np.ndarray) -> np.ndarray:
+    """Cholesky factors of a stack of matrices.  A slice that is not
+    numerically positive definite makes the stacked call fail whole; the
+    slices are then factored one by one, each falling back to V sqrt(W)
+    from its clipped eigenpairs where its own Cholesky fails."""
+    try:
+        return np.linalg.cholesky(mats)
+    except np.linalg.LinAlgError:
+        pass
+    chol = []
+    for mat in mats:
+        try:
+            chol.append(np.linalg.cholesky(mat))
+        except np.linalg.LinAlgError:
+            w, v = np.linalg.eigh(mat)
+            chol.append(v * np.sqrt(np.maximum(w, 1e-300)))
+    return np.array(chol)
+
+
+def _max_step(chol: np.ndarray, directions: np.ndarray) -> list[float]:
+    """Per slice, the largest alpha <= 1 with mat + alpha*direction still
+    positive definite, for mat = chol chol^T (see :func:`_factor`)."""
+    y = np.linalg.solve(chol, directions)
+    scaled = np.linalg.solve(chol, y.mT).mT
+    lam_min = np.linalg.eigvalsh(_sym(scaled))[:, 0].tolist()
+    return [1.0 if lam >= -1e-14 else min(1.0, -1.0 / lam) for lam in lam_min]
 
 
 def _schur_gram(a_flat: np.ndarray, f_mat: np.ndarray) -> np.ndarray:
     """Schur complement S_ij = <A_i, W^-1 A_j W^-1> for F F^T = W^-1.
 
-    ``a_flat`` holds A1..An as rows of length m*m.  S_ij = <F^T A_i F,
-    F^T A_j F>, so S is the Gram matrix of the scaled stack: symmetric and
-    positive semidefinite by construction.
+    ``a_flat`` holds A1..An as rows of length m*m; ``f_mat`` is one F or a
+    stack of them.  S_ij = <F^T A_i F, F^T A_j F>, so S is the Gram matrix
+    of the scaled stack: symmetric and positive semidefinite by
+    construction.
     """
-    n, m = a_flat.shape[0], f_mat.shape[0]
-    b_flat = (f_mat.T @ a_flat.reshape(n, m, m) @ f_mat).reshape(n, m * m)
-    return b_flat @ b_flat.T
+    n, m = a_flat.shape[0], f_mat.shape[-1]
+    f = f_mat[..., None, :, :]
+    b_flat = (f.mT @ a_flat.reshape(n, m, m) @ f).reshape(*f_mat.shape[:-2], n, m * m)
+    return b_flat @ b_flat.mT
 
 
 def _residuals(
-    a0: np.ndarray,
-    a_flat: np.ndarray,
-    cv: np.ndarray,
-    norm_a0: float,
-    norm_c: float,
-    x: np.ndarray,
-    X: np.ndarray,
-    Z: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, tuple[float, float, float, float]]:
-    """Residuals rd = A0 + A(x) - X and rp = -(A*(Z) + c), and the relative
-    errors (primal, dual, gap, complementarity) the solver steers and
-    accepts by.  ``a_flat`` holds A1..An as rows of length m*m."""
-    m = a0.shape[0]
-    rd = a0 + (x @ a_flat).reshape(m, m) - X
-    rp = -(cv + a_flat @ Z.ravel())
-    errors = (
-        float(np.linalg.norm(rd)) / (1.0 + norm_a0),
-        float(np.linalg.norm(rp)) / (1.0 + norm_c),
-        abs(float(np.vdot(X, Z))) / (1.0 + abs(float(cv @ x))),
-        float(np.linalg.norm(X @ Z)) / (1.0 + float(np.linalg.norm(X)) * float(np.linalg.norm(Z))),
+    a0: np.ndarray, a_flat: np.ndarray, cv: np.ndarray, x: np.ndarray, X: np.ndarray, Z: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, list[list[float]]]:
+    """Residuals rd = A0 + A(x) - X and rp = -(A*(Z) + c) over a stack, and
+    per row the inner products the solver's errors and norms are made of:
+    (<rd, rd>, <X, Z>, <XZ, XZ>, <X, X>, <Z, Z>, <rp, rp>, <c, x>, <x, x>),
+    each one BLAS dot.  ``a_flat`` holds A1..An as rows of length m*m."""
+    count, m = X.shape[:2]
+    rd = a0 + (x[:, None, :] @ a_flat).reshape(count, m, m) - X
+    rp = -(cv + (a_flat @ Z.reshape(count, m * m, 1))[..., 0])
+    xz = X @ Z
+    mats = np.vecdot(
+        np.concatenate([rd, X, xz, X, Z]).reshape(5, count, m * m),
+        np.concatenate([rd, Z, xz, X, Z]).reshape(5, count, m * m),
     )
-    return rd, rp, errors
+    n = x.shape[1]
+    vecs = np.vecdot(
+        np.concatenate([rp, cv, x]).reshape(3, count, n),
+        np.concatenate([rp, x, x]).reshape(3, count, n),
+    )
+    return rd, rp, np.concatenate([mats, vecs]).T.tolist()
 
 
-def _nt_scaling(X: np.ndarray, Z: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
-    """Nesterov-Todd factor F (F F^T = W^-1 for W Z W = X) and Z^-1.
+def _errors(dots: list[float], norm_a0: float, norm_c: float) -> tuple[float, float, float, float]:
+    """Relative errors (primal, dual, gap, complementarity) the solver
+    steers and accepts by, from one row of :func:`_residuals`' products."""
+    rd_rd, x_z, xz_xz, x_x, z_z, rp_rp, c_x, _ = dots
+    return (
+        math.sqrt(rd_rd) / (1.0 + norm_a0),
+        math.sqrt(rp_rp) / (1.0 + norm_c),
+        abs(x_z) / (1.0 + abs(c_x)),
+        math.sqrt(xz_xz) / (1.0 + math.sqrt(x_x) * math.sqrt(z_z)),
+    )
 
-    None when X, the middle matrix X^1/2 Z X^1/2 or Z is numerically
-    singular: the float floor is reached.
+
+def _spectrum(mat: np.ndarray, ok: list[bool]) -> tuple[np.ndarray, np.ndarray]:
+    """eigh over a stack, each spectrum floored at 1e-30 of its top.
+
+    Clears ``ok[k]`` where slice k is not numerically positive definite and
+    gives every slice not ok unit eigenvalues, so later calls see no NaN.
     """
-    wx, vx = np.linalg.eigh(X)
-    if wx[0] <= 0 or not np.isfinite(wx[-1]):
-        return None
-    wx = np.maximum(wx, 1e-30 * wx[-1])
-    xh = (vx * np.sqrt(wx)) @ vx.T
-    xih = (vx / np.sqrt(wx)) @ vx.T
-    wg, vg = np.linalg.eigh(_sym(xh @ Z @ xh))
-    if wg[0] <= 0 or not np.isfinite(wg[-1]):
-        return None
-    wg = np.maximum(wg, 1e-30 * wg[-1])
-    wz, vz = np.linalg.eigh(Z)
-    if wz[0] <= 0 or not np.isfinite(wz[-1]):
-        return None
-    wz = np.maximum(wz, 1e-30 * wz[-1])
-    return (xih @ vg) * np.sqrt(np.sqrt(wg)), (vz / wz) @ vz.T
+    w, v = np.linalg.eigh(mat)
+    for k, (lo, hi) in enumerate(zip(w[:, 0].tolist(), w[:, -1].tolist())):
+        if lo <= 0 or not math.isfinite(hi):
+            ok[k] = False
+    w = np.maximum(w, 1e-30 * w[:, -1:])
+    if not all(ok):
+        w[np.logical_not(ok)] = 1.0
+    return w, v
+
+
+def _nt_scaling(X: np.ndarray, Z: np.ndarray) -> tuple[np.ndarray, np.ndarray, list[bool]]:
+    """Nesterov-Todd factors F (F F^T = W^-1 for W Z W = X) and Z^-1 over a
+    stack, and per slice whether it has them.
+
+    A slice has none when X, the middle matrix X^1/2 Z X^1/2 or Z is
+    numerically singular: the float floor is reached.
+    """
+    count = len(X)
+    ok_xz = [True] * (2 * count)
+    w, v = _spectrum(np.concatenate([X, Z]), ok_xz)  # X and Z decompose together
+    ok = [a and b for a, b in zip(ok_xz[:count], ok_xz[count:])]
+    root = np.sqrt(w[:count])[:, None, :]
+    vx, vz = v[:count], v[count:]
+    xh = (vx * root) @ vx.mT
+    xih = (vx / root) @ vx.mT
+    wg, vg = _spectrum(_sym(xh @ Z @ xh), ok)
+    f_mat = (xih @ vg) * np.sqrt(np.sqrt(wg))[:, None, :]
+    return f_mat, (vz / w[count:, None, :]) @ vz.mT, ok
+
+
+def _solve_each(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, list[bool]]:
+    """np.linalg.solve over stacks, and per slice whether it was solved.
+
+    A singular slice makes the stacked call fail whole; the slices are then
+    solved one by one and the singular ones left at zero.
+    """
+    try:
+        return np.linalg.solve(a, b), [True] * len(a)
+    except np.linalg.LinAlgError:
+        out = np.zeros_like(b)
+        solved = [True] * len(a)
+        for k in range(len(a)):
+            try:
+                out[k] = np.linalg.solve(a[k], b[k])
+            except np.linalg.LinAlgError:
+                solved[k] = False
+        return out, solved
 
 
 def _newton(
@@ -195,14 +279,18 @@ def _newton(
     rd: np.ndarray,
     rp: np.ndarray,
     target: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Direction for  Delta_X + W Delta_Z W = target  plus the two linear
-    groups, reduced to the Schur system in Delta_x (``wrw`` = W^-1 rd W^-1)."""
-    m = winv.shape[0]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[bool]]:
+    """Directions for  Delta_X + W Delta_Z W = target  plus the two linear
+    groups, reduced to the Schur system in Delta_x (``wrw`` = W^-1 rd W^-1),
+    over a stack, and per slice whether its Schur system was solved (a
+    zero Delta_x where not, which keeps the other directions finite)."""
+    count, m = winv.shape[:2]
     g_mat = _sym(winv @ target @ winv) - wrw
-    dx = np.linalg.solve(schur, a_flat @ g_mat.ravel() - rp)
-    adx = (dx @ a_flat).reshape(m, m)
-    return dx, adx + rd, g_mat - _sym(winv @ adx @ winv)
+    rhs = (a_flat @ g_mat.reshape(count, m * m, 1))[..., 0] - rp
+    dx, solved = _solve_each(schur, rhs[..., None])
+    dx = dx[..., 0]
+    adx = (dx[:, None, :] @ a_flat).reshape(count, m, m)
+    return dx, adx + rd, g_mat - _sym(winv @ adx @ winv), solved
 
 
 def _sym_block_basis(q: np.ndarray) -> list[np.ndarray]:
@@ -261,13 +349,14 @@ def _polish_once(
 
 def _polish(
     a0: np.ndarray, a_flat: np.ndarray, cv: np.ndarray, X: np.ndarray, Z: np.ndarray, score
-) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+) -> tuple[float, tuple[np.ndarray, np.ndarray, np.ndarray]] | None:
     """Crossover refinement assuming strict complementarity.
 
     Tries the face ranks suggested by the spectra of X and of Z, iterating
     each three rounds (the refit x sharpens the kernel of A0 + A(x), which
     sharpens the next split).  ``score`` maps a triple to a scalar merit;
-    the best refit seen is returned, or None if nothing finite came out.
+    the best refit seen is returned with its score, or None if nothing
+    finite came out.
     """
     m = a0.shape[0]
     wx = np.linalg.eigvalsh(X)
@@ -287,163 +376,294 @@ def _polish(
                 best_score = val
                 best_triple = out
             cur = out[1]
-    return best_triple
+    return None if best_triple is None else (best_score, best_triple)
 
 
-def solve_sdp(pencil: Pencil, c: Sequence[float], *, require_interior: bool = True) -> SdpSolution:
-    """Solve max c^T x over the pencil's spectrahedron.
+@dataclass
+class _Stack:
+    """State of one stack of problems: matrices as stacks with one row per
+    problem, scalars as lists.  A row keeps its place when its problem's
+    solve ends, so the loop reads and writes the rows of active problems."""
 
-    ``require_interior`` enforces A0 positive definite (rejecting other
-    inputs with :class:`NotInteriorError`); pass False to attempt a fully
-    infeasible start, as the random-instance experiments do.  A solve that
-    stalls before the target tolerance ``TOL`` still returns ``optimal`` if
-    it cleared ``ACCEPT`` on feasibility and relative gap and 1e-6 on the
-    relative Frobenius norm of X Z.
-    """
+    x: np.ndarray
+    X: np.ndarray
+    Z: np.ndarray
+    best_x: np.ndarray  # the best iterate: smallest max(path error, rel_comp)
+    best_X: np.ndarray
+    best_Z: np.ndarray
+    path_x: np.ndarray  # the best path iterate: smallest path error
+    path_X: np.ndarray
+    path_Z: np.ndarray
+    best_metric: list[float]
+    best_path: list[float]
+    stall: list[int]
+    centering: list[bool]  # final phase: pure centering steps at frozen mu
+    mu_fix: list[float]
+    center_left: list[int]
+
+
+def _pick(rows: list[int], *stacks: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The given rows of each stack; the stacks themselves, uncopied, when
+    the rows are all of them (the common case)."""
+    if len(rows) == len(stacks[0]):
+        return stacks
+    index = np.array(rows, dtype=int)
+    return tuple(stack[index] for stack in stacks)
+
+
+def _copy_rows(rows: list[int], src: tuple[np.ndarray, ...], dst: tuple[np.ndarray, ...]) -> None:
+    """For each pair of stacks, dst[k] = src[k] in place for the given rows."""
+    for a, b in zip(src, dst):
+        if len(rows) == len(b):
+            b[...] = a
+        elif rows:
+            b[rows] = a[rows]
+
+
+def _solve_stack(
+    pencil: Pencil, a_flat: np.ndarray, lam0: float, cs: np.ndarray
+) -> list[SdpSolution]:
+    """The interior-point loop over one stack of objectives, then each
+    problem's polish and solution.  Matrix work runs as stacked calls over
+    the rows in ``work``; the scalar decisions run row by row in Python for
+    the live problems, the same arithmetic as a lone solve."""
     m, n = pencil.m, pencil.n
-    cv = np.asarray(c, dtype=float)
-    if cv.shape != (n,):
-        raise ValueError(f"objective must have length {n}, got shape {cv.shape}")
     mats = pencil.mats
     a0 = mats[0]
-    a_flat = np.array(mats[1:]).reshape(n, m * m)  # row i is A_{i+1}, raveled
-
-    lam0 = float(np.linalg.eigvalsh(a0)[0])
-    if require_interior and lam0 <= 0.0:
-        raise NotInteriorError(
-            f"A0 must be positive definite for an interior start (lambda_min = {lam0:.3e})"
-        )
-
+    count = len(cs)
     norm_a0 = float(np.linalg.norm(a0))
-    norm_c = float(np.linalg.norm(cv))
     scale0 = max(1.0, norm_a0, max(float(np.linalg.norm(a)) for a in mats))
-
-    x = np.zeros(n)
-    if lam0 > 0.0:
-        X = a0.copy()  # primal-feasible start: residual stays zero throughout
-    else:
-        X = scale0 * np.eye(m)
-    Z = max(1.0, norm_c) * np.eye(m)
-
-    residuals = partial(_residuals, a0, a_flat, cv, norm_a0, norm_c)
-    status = STATUS_FAILURE
-    best = None  # (metric, x, X, Z)
-    best_path = np.inf
-    best_path_iter = None  # (x, X, Z) at the smallest path error
-    stall = 0
-    centering = False  # final phase: pure centering steps at frozen mu
-    mu_fix = 0.0
-    center_left = 0
+    norm_c = np.sqrt(_dot(cs, cs)).tolist()
+    # a primal-feasible start when A0 is interior: the residual stays zero
+    start = a0 if lam0 > 0.0 else scale0 * np.eye(m)
+    s = _Stack(
+        x=np.zeros((count, n)),
+        X=np.repeat(start[None], count, axis=0),
+        Z=np.array([max(1.0, c) for c in norm_c])[:, None, None] * np.eye(m),
+        best_x=np.zeros((count, n)),
+        best_X=np.zeros((count, m, m)),
+        best_Z=np.zeros((count, m, m)),
+        path_x=np.zeros((count, n)),
+        path_X=np.zeros((count, m, m)),
+        path_Z=np.zeros((count, m, m)),
+        best_metric=[math.inf] * count,
+        best_path=[math.inf] * count,
+        stall=[0] * count,
+        centering=[False] * count,
+        mu_fix=[0.0] * count,
+        center_left=[0] * count,
+    )
+    live = list(range(count))  # problems still iterating
+    # rows the stacked calls run on: the live ones, plus ended ones until
+    # half the rows have ended, so that the stack keeps its shape across
+    # passes (shapes that shrink by a row or two every pass fragment the heap)
+    work = live
+    final = [STATUS_FAILURE] * count  # a solve that runs out of iterations fails
+    iterations = [MAX_ITER] * count
 
     for it in range(1, MAX_ITER + 1):
-        rd, rp, (feas_p, feas_d, rel_gap, rel_comp) = residuals(x, X, Z)
-        path_err = max(feas_p, feas_d, rel_gap)
-        metric = max(path_err, rel_comp)
-        if best is None or metric < best[0] * 0.9999:
-            best = (metric, x.copy(), X.copy(), Z.copy())
-        if path_err < best_path * 0.9999:
-            best_path = path_err
-            best_path_iter = (x.copy(), X.copy(), Z.copy())
-            stall = 0
-        else:
-            stall += 1
+        rd, rp, dots = _residuals(a0, a_flat, *_pick(work, cs, s.x, s.X, s.Z))
+        is_live = set(live)
+        status: dict[int, str] = {}  # problems whose solve ends in this pass
+        better, improved, go, stuck, broken, head = [], [], [], [], [], {}
+        for k, row in zip(work, dots):
+            if k not in is_live:
+                continue
+            feas_p, feas_d, rel_gap, rel_comp = _errors(row, norm_a0, norm_c[k])
+            path_err = max(feas_p, feas_d, rel_gap)
+            head[k] = (feas_p, feas_d, rel_gap, path_err, row[1])
+            xnorm, znorm = math.sqrt(row[7]), math.sqrt(row[4])
+            metric = max(path_err, rel_comp)
+            if it == 1 or metric < s.best_metric[k] * 0.9999:
+                s.best_metric[k] = metric
+                better.append(k)
+            if path_err < s.best_path[k] * 0.9999:
+                s.best_path[k] = path_err
+                improved.append(k)
+                s.stall[k] = 0
+            else:
+                s.stall[k] += 1
 
-        on_target = feas_p <= TOL and feas_d <= TOL and rel_gap <= TOL
-        if on_target and rel_comp <= 3e-8:
-            status = STATUS_OPTIMAL
-            break
-        if not centering and (on_target or stall > 12):
-            # the path phase has converged or bottomed out: either way the
-            # iterate may be off-centre (X and Z misaligned, typically at a
-            # curved optimal face), so finish with pure centering steps
-            nt = None
-        else:
-            if centering:
-                center_left -= 1
-                if center_left < 0:
-                    break
-            xnorm = float(np.linalg.norm(x))
-            znorm = float(np.linalg.norm(Z))
-            if not np.isfinite(xnorm) or not np.isfinite(znorm):
-                break
-            if xnorm > DIVERGE_NORM:
-                status = STATUS_UNBOUNDED if float(cv @ x) > 0 else STATUS_FAILURE
-                break
-            if znorm > DIVERGE_NORM * max(1.0, norm_c):
-                status = STATUS_INFEASIBLE
-                break
-            nt = _nt_scaling(X, Z)
-        if nt is None:
-            # restart once from the best path iterate in pure-centering
-            # mode, at the largest mu the acceptance gap allows: tiny mu
-            # would leave the Newton system too ill-conditioned to centre
-            if centering or best_path > 1e-6:
-                break
-            x, X, Z = (arr.copy() for arr in best_path_iter)
-            mu_fix = max(
-                float(np.vdot(X, Z)) / m, ACCEPT * (1.0 + abs(float(cv @ x))) / (3.0 * m), 1e-300
-            )
-            centering = True
-            center_left = 16
-            continue
-        f_mat, zinv = nt
-        winv = f_mat @ f_mat.T
-        schur = _schur_gram(a_flat, f_mat)
-        # tiny ridge keeps borderline-dependent pencils solvable
-        schur[np.diag_indices(n)] += 1e-14 * max(1.0, float(np.trace(schur)) / max(n, 1))
-        wrw = winv @ rd @ winv
+            if s.centering[k]:
+                s.center_left[k] -= 1
+            on_target = feas_p <= TOL and feas_d <= TOL and rel_gap <= TOL
+            if on_target and rel_comp <= 3e-8:
+                status[k] = STATUS_OPTIMAL
+            elif not s.centering[k] and (on_target or s.stall[k] > 12):
+                # the path phase has converged or bottomed out: either way
+                # the iterate may be off-centre (X and Z misaligned,
+                # typically at a curved optimal face), so finish with pure
+                # centering steps
+                stuck.append(k)
+            elif s.center_left[k] < 0:  # the centering steps are used up
+                status[k] = STATUS_FAILURE
+            elif not math.isfinite(xnorm) or not math.isfinite(znorm):
+                status[k] = STATUS_FAILURE
+                broken.append(k)
+            elif xnorm > DIVERGE_NORM:
+                status[k] = STATUS_UNBOUNDED if row[6] > 0 else STATUS_FAILURE
+            elif znorm > DIVERGE_NORM * max(1.0, norm_c[k]):
+                status[k] = STATUS_INFEASIBLE
+            else:
+                go.append(k)
+        _copy_rows(better, (s.x, s.X, s.Z), (s.best_x, s.best_X, s.best_Z))
+        _copy_rows(improved, (s.x, s.X, s.Z), (s.path_x, s.path_X, s.path_Z))
+        if broken:  # a non-finite iterate leaves the stack before any LAPACK call
+            keep = [j for j, k in enumerate(work) if k not in broken]
+            work = [work[j] for j in keep]
+            rd, rp = _pick(keep, rd, rp)
 
-        if centering:
-            target_mu = mu_fix
-            tau = 0.9
-        else:
-            mu = max(float(np.vdot(X, Z)) / m, 1e-300)
-            try:
+        step = []
+        if go:
+            f_mat, zinv, scaled = _nt_scaling(*_pick(work, s.X, s.Z))
+            going = set(go)
+            step = [j for j, (k, ok) in enumerate(zip(work, scaled)) if ok and k in going]
+            stuck += [k for k, ok in zip(work, scaled) if not ok and k in going]
+
+        # restart once from the best path iterate in pure-centering mode,
+        # at the largest mu the acceptance gap allows: tiny mu would leave
+        # the Newton system too ill-conditioned to centre
+        back = []
+        for k in stuck:
+            if s.centering[k] or s.best_path[k] > 1e-6:
+                status[k] = STATUS_FAILURE
+            else:
+                back.append(k)
+        _copy_rows(back, (s.path_x, s.path_X, s.path_Z), (s.x, s.X, s.Z))
+        for k in back:
+            gap_floor = ACCEPT * (1.0 + abs(float(cs[k] @ s.x[k]))) / (3.0 * m)
+            s.mu_fix[k] = max(float(np.vdot(s.X[k], s.Z[k])) / m, gap_floor, 1e-300)
+            s.centering[k] = True
+            s.center_left[k] = 16
+
+        # the step runs on every row of the stack; only the rows in ``step``
+        # (positions in ``work``) take theirs
+        if step:
+            x, X, Z = _pick(work, s.x, s.X, s.Z)
+            winv = f_mat @ f_mat.mT
+            schur = _schur_gram(a_flat, f_mat)
+            # tiny ridge keeps borderline-dependent pencils solvable
+            trace = np.trace(schur, axis1=1, axis2=2).tolist()
+            ridge = np.array([1e-14 * max(1.0, t / max(n, 1)) for t in trace])
+            schur.reshape(len(work), n * n)[:, :: n + 1] += ridge[:, None]
+            wrw = winv @ rd @ winv
+            # the step lengths of the predictor and of the step itself start
+            # from the same X and Z, so they share one factorization
+            chol = _factor(np.concatenate([X, Z]))
+
+            target_mu = [s.mu_fix[k] for k in work]
+            tau = [0.9] * len(work)
+            solved = [True] * len(work)
+            pred = [j for j in step if not s.centering[work[j]]]
+            if pred:
                 # predictor: sigma = 0 target in  Delta_X + W Delta_Z W = -X
-                dx_a, dX_a, dZ_a = _newton(a_flat, schur, winv, wrw, rd, rp, -X)
-            except np.linalg.LinAlgError:
-                break
-            ap_a = _max_step(X, dX_a)
-            ad_a = _max_step(Z, dZ_a)
-            mu_aff = max(0.0, float(np.vdot(X + ap_a * dX_a, Z + ad_a * dZ_a)) / m)
-            sigma = min(1.0, max((mu_aff / mu) ** 3, 1e-12))
-            # keep the gap from outrunning infeasibility: residuals shrink by
-            # (1 - alpha) per step, so hold the path back while they lag
-            if max(feas_p, feas_d) > max(0.1 * rel_gap, TOL):
-                sigma = max(sigma, 0.5)
-            target_mu = sigma * mu
-            tau = 0.9 if path_err > 1e-4 else (0.98 if path_err > 1e-9 else 0.995)
+                _, dX_a, dZ_a, solved_a = _newton(a_flat, schur, winv, wrw, rd, rp, -X)
+                alpha = np.array(_max_step(chol, np.concatenate([dX_a, dZ_a])))
+                ap_a, ad_a = alpha[: len(work), None, None], alpha[len(work) :, None, None]
+                gaps_aff = _dot(X + ap_a * dX_a, Z + ad_a * dZ_a).tolist()
+                for j in pred:
+                    feas_p, feas_d, rel_gap, path_err, gap = head[work[j]]
+                    mu = max(gap / m, 1e-300)
+                    sigma = min(1.0, max((max(0.0, gaps_aff[j] / m) / mu) ** 3, 1e-12))
+                    # keep the gap from outrunning infeasibility: residuals
+                    # shrink by (1 - alpha) per step, so hold the path back
+                    # while they lag
+                    if max(feas_p, feas_d) > max(0.1 * rel_gap, TOL):
+                        sigma = max(sigma, 0.5)
+                    target_mu[j] = sigma * mu
+                    tau[j] = 0.9 if path_err > 1e-4 else (0.98 if path_err > 1e-9 else 0.995)
+                    solved[j] = solved_a[j]
 
-        try:
-            dx, dX, dZ = _newton(a_flat, schur, winv, wrw, rd, rp, target_mu * zinv - X)
-        except np.linalg.LinAlgError:
+            target = np.array(target_mu)[:, None, None] * zinv - X
+            dx, dX, dZ, solved_c = _newton(a_flat, schur, winv, wrw, rd, rp, target)
+            steps = _max_step(chol, np.concatenate([dX, dZ]))
+            moving = [False] * len(work)
+            alpha_p, alpha_d = [0.0] * len(work), [0.0] * len(work)
+            for j in step:
+                if not (solved[j] and solved_c[j]):
+                    status[work[j]] = STATUS_FAILURE  # a singular Schur system ends the solve
+                    continue
+                ap = min(1.0, tau[j] * steps[j])
+                ad = min(1.0, tau[j] * steps[len(work) + j])
+                if s.centering[work[j]]:
+                    ap = ad = min(ap, ad)
+                moving[j], alpha_p[j], alpha_d[j] = True, ap, ad
+            ap, ad = np.array(alpha_p), np.array(alpha_d)
+            moved = (
+                x + ap[:, None] * dx,
+                _sym(X + ap[:, None, None] * dX),
+                _sym(Z + ad[:, None, None] * dZ),
+            )
+            if not all(moving):  # the other rows keep their iterate
+                mask = np.array(moving)
+                moved = tuple(
+                    np.where(mask.reshape(-1, *[1] * (new.ndim - 1)), new, old)
+                    for new, old in zip(moved, (x, X, Z))
+                )
+            if len(work) == count:
+                s.x, s.X, s.Z = moved
+            else:
+                s.x[work], s.X[work], s.Z[work] = moved
+
+        for k, result in status.items():
+            final[k], iterations[k] = result, it
+        live = [k for k in live if k not in status]
+        if not live:
             break
+        if 2 * len(live) <= len(work):
+            work = live
 
-        alpha_p = min(1.0, tau * _max_step(X, dX))
-        alpha_d = min(1.0, tau * _max_step(Z, dZ))
-        if centering:
-            alpha_p = alpha_d = min(alpha_p, alpha_d)
-        x = x + alpha_p * dx
-        X = _sym(X + alpha_p * dX)
-        Z = _sym(Z + alpha_d * dZ)
+    return [
+        _solution(
+            pencil, a_flat, norm_a0, scale0, cs[k], final[k], iterations[k],
+            s.x[k].copy(), s.X[k].copy(), s.Z[k].copy(),
+            (s.best_x[k].copy(), s.best_X[k].copy(), s.best_Z[k].copy()),
+        )
+        for k in range(count)
+    ]
+
+
+def _solution(
+    pencil: Pencil,
+    a_flat: np.ndarray,
+    norm_a0: float,
+    scale0: float,
+    cv: np.ndarray,
+    status: str,
+    iterations: int,
+    x: np.ndarray,
+    X: np.ndarray,
+    Z: np.ndarray,
+    best: tuple[np.ndarray, np.ndarray, np.ndarray],
+) -> SdpSolution:
+    """Polish one problem's final iterate and assemble its solution."""
+    m = pencil.m
+    a0 = pencil.mats[0]
+    norm_c = float(np.linalg.norm(cv))
+
+    def residuals(x: np.ndarray, X: np.ndarray, Z: np.ndarray) -> tuple[np.ndarray, list[float]]:
+        rd, _, dots = _residuals(a0, a_flat, cv[None], x[None], X[None], Z[None])
+        return rd[0], _errors(dots[0], norm_a0, norm_c)
 
     def score(triple: tuple[np.ndarray, np.ndarray, np.ndarray]) -> float:
-        return max(residuals(*triple)[2])
+        return max(residuals(*triple)[1])
 
     if status not in (STATUS_UNBOUNDED, STATUS_INFEASIBLE):
         # pick the better of the last and the best-seen iterate, then try the
         # strict-complementarity crossover to zero out the product error
-        x, X, Z = min([(x, X, Z), best[1:]], key=score)
+        last, seen = (score((x, X, Z)), (x, X, Z)), (score(best), best)
+        top, (x, X, Z) = seen if seen[0] < last[0] else last
         polished = _polish(a0, a_flat, cv, X, Z, score)
-        if polished is not None and score(polished) < score((x, X, Z)):
-            x, X, Z = polished
-        feas_p, feas_d, rel_gap, rel_comp = residuals(x, X, Z)[2]
+        if polished is not None and polished[0] < top:
+            x, X, Z = polished[1]
+        rd, (feas_p, feas_d, rel_gap, rel_comp) = residuals(x, X, Z)
         if feas_p <= ACCEPT and feas_d <= ACCEPT and rel_gap <= ACCEPT and rel_comp <= 1e-6:
             status = STATUS_OPTIMAL
         else:
             status = STATUS_FAILURE
+    else:
+        rd = residuals(x, X, Z)[0]
 
-    rd = residuals(x, X, Z)[0]
     # the reported residual goes through the pencil's own adjoint, a route
     # apart from the stacked copy the iteration used
     rp = -(cv + adjoint(pencil, Z))
@@ -474,10 +694,54 @@ def solve_sdp(pencil: Pencil, c: Sequence[float], *, require_interior: bool = Tr
         residuals=(float(np.linalg.norm(rd)), float(np.linalg.norm(rp)), gap),
         spectrum_X=spec_x,
         spectrum_Z=spec_z,
-        iterations=it,
+        iterations=iterations,
         rank_uncertain=_uncertain(spec_x, rank_x) or _uncertain(spec_z, rank_z),
         ray=ray,
     )
+
+
+def solve_sdp_many(
+    pencil: Pencil, objectives: Sequence[Sequence[float]], *, require_interior: bool = True
+) -> list[SdpSolution]:
+    """Solve max c^T x over the pencil's spectrahedron for each c in
+    ``objectives`` (shape (B, n)), in one stacked interior-point run.
+
+    Each solution is bitwise identical to the one :func:`solve_sdp` returns
+    for its objective alone, whatever the batch and its order.
+    ``require_interior`` enforces A0 positive definite (rejecting other
+    inputs with :class:`NotInteriorError`); pass False to attempt a fully
+    infeasible start, as the random-instance experiments do.  A solve that
+    stalls before the target tolerance ``TOL`` still returns ``optimal`` if
+    it cleared ``ACCEPT`` on feasibility and relative gap and 1e-6 on the
+    relative Frobenius norm of X Z.
+    """
+    m, n = pencil.m, pencil.n
+    cs = np.asarray(objectives, dtype=float)
+    if cs.shape == (0,):
+        cs = cs.reshape(0, n)
+    if cs.ndim != 2 or cs.shape[1] != n:
+        raise ValueError(f"objectives must have shape (B, {n}), got shape {cs.shape}")
+    lam0 = float(np.linalg.eigvalsh(pencil.mats[0])[0])
+    if require_interior and lam0 <= 0.0:
+        raise NotInteriorError(
+            f"A0 must be positive definite for an interior start (lambda_min = {lam0:.3e})"
+        )
+    a_flat = np.array(pencil.mats[1:]).reshape(n, m * m)  # row i is A_{i+1}, raveled
+    size = max(1, CHUNK_BYTES // max(1, 8 * n * m * m))
+    return [
+        sol
+        for k in range(0, len(cs), size)
+        for sol in _solve_stack(pencil, a_flat, lam0, cs[k : k + size])
+    ]
+
+
+def solve_sdp(pencil: Pencil, c: Sequence[float], *, require_interior: bool = True) -> SdpSolution:
+    """Solve max c^T x over the pencil's spectrahedron: the one-objective
+    case of :func:`solve_sdp_many`, which documents the statuses."""
+    cv = np.asarray(c, dtype=float)
+    if cv.shape != (pencil.n,):
+        raise ValueError(f"objective must have length {pencil.n}, got shape {cv.shape}")
+    return solve_sdp_many(pencil, cv[None], require_interior=require_interior)[0]
 
 
 def support_value(pencil: Pencil, direction: np.ndarray) -> SdpSolution:

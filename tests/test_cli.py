@@ -263,6 +263,16 @@ class TestSamplingCommands:
         code, _ = run_cli(capsys, "fit-degree", "--cloud", str(bad), "--max-degree", "2")
         assert code == 2
 
+    def test_truncated_cloud_exit_2(self, capsys, tmp_path):
+        ang = np.linspace(0.0, 2.0 * np.pi, 60, endpoint=False)
+        circle = np.column_stack([np.cos(ang), np.sin(ang)])
+        cloud = {"ambient_dim": 2, "points": circle.tolist(), "directions": circle[:5].tolist(),
+                 "values": [2.0], "skipped": [], "seed": None}
+        bad = tmp_path / "cloud.json"
+        bad.write_text(json.dumps(cloud))
+        code, _ = run_cli(capsys, "fit-degree", "--cloud", str(bad), "--max-degree", "2")
+        assert code == 2
+
     def test_degenerate_input_exit_3(self, capsys, tmp_path):
         bad = tmp_path / "bad.json"
         save_pencil(

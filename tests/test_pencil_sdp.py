@@ -1,5 +1,6 @@
 """Pencil algebra, JSON format, eigen utilities, and the SDP solver."""
 
+import dataclasses
 import json
 
 import numpy as np
@@ -9,11 +10,17 @@ from psdbound.bounds import pataki_range
 from psdbound.pencil import Pencil, adjoint, eval_pencil, load_pencil, save_pencil, symmetrize
 from psdbound.polar import disk_fixture, pentagon_fixture, pentagon_vertices, segment_fixture
 from psdbound.experiments import random_pencil, shift_to_interior
+from psdbound import sdp
 from psdbound.sdp import (
     NotInteriorError,
+    SdpSolution,
+    _factor,
+    _max_step,
     _schur_gram,
+    _solve_each,
     rank_of,
     solve_sdp,
+    solve_sdp_many,
     support_value,
     sym_eig,
 )
@@ -267,3 +274,89 @@ class TestSolveSdp:
             inside += sol.rank_X in rng_ranks
         assert solved >= 180
         assert inside / solved >= 0.99
+
+
+def assert_same_solution(got, want):
+    """Every SdpSolution field equal: arrays by np.array_equal, the rest by ==."""
+    for f in dataclasses.fields(SdpSolution):
+        u, v = getattr(got, f.name), getattr(want, f.name)
+        if isinstance(u, np.ndarray) or isinstance(v, np.ndarray):
+            assert u is not None and v is not None and np.array_equal(u, v), f.name
+        else:
+            assert u == v, f.name
+
+
+def pentagon_objectives(count, seed):
+    p = pentagon_fixture()
+    raw = np.random.default_rng(seed).standard_normal((count, 2))
+    return p, [p.lift_direction(y / np.linalg.norm(y)) for y in raw]
+
+
+class TestSolveSdpMany:
+    def test_batch_equals_solo_solves(self):
+        p, cs = pentagon_objectives(40, 7000)
+        solo = [solve_sdp(p, c) for c in cs]
+        shuffled = np.random.default_rng(3).permutation(len(cs)).tolist()
+        for order in (list(range(len(cs))), list(reversed(range(len(cs)))), shuffled):
+            batch = solve_sdp_many(p, [cs[i] for i in order])
+            assert len(batch) == len(cs)
+            for i, sol in zip(order, batch):
+                assert_same_solution(sol, solo[i])
+
+    def test_chunks_do_not_change_results(self, monkeypatch):
+        p, cs = pentagon_objectives(12, 11)
+        whole = solve_sdp_many(p, cs)
+        monkeypatch.setattr(sdp, "CHUNK_BYTES", 8 * p.n * p.m**2 * 5)  # chunks of 5
+        for got, want in zip(solve_sdp_many(p, cs), whole):
+            assert_same_solution(got, want)
+
+    def test_mixed_statuses_on_half_line(self):
+        half = Pencil(mats=(np.eye(1), np.eye(1)))  # 1 + x >= 0
+        cs = [[1.0], [-1.0], [0.5], [-2.0], [0.0]]
+        batch = solve_sdp_many(half, cs)
+        statuses = ["unbounded", "optimal", "unbounded", "optimal", "optimal"]
+        assert [s.status for s in batch] == statuses
+        assert [s.value for s in batch[1::2]] == pytest.approx([1.0, 2.0], abs=1e-8)
+        for c, sol in zip(cs, batch):
+            assert_same_solution(sol, solve_sdp(half, c))
+
+    def test_all_unbounded_on_whole_line(self):
+        whole = Pencil(mats=(np.eye(1), np.zeros((1, 1))))  # every x is feasible
+        cs = [[1.0], [-1.0], [3.0]]
+        batch = solve_sdp_many(whole, cs)
+        assert [s.status for s in batch] == ["unbounded"] * 3
+        assert [float(s.ray[0]) for s in batch] == [1.0, -1.0, 1.0]
+        for c, sol in zip(cs, batch):
+            assert_same_solution(sol, solve_sdp(whole, c))
+
+    def test_objective_validation(self):
+        p = segment_fixture()
+        with pytest.raises(ValueError, match="shape"):
+            solve_sdp_many(p, [1.0])
+        with pytest.raises(ValueError, match="shape"):
+            solve_sdp_many(p, [[1.0, 2.0]])
+        assert solve_sdp_many(p, []) == []
+        with pytest.raises(NotInteriorError):
+            solve_sdp_many(Pencil(mats=(np.diag([1.0, -1.0]), np.eye(2))), [[1.0], [-1.0]])
+
+    def test_max_step_indefinite_slice(self):
+        rng = np.random.default_rng(2)
+        mats = np.array([g @ g.T + np.eye(3) for g in rng.standard_normal((4, 3, 3))])
+        mats[2] = np.diag([1.0, -1.0, 2.0])
+        dirs = np.array([(g + g.T) / 2 for g in rng.standard_normal((4, 3, 3))])
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.cholesky(mats)  # the stacked factorization fails whole
+        steps = _max_step(_factor(mats), dirs)
+        assert steps == [_max_step(_factor(mats[k : k + 1]), dirs[k : k + 1])[0] for k in range(4)]
+        assert all(0.0 < step <= 1.0 for step in steps)
+
+    def test_singular_schur_slice_fails_alone(self):
+        rng = np.random.default_rng(4)
+        a = np.array([g @ g.T + np.eye(3) for g in rng.standard_normal((3, 3, 3))])
+        a[1] = 0.0
+        b = rng.standard_normal((3, 3, 1))
+        out, solved = _solve_each(a, b)
+        assert solved == [True, False, True]
+        for k in (0, 2):
+            assert np.array_equal(out[k], np.linalg.solve(a[k], b[k]))
+        assert not out[1].any()

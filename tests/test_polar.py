@@ -21,6 +21,11 @@ from psdbound.polar import (
 from psdbound.sdp import support_value
 
 
+def unit_circle(count):
+    ang = np.linspace(0.0, 2.0 * np.pi, count, endpoint=False)
+    return np.column_stack([np.cos(ang), np.sin(ang)])
+
+
 @pytest.fixture(scope="module")
 def pentagon_cloud():
     return sample_polar_boundary(pentagon_fixture(), 600, seed=7)
@@ -36,6 +41,14 @@ class TestSampling:
         cloud = sample_polar_boundary(segment_fixture(), 30, seed=13)
         assert set(np.round(cloud.points.ravel(), 6)) <= {-1.0, 1.0}
         assert {-1.0, 1.0} <= set(np.round(cloud.points.ravel(), 6))
+
+    def test_values_match_single_solves(self):
+        # one stacked run gives each direction the value of its own solve
+        pencil = pentagon_fixture()
+        cloud = sample_polar_boundary(pencil, 30, seed=5)
+        assert len(cloud) == 30
+        values = [support_value(pencil, y).value for y in cloud.directions]
+        assert cloud.values.tolist() == values
 
     def test_pentagon_points_on_polar_pentagon(self, pentagon_cloud):
         # polar support oracle: max over the 5 vertices of <p, v_k> equals 1
@@ -92,6 +105,25 @@ class TestSampling:
         data[name] = bad.tolist()
         with pytest.raises(ValueError, match=f"cloud {name}"):
             BoundaryCloud.from_dict(data)
+
+    def test_truncated_cloud_rejected(self):
+        circle = unit_circle(60)
+        data = {"ambient_dim": 2, "points": circle.tolist(), "directions": circle[:5].tolist(),
+                "values": [2.0]}
+        with pytest.raises(ValueError, match="shapes"):
+            BoundaryCloud.from_dict(data)
+
+    def test_point_off_its_direction_rejected(self):
+        circle = unit_circle(60)
+        points = circle.copy()
+        points[17] *= 1.0 + 1e-9
+        data = {"ambient_dim": 2, "points": points.tolist(), "directions": circle.tolist(),
+                "values": [1.0] * 60}
+        with pytest.raises(ValueError, match="cloud point 17"):
+            BoundaryCloud.from_dict(data)
+        data["points"] = (circle / 2.0).tolist()
+        data["values"] = [2.0] * 60
+        assert len(BoundaryCloud.from_dict(data)) == 60
 
     def test_csv_export(self, pentagon_cloud):
         text = pentagon_cloud.points_csv()
