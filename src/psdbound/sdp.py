@@ -651,8 +651,7 @@ def _solution(
     if status not in (STATUS_UNBOUNDED, STATUS_INFEASIBLE):
         # pick the better of the last and the best-seen iterate, then try the
         # strict-complementarity crossover to zero out the product error
-        last, seen = (score((x, X, Z)), (x, X, Z)), (score(best), best)
-        top, (x, X, Z) = seen if seen[0] < last[0] else last
+        top, (x, X, Z) = min(((score(t), t) for t in ((x, X, Z), best)), key=lambda st: st[0])
         polished = _polish(a0, a_flat, cv, X, Z, score)
         if polished is not None and polished[0] < top:
             x, X, Z = polished[1]
