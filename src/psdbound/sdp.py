@@ -31,12 +31,13 @@ order; :func:`solve_sdp` is the one-objective case.
 A problem whose solve has ended stops taking steps.  Its row leaves the
 stack once half the stack's rows have ended, or at once if its iterate is
 not finite, so the stack changes shape only a few times per run.  When a
-stacked Cholesky fails on one slice, the slices are factored one by one
-and that slice falls back to its eigenpairs; a singular Schur system ends
-only its own problem; both as in a lone solve.  The crossover polish and
-the result assembly run problem by problem after the loop.  Objectives
-run in chunks whose scaled coefficient stack (B, n, m, m) stays under
-``CHUNK_BYTES``.
+stacked Cholesky fails on one slice, the stack is halved until the
+failing slices stand alone and those fall back to their eigenpairs; a
+singular Schur system ends only its own problem; both as in a lone solve.
+The crossover polish and the result assembly after the loop are stacked
+calls too, the polish over groups of problems that share a face rank.
+Objectives run in chunks whose scaled coefficient stack (B, n, m, m)
+stays under ``CHUNK_BYTES``.
 
 The numerics are fixed module constants, not options: the path phase
 targets relative feasibility and gap ``TOL``, a stalled solve is accepted
@@ -87,10 +88,13 @@ def rank_of(mat: np.ndarray, scale: float = 0.0) -> int:
     With the default scale 0 the threshold is relative to the matrix's own
     top eigenvalue; pass an external scale to make near-zero matrices rank 0.
     """
-    w = np.linalg.eigvalsh(np.asarray(mat, dtype=float))
+    return _rank(np.linalg.eigvalsh(np.asarray(mat, dtype=float)), scale)
+
+
+def _rank(w: np.ndarray, scale: float = 0.0) -> int:
+    """:func:`rank_of` from the ascending eigenvalues w."""
     top = float(w[-1]) if w.size else 0.0
-    thr = RANK_EPS * max(scale, top)
-    return int(np.sum(w > thr))
+    return int(np.sum(w > RANK_EPS * max(scale, top)))
 
 
 @dataclass
@@ -142,20 +146,16 @@ def _sym(mat: np.ndarray) -> np.ndarray:
 def _factor(mats: np.ndarray) -> np.ndarray:
     """Cholesky factors of a stack of matrices.  A slice that is not
     numerically positive definite makes the stacked call fail whole; the
-    slices are then factored one by one, each falling back to V sqrt(W)
-    from its clipped eigenpairs where its own Cholesky fails."""
+    stack is then halved until the failing slices stand alone, and each of
+    those falls back to V sqrt(W) from its clipped eigenpairs."""
     try:
         return np.linalg.cholesky(mats)
     except np.linalg.LinAlgError:
-        pass
-    chol = []
-    for mat in mats:
-        try:
-            chol.append(np.linalg.cholesky(mat))
-        except np.linalg.LinAlgError:
-            w, v = np.linalg.eigh(mat)
-            chol.append(v * np.sqrt(np.maximum(w, 1e-300)))
-    return np.array(chol)
+        if len(mats) > 1:
+            half = len(mats) // 2
+            return np.concatenate([_factor(mats[:half]), _factor(mats[half:])])
+    w, v = np.linalg.eigh(mats)
+    return v * np.sqrt(np.maximum(w, 1e-300))[:, None, :]
 
 
 def _max_step(chol: np.ndarray, directions: np.ndarray) -> list[float]:
@@ -255,20 +255,18 @@ def _nt_scaling(X: np.ndarray, Z: np.ndarray) -> tuple[np.ndarray, np.ndarray, l
 def _solve_each(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, list[bool]]:
     """np.linalg.solve over stacks, and per slice whether it was solved.
 
-    A singular slice makes the stacked call fail whole; the slices are then
-    solved one by one and the singular ones left at zero.
+    A singular slice makes the stacked call fail whole; the stack is then
+    halved until the singular slices stand alone, and those are left at zero.
     """
     try:
         return np.linalg.solve(a, b), [True] * len(a)
     except np.linalg.LinAlgError:
-        out = np.zeros_like(b)
-        solved = [True] * len(a)
-        for k in range(len(a)):
-            try:
-                out[k] = np.linalg.solve(a[k], b[k])
-            except np.linalg.LinAlgError:
-                solved[k] = False
-        return out, solved
+        if len(a) == 1:
+            return np.zeros_like(b), [False]
+    half = len(a) // 2
+    lo, solved_lo = _solve_each(a[:half], b[:half])
+    hi, solved_hi = _solve_each(a[half:], b[half:])
+    return np.concatenate([lo, hi]), solved_lo + solved_hi
 
 
 def _newton(
@@ -293,90 +291,98 @@ def _newton(
     return dx, adx + rd, g_mat - _sym(winv @ adx @ winv), solved
 
 
-def _sym_block_basis(q: np.ndarray) -> list[np.ndarray]:
-    """Symmetric rank-one/two basis of the block spanned by columns of q."""
-    k = q.shape[1]
-    basis = []
-    for a in range(k):
-        for b in range(a, k):
-            e = np.outer(q[:, a], q[:, b])
-            basis.append(e + e.T if a != b else np.outer(q[:, a], q[:, a]))
-    return basis
+def _lstsq(lhs: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, list[bool]]:
+    """Least-squares solution of lhs @ sol = rhs over a stack, or the
+    minimum-norm one where lhs is wide, by QR (of lhs^T where wide); and per
+    slice whether its triangular system was solved."""
+    if lhs.shape[-2] >= lhs.shape[-1]:
+        q, r = np.linalg.qr(lhs)
+        return _solve_each(r, q.mT @ rhs)
+    q, r = np.linalg.qr(lhs.mT)
+    sol, solved = _solve_each(r.mT, rhs)
+    return q @ sol, solved
 
 
-def _polish_once(
-    a0: np.ndarray, a_flat: np.ndarray, cv: np.ndarray, X: np.ndarray, r: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
-    """One crossover round at fixed optimal-face rank r.
+def _polish_round(
+    a0: np.ndarray, a_flat: np.ndarray, cs: np.ndarray, X: np.ndarray, r: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """One crossover round at optimal-face rank r over a stack: the refit
+    (x, X, Z), and per slice whether it came out finite and solved.
 
     The split subspaces come from X alone: with exact primal feasibility
     the near-kernel of X locates the optimal face far more accurately than
-    the dual iterate does.  (x, M) is refit by least squares against
-    A0 + A(x) = Q1 M Q1^T, X is re-evaluated through the pencil (exact
-    feasibility), and Z is refit inside the kernel block against
-    A*(Z) + c = 0.  ``a_flat`` holds A1..An as rows of length m*m.
+    the dual iterate does.  Q1 holds the top r eigenvectors of X and Q2 the
+    rest.  x is the least-squares fit of A0 + A(x) = Q1 M Q1^T with M
+    eliminated: it fits P(A0 + A(x)) = 0 for P(S) = S - Q1 Q1^T S Q1 Q1^T.
+    X is re-evaluated through the pencil (exact feasibility), and
+    Z = Q2 N Q2^T is refit against A*(Z) + c = 0, its stray negative
+    eigenvalues clipped.  ``a_flat`` holds A1..An as rows of length m*m.
     """
-    m = a0.shape[0]
-    n = a_flat.shape[0]
-    w, v = np.linalg.eigh(X)
-    v = v[:, ::-1]  # descending eigenvalues
-    q1, q2 = v[:, :r], v[:, r:]
+    count, m = X.shape[:2]
+    a_mats = a_flat.reshape(-1, m, m)
+    v = np.linalg.eigh(X)[1]
+    q1, q2 = v[..., m - r :], v[..., : m - r]
 
-    bas1 = _sym_block_basis(q1)
-    lhs = np.column_stack([a_flat.T] + [-e.ravel() for e in bas1])
-    sol_vec, *_ = np.linalg.lstsq(lhs, -a0.ravel(), rcond=None)
-    x_new = sol_vec[:n]
+    face = q1 @ q1.mT
+    lhs = face[:, None] @ a_mats @ face[:, None]
+    np.subtract(a_mats, lhs, out=lhs)
+    rhs = (face @ a0 @ face - a0).reshape(count, m * m, 1)
+    x, solved_x = _lstsq(lhs.reshape(count, -1, m * m).mT, rhs)
+    x = x[..., 0]
 
-    z_new = np.zeros((m, m))
-    bas2 = _sym_block_basis(q2)
-    if bas2:
-        lhs2 = a_flat @ np.array(bas2).reshape(len(bas2), m * m).T
-        n_vec, *_ = np.linalg.lstsq(lhs2, -cv, rcond=None)
-        for coef, e in zip(n_vec, bas2):
-            z_new += coef * e
-    wq, vq = np.linalg.eigh(z_new)
-    z_new = _sym((vq * np.maximum(wq, 0.0)) @ vq.T)  # clip stray negatives
+    # <A_i, q_a q_b^T + q_b q_a^T> = 2 (Q2^T A_i Q2)_ab for a < b
+    iu, ju = np.triu_indices(m - r)
+    blocks = q2.mT[:, None] @ a_mats @ q2[:, None]
+    lhs2 = blocks[..., iu, ju] * np.where(iu == ju, 1.0, 2.0)
+    coef, solved_z = _lstsq(lhs2, -cs[..., None])
+    ok = np.array(solved_x) & np.array(solved_z) & np.isfinite(coef).all(axis=(1, 2))
+    n_mat = np.zeros((count, m - r, m - r))
+    n_mat[:, iu, ju] = n_mat[:, ju, iu] = np.where(ok[:, None], coef[..., 0], 0.0)
+    wn, vn = np.linalg.eigh(n_mat)
+    vz = q2 @ vn
+    z = _sym((vz * np.maximum(wn, 0.0)[:, None, :]) @ vz.mT)
 
-    x_big = _sym(a0 + (x_new @ a_flat).reshape(m, m))
-    if not (
-        np.all(np.isfinite(x_new))
-        and np.all(np.isfinite(x_big))
-        and np.all(np.isfinite(z_new))
-    ):
-        return None
-    return x_new, x_big, z_new
+    x_big = _sym(a0 + (x[:, None, :] @ a_flat).reshape(count, m, m))
+    for a in (x, x_big, z):
+        ok &= np.isfinite(a.reshape(count, -1)).all(axis=1)
+    return x, x_big, z, ok
 
 
 def _polish(
-    a0: np.ndarray, a_flat: np.ndarray, cv: np.ndarray, X: np.ndarray, Z: np.ndarray, score
-) -> tuple[float, tuple[np.ndarray, np.ndarray, np.ndarray]] | None:
-    """Crossover refinement assuming strict complementarity.
+    a0: np.ndarray, a_flat: np.ndarray, cs: np.ndarray, X: np.ndarray, Z: np.ndarray,
+    rows: list[int], score,
+) -> dict[int, tuple[float, tuple[np.ndarray, np.ndarray, np.ndarray]]]:
+    """Crossover refinement assuming strict complementarity, for the given
+    rows of a stack.
 
-    Tries the face ranks suggested by the spectra of X and of Z, iterating
-    each three rounds (the refit x sharpens the kernel of A0 + A(x), which
-    sharpens the next split).  ``score`` maps a triple to a scalar merit;
-    the best refit seen is returned with its score, or None if nothing
-    finite came out.
+    Per problem, tries the face ranks suggested by the spectra of X and of
+    Z, iterating each three rounds (the refit x sharpens the kernel of
+    A0 + A(x), which sharpens the next split); the problems run in groups
+    of one face rank.  ``score(rows, x, X, Z)`` maps the rows' triples to
+    scalar merits.  Returns per problem with a finite refit the best one
+    seen, with its score.
     """
-    m = a0.shape[0]
-    wx = np.linalg.eigvalsh(X)
-    wz = np.linalg.eigvalsh(Z)
-    r_from_x = int(np.sum(wx > 1e-7 * max(wx[-1], 0.0))) if wx[-1] > 0 else 0
-    r_from_z = m - int(np.sum(wz > 1e-7 * max(wz[-1], 0.0))) if wz[-1] > 0 else m
-    best_triple = None
-    best_score = np.inf
-    for r in sorted({r_from_x, r_from_z}):
-        cur = X
+    m = X.shape[1]
+    w = np.linalg.eigvalsh(np.concatenate([X[rows], Z[rows]]))
+    top = w[:, -1:]
+    above = (np.sum(w > 1e-7 * np.maximum(top, 0.0), axis=1) * (top[:, 0] > 0)).tolist()
+    ranks = {k: {above[j], m - above[len(rows) + j]} for j, k in enumerate(rows)}
+    best: dict[int, tuple[float, tuple[np.ndarray, np.ndarray, np.ndarray]]] = {}
+    for r in sorted(set().union(*ranks.values())):
+        group = [k for k in rows if r in ranks[k]]
+        cur = X[group]
         for _ in range(3):
-            out = _polish_once(a0, a_flat, cv, cur, r)
-            if out is None:
+            x, x_big, z, ok = _polish_round(a0, a_flat, cs[group], cur, r)
+            keep = ok.nonzero()[0]
+            if not keep.size:
                 break
-            val = score(out)
-            if val < best_score:
-                best_score = val
-                best_triple = out
-            cur = out[1]
-    return None if best_triple is None else (best_score, best_triple)
+            group = [group[j] for j in keep.tolist()]
+            x, x_big, z = x[keep], x_big[keep], z[keep]
+            for j, (k, val) in enumerate(zip(group, score(group, x, x_big, z))):
+                if val < best.get(k, (math.inf,))[0]:  # a NaN score never wins
+                    best[k] = val, (x[j], x_big[j], z[j])
+            cur = x_big
+    return best
 
 
 @dataclass
@@ -613,90 +619,84 @@ def _solve_stack(
         if 2 * len(live) <= len(work):
             work = live
 
-    return [
-        _solution(
-            pencil, a_flat, norm_a0, scale0, cs[k], final[k], iterations[k],
-            s.x[k].copy(), s.X[k].copy(), s.Z[k].copy(),
-            (s.best_x[k].copy(), s.best_X[k].copy(), s.best_Z[k].copy()),
-        )
-        for k in range(count)
-    ]
+    return _assemble(pencil, a_flat, norm_a0, scale0, cs, norm_c, final, iterations, s)
 
 
-def _solution(
-    pencil: Pencil,
-    a_flat: np.ndarray,
-    norm_a0: float,
-    scale0: float,
-    cv: np.ndarray,
-    status: str,
-    iterations: int,
-    x: np.ndarray,
-    X: np.ndarray,
-    Z: np.ndarray,
-    best: tuple[np.ndarray, np.ndarray, np.ndarray],
-) -> SdpSolution:
-    """Polish one problem's final iterate and assemble its solution."""
+def _assemble(
+    pencil: Pencil, a_flat: np.ndarray, norm_a0: float, scale0: float, cs: np.ndarray,
+    norm_c: list[float], final: list[str], iterations: list[int], s: _Stack,
+) -> list[SdpSolution]:
+    """Polish the stack's final iterates and assemble each solution."""
     m = pencil.m
     a0 = pencil.mats[0]
-    norm_c = float(np.linalg.norm(cv))
+    count = len(cs)
+    last, best = (s.x, s.X, s.Z), (s.best_x, s.best_X, s.best_Z)
 
-    def residuals(x: np.ndarray, X: np.ndarray, Z: np.ndarray) -> tuple[np.ndarray, list[float]]:
-        rd, _, dots = _residuals(a0, a_flat, cv[None], x[None], X[None], Z[None])
-        return rd[0], _errors(dots[0], norm_a0, norm_c)
+    def errors(rows: list[int], x: np.ndarray, X: np.ndarray, Z: np.ndarray):
+        rd, _, dots = _residuals(a0, a_flat, cs[rows], x, X, Z)
+        return rd, [_errors(row, norm_a0, norm_c[k]) for row, k in zip(dots, rows)]
 
-    def score(triple: tuple[np.ndarray, np.ndarray, np.ndarray]) -> float:
-        return max(residuals(*triple)[1])
+    def score(rows: list[int], x: np.ndarray, X: np.ndarray, Z: np.ndarray) -> list[float]:
+        return [max(e) for e in errors(rows, x, X, Z)[1]]
 
-    if status not in (STATUS_UNBOUNDED, STATUS_INFEASIBLE):
-        # pick the better of the last and the best-seen iterate, then try the
-        # strict-complementarity crossover to zero out the product error
-        top, (x, X, Z) = min(((score(t), t) for t in ((x, X, Z), best)), key=lambda st: st[0])
-        polished = _polish(a0, a_flat, cv, X, Z, score)
-        if polished is not None and polished[0] < top:
-            x, X, Z = polished[1]
-        rd, (feas_p, feas_d, rel_gap, rel_comp) = residuals(x, X, Z)
-        if feas_p <= ACCEPT and feas_d <= ACCEPT and rel_gap <= ACCEPT and rel_comp <= 1e-6:
-            status = STATUS_OPTIMAL
-        else:
-            status = STATUS_FAILURE
-    else:
-        rd = residuals(x, X, Z)[0]
+    x, X, Z = last  # refit rows are written in place; solutions copy theirs
+    # pick the better of the last and the best-seen iterate, then try the
+    # strict-complementarity crossover to zero out the product error
+    todo = [k for k in range(count) if final[k] not in (STATUS_UNBOUNDED, STATUS_INFEASIBLE)]
+    both = score(todo + todo, *(np.concatenate([a[todo], b[todo]]) for a, b in zip(last, best)))
+    top = dict(zip(todo, both))
+    for k, val in zip(todo, both[len(todo) :]):
+        if val < top[k]:
+            top[k] = val
+            x[k], X[k], Z[k] = best[0][k], best[1][k], best[2][k]
+    for k, (val, triple) in _polish(a0, a_flat, cs, X, Z, todo, score).items():
+        if val < top[k]:
+            x[k], X[k], Z[k] = triple
+    rd, err = errors(list(range(count)), x, X, Z)
+    w = np.linalg.eigvalsh(np.concatenate([X, Z]))  # spectra and ranks
 
-    # the reported residual goes through the pencil's own adjoint, a route
-    # apart from the stacked copy the iteration used
-    rp = -(cv + adjoint(pencil, Z))
-    gap = float(np.vdot(X, Z))
-    value = float(cv @ x)
-    spec_x = np.linalg.eigvalsh(X)[::-1].copy()
-    spec_z = np.linalg.eigvalsh(Z)[::-1].copy()
-    rank_x = rank_of(X)
-    rank_z = rank_of(Z)
-
-    ray = None
-    if status == STATUS_UNBOUNDED:  # ||x|| > DIVERGE_NORM
-        cand = x / float(np.linalg.norm(x))
-        lam = float(np.linalg.eigvalsh((cand @ a_flat).reshape(m, m))[0])
-        if lam >= -1e-6 * scale0 and float(cv @ cand) > 0:
-            ray = cand
-        else:
-            status = STATUS_FAILURE
-
-    return SdpSolution(
-        x=x,
-        X=X,
-        Z=Z,
-        value=value,
-        status=status,
-        rank_X=rank_x,
-        rank_Z=rank_z,
-        residuals=(float(np.linalg.norm(rd)), float(np.linalg.norm(rp)), gap),
-        spectrum_X=spec_x,
-        spectrum_Z=spec_z,
-        iterations=iterations,
-        rank_uncertain=_uncertain(spec_x, rank_x) or _uncertain(spec_z, rank_z),
-        ray=ray,
-    )
+    solutions = []
+    for k in range(count):
+        status = final[k]
+        if status not in (STATUS_UNBOUNDED, STATUS_INFEASIBLE):
+            feas_p, feas_d, rel_gap, rel_comp = err[k]
+            if feas_p <= ACCEPT and feas_d <= ACCEPT and rel_gap <= ACCEPT and rel_comp <= 1e-6:
+                status = STATUS_OPTIMAL
+            else:
+                status = STATUS_FAILURE
+        ray = None
+        if status == STATUS_UNBOUNDED:  # ||x|| > DIVERGE_NORM
+            cand = x[k] / float(np.linalg.norm(x[k]))
+            lam = float(np.linalg.eigvalsh((cand @ a_flat).reshape(m, m))[0])
+            if lam >= -1e-6 * scale0 and float(cs[k] @ cand) > 0:
+                ray = cand
+            else:
+                status = STATUS_FAILURE
+        # the reported residual goes through the pencil's own adjoint, a route
+        # apart from the stacked copy the iteration used
+        rp = -(cs[k] + adjoint(pencil, Z[k]))
+        spec_x, spec_z = w[k, ::-1].copy(), w[count + k, ::-1].copy()
+        rank_x, rank_z = _rank(w[k]), _rank(w[count + k])
+        solutions.append(
+            SdpSolution(
+                x=x[k].copy(),
+                X=X[k].copy(),
+                Z=Z[k].copy(),
+                value=float(cs[k] @ x[k]),
+                status=status,
+                rank_X=rank_x,
+                rank_Z=rank_z,
+                residuals=(
+                    float(np.linalg.norm(rd[k])), float(np.linalg.norm(rp)), float(np.vdot(X[k], Z[k]))
+                ),
+                spectrum_X=spec_x,
+                spectrum_Z=spec_z,
+                iterations=iterations[k],
+                rank_uncertain=_uncertain(spec_x, rank_x) or _uncertain(spec_z, rank_z),
+                ray=ray,
+            )
+        )
+    return solutions
 
 
 def solve_sdp_many(

@@ -16,6 +16,7 @@ from psdbound.sdp import (
     SdpSolution,
     _factor,
     _max_step,
+    _polish_round,
     _schur_gram,
     _solve_each,
     rank_of,
@@ -360,3 +361,94 @@ class TestSolveSdpMany:
         for k in (0, 2):
             assert np.array_equal(out[k], np.linalg.solve(a[k], b[k]))
         assert not out[1].any()
+
+    @pytest.mark.parametrize("bad", [(0,), (5,), (2, 3), (0, 5), (0, 1, 2, 3, 4, 5)])
+    def test_factor_bisects_to_bad_slices(self, bad):
+        rng = np.random.default_rng(6)
+        mats = np.array([g @ g.T + np.eye(3) for g in rng.standard_normal((6, 3, 3))])
+        for k in bad:
+            mats[k] = np.diag([1.0, -1.0, 2.0]) + 0.1 * k
+        got = _factor(mats)
+        for k in range(6):
+            if k in bad:
+                w, v = np.linalg.eigh(mats[k])
+                want = v * np.sqrt(np.maximum(w, 1e-300))
+            else:
+                want = np.linalg.cholesky(mats[k])
+            assert np.array_equal(got[k], want), k
+
+    @pytest.mark.parametrize("bad", [(0,), (5,), (2, 3), (0, 5), (0, 1, 2, 3, 4, 5)])
+    def test_solve_each_bisects_to_singular_slices(self, bad):
+        rng = np.random.default_rng(8)
+        a = np.array([g @ g.T + np.eye(3) for g in rng.standard_normal((6, 3, 3))])
+        a[list(bad)] = 0.0
+        b = rng.standard_normal((6, 3, 1))
+        out, solved = _solve_each(a, b)
+        assert solved == [k not in bad for k in range(6)]
+        for k in range(6):
+            want = np.zeros((3, 1)) if k in bad else np.linalg.solve(a[k], b[k])
+            assert np.array_equal(out[k], want), k
+
+    def test_face_rank_groups_equal_solo(self, monkeypatch):
+        p = pentagon_fixture()
+        cs = [p.lift_direction(v) for v in pentagon_vertices()] + [np.zeros(p.n)]
+        cs += pentagon_objectives(5, 1)[1]
+        groups = set()
+
+        def spy(a0, a_flat, cs, X, r):
+            groups.add(r)
+            return _polish_round(a0, a_flat, cs, X, r)
+
+        monkeypatch.setattr(sdp, "_polish_round", spy)
+        batch = solve_sdp_many(p, cs)
+        assert len(groups) >= 3  # rows of one batch fall into several face-rank groups
+        for c, sol in zip(cs, batch):
+            assert_same_solution(sol, solve_sdp(p, c))
+
+
+def full_basis_round(a0, a_flat, cv, X, r):
+    """The crossover round as one least-squares solve over the full
+    symmetric block basis: lstsq([A^T | -basis(Q1)], -vec A0) for x, and
+    lstsq over basis(Q2) for Z."""
+    m, n = a0.shape[0], a_flat.shape[0]
+
+    def basis(q):
+        out = []
+        for a in range(q.shape[1]):
+            for b in range(a, q.shape[1]):
+                e = np.outer(q[:, a], q[:, b])
+                out.append(e + e.T if a != b else np.outer(q[:, a], q[:, a]))
+        return out
+
+    v = np.linalg.eigh(X)[1][:, ::-1]
+    q1, q2 = v[:, :r], v[:, r:]
+    lhs = np.column_stack([a_flat.T] + [-e.ravel() for e in basis(q1)])
+    x = np.linalg.lstsq(lhs, -a0.ravel(), rcond=None)[0][:n]
+    z = np.zeros((m, m))
+    bas2 = basis(q2)
+    if bas2:
+        lhs2 = a_flat @ np.array(bas2).reshape(len(bas2), m * m).T
+        for coef, e in zip(np.linalg.lstsq(lhs2, -cv, rcond=None)[0], bas2):
+            z += coef * e
+    w, u = np.linalg.eigh(z)
+    z = (u * np.maximum(w, 0.0)) @ u.T
+    x_big = a0 + (x @ a_flat).reshape(m, m)
+    return x, (x_big + x_big.T) / 2, (z + z.T) / 2
+
+
+def test_polish_round_matches_full_basis_lstsq():
+    rng = np.random.default_rng((2024, 0))
+    large, _ = shift_to_interior(random_pencil(24, 80, rng), 1.0)
+    g = rng.standard_normal((24, 24))
+    large_c = -adjoint(large, g @ g.T / 24 + 0.1 * np.eye(24))
+    cases = [(large, [large_c])] + [pentagon_objectives(30, 7000)]
+    for p, cs in cases:
+        m = p.m
+        a0, a_flat = p.mats[0], np.array(p.mats[1:]).reshape(p.n, m * m)
+        for c, sol in zip(cs, solve_sdp_many(p, cs)):
+            assert sol.status == "optimal"
+            for r in {sol.rank_X, m - sol.rank_Z}:
+                got = _polish_round(a0, a_flat, c[None], sol.X[None], r)
+                assert got[3].tolist() == [True]
+                for new, old in zip(got[:3], full_basis_round(a0, a_flat, c, sol.X, r)):
+                    assert np.linalg.norm(new[0] - old) <= 1e-10 * np.linalg.norm(old)
