@@ -18,7 +18,6 @@ from .bounds import (
     bezout_kkt_count,
     log2_big,
     lp_extension_lower_bound,
-    max_vertices,
     pataki_range,
     psd_rank_lower_bound,
     triangular,
@@ -106,7 +105,6 @@ __all__ = [
     "load_pencil",
     "log2_big",
     "lp_extension_lower_bound",
-    "max_vertices",
     "parse_system",
     "pataki_range",
     "pentagon_fixture",

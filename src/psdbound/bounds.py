@@ -69,13 +69,6 @@ def bezout_kkt_count(m: int) -> int:
     return 1 << (m * m)
 
 
-def max_vertices(m: int) -> int:
-    """Upper bound 2**(m*m) on the vertex count of any body with an m-lift."""
-    if m < 1:
-        raise ValueError(f"matrix size must be >= 1, got {m}")
-    return 1 << (m * m)
-
-
 def log2_big(v: int) -> float:
     """log2 of a positive integer of arbitrary size.
 

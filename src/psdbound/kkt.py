@@ -16,7 +16,9 @@ and Bezout product 2**(m*m).  Variants:
   normalization c^T x = 1 is appended; solutions project onto the
   boundary-of-polar variety in the c coordinates.
 * ``rank``: additionally forces rank(X) <= r and rank(Z) <= m - r by
-  appending all (r+1) and (m-r+1)-sized minors.
+  appending the (r+1) and (m-r+1)-sized minors of X and Z, each once per
+  unordered pair of row and column sets (minor(R, C) = minor(C, R) for
+  symmetric matrices).
 
 Coefficients are exact rationals (floats enter via their shortest decimal
 representation), so residual evaluation at rational points is exact and
@@ -32,7 +34,7 @@ import re
 from dataclasses import dataclass, replace
 from decimal import Decimal
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, permutations
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -128,41 +130,6 @@ def _mono_mul(a: Monomial, b: Monomial) -> Monomial:
     return tuple(sorted(exps.items()))
 
 
-def poly_mul(a: Polynomial, b: Polynomial) -> Polynomial:
-    out: Polynomial = {}
-    for ma, ca in a.items():
-        for mb, cb in b.items():
-            _poly_add_term(out, _mono_mul(ma, mb), ca * cb)
-    return out
-
-
-def poly_scale(a: Polynomial, s: Fraction) -> Polynomial:
-    if not s:
-        return {}
-    return {mono: coeff * s for mono, coeff in a.items()}
-
-
-def _det_poly(mat: list[list[Polynomial]]) -> Polynomial:
-    """Determinant of a matrix of polynomials by first-row expansion."""
-    size = len(mat)
-    if size == 0:
-        return {(): Fraction(1)}
-    if size == 1:
-        return dict(mat[0][0])
-    out: Polynomial = {}
-    for col in range(size):
-        entry = mat[0][col]
-        if not entry:
-            continue
-        minor = [[row[c] for c in range(size) if c != col] for row in mat[1:]]
-        term = poly_mul(entry, _det_poly(minor))
-        if col % 2:
-            term = poly_scale(term, Fraction(-1))
-        for mono, coeff in term.items():
-            _poly_add_term(out, mono, coeff)
-    return out
-
-
 class _VariableTable:
     """Naming and indexing of (x, X, Z, c) scalar variables."""
 
@@ -203,10 +170,6 @@ class _VariableTable:
         if not self.symbolic_c:
             raise ValueError("system has numeric c")
         return self._c_base + i
-
-
-def _var_poly(idx: int) -> Polynomial:
-    return {((idx, 1),): Fraction(1)}
 
 
 def build_kkt(pencil: Pencil, c: Sequence[float] | None) -> PolySystem:
@@ -290,12 +253,18 @@ def build_kkt_normalized(pencil: Pencil) -> PolySystem:
 def build_kkt_rank(pencil: Pencil, r: int, *, force: bool = False) -> PolySystem:
     """Rank-constrained variant: rank(X) <= r and rank(Z) <= m - r.
 
-    Appends every (r+1) x (r+1) minor of X and every (m-r+1) x (m-r+1)
-    minor of Z to the normalized system.  Ranks outside the Pataki range
-    raise :class:`PatakiViolationError` unless ``force`` is set (the system
-    is still well defined, it just cuts out an atypical locus).
+    Appends the (r+1) x (r+1) minors of X and the (m-r+1) x (m-r+1) minors
+    of Z to the normalized system.  X and Z are symmetric, so minor(R, C)
+    equals minor(C, R) and each minor appears once per unordered pair of
+    row and column sets: ``minor_counts`` is (t(C(m, r+1)), t(C(m, m-r+1)))
+    with t the triangular number.  Ranks outside [0, m] raise ValueError;
+    ranks outside the Pataki range raise :class:`PatakiViolationError`
+    unless ``force`` is set (the system is still well defined, it just cuts
+    out an atypical locus).
     """
     m, n = pencil.m, pencil.n
+    if not 0 <= r <= m:
+        raise ValueError(f"rank {r} outside [0, {m}]")
     rng = pataki_range(m, n)
     if r not in rng.ranks and not force:
         raise PatakiViolationError(
@@ -305,14 +274,24 @@ def build_kkt_rank(pencil: Pencil, r: int, *, force: bool = False) -> PolySystem
     table = _VariableTable(m, n, True)
 
     def minors(entry, size: int) -> list[Polynomial]:
-        if size > m:
-            return []
+        # Leibniz sum, one signed monomial per permutation; lexicographic order
+        # gives the term order of a first-row cofactor expansion
+        perms = [
+            (p, Fraction(-1) if sum(a > b for a, b in combinations(p, 2)) % 2 else Fraction(1))
+            for p in permutations(range(size))
+        ]
+        sets = list(combinations(range(1, m + 1), size))
         out = []
-        idx = range(1, m + 1)
-        for rows in combinations(idx, size):
-            for cols in combinations(idx, size):
-                mat = [[_var_poly(entry(i, j)) for j in cols] for i in rows]
-                out.append(_det_poly(mat))
+        for k, rows in enumerate(sets):
+            for cols in sets[k:]:
+                var = [[entry(i, j) for j in cols] for i in rows]
+                poly: Polynomial = {}
+                for p, sign in perms:
+                    exps: dict[int, int] = {}
+                    for i, j in enumerate(p):
+                        exps[var[i][j]] = exps.get(var[i][j], 0) + 1
+                    _poly_add_term(poly, tuple(sorted(exps.items())), sign)
+                out.append(poly)
         return out
 
     x_minors = minors(table.big_x, r + 1)

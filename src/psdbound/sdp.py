@@ -82,19 +82,15 @@ def sym_eig(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return w[::-1].copy(), v[:, ::-1].copy()
 
 
-def rank_of(mat: np.ndarray, scale: float = 0.0) -> int:
-    """Numerical rank: eigenvalues above RANK_EPS * max(scale, lambda_max).
-
-    With the default scale 0 the threshold is relative to the matrix's own
-    top eigenvalue; pass an external scale to make near-zero matrices rank 0.
-    """
-    return _rank(np.linalg.eigvalsh(np.asarray(mat, dtype=float)), scale)
+def rank_of(mat: np.ndarray) -> int:
+    """Numerical rank: eigenvalues above RANK_EPS * max(0, lambda_max)."""
+    return _rank(np.linalg.eigvalsh(np.asarray(mat, dtype=float)))
 
 
-def _rank(w: np.ndarray, scale: float = 0.0) -> int:
+def _rank(w: np.ndarray) -> int:
     """:func:`rank_of` from the ascending eigenvalues w."""
     top = float(w[-1]) if w.size else 0.0
-    return int(np.sum(w > RANK_EPS * max(scale, top)))
+    return int(np.sum(w > RANK_EPS * max(0.0, top)))
 
 
 @dataclass

@@ -10,7 +10,6 @@ import numpy as np
 
 from psdbound.bounds import (
     bezout_kkt_count,
-    max_vertices,
     psd_rank_lower_bound,
     triangular,
 )
@@ -217,7 +216,5 @@ def test_criterion_10_bound_arithmetic():
         bound = psd_rank_lower_bound(bezout_kkt_count(m))
         if bound.bound != float(m) or bound.ceiling != m:
             ok = False
-        if max_vertices(m) != bezout_kkt_count(m):
-            ok = False
-    report(10, ok, "sqrt(log2(2^(m^2))) = m exactly for m = 1..20; vertex = Bezout count")
+    report(10, ok, "sqrt(log2(2^(m^2))) = m exactly for m = 1..20")
     assert ok

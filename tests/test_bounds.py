@@ -10,7 +10,6 @@ from psdbound.bounds import (
     bezout_kkt_count,
     log2_big,
     lp_extension_lower_bound,
-    max_vertices,
     pataki_range,
     psd_rank_lower_bound,
     triangular,
@@ -72,13 +71,11 @@ class TestCounts:
 
     def test_vertex_bound_agrees(self):
         for m in range(1, 12):
-            assert max_vertices(m) == bezout_kkt_count(m) == 2 ** (m * m)
+            assert bezout_kkt_count(m) == 2 ** (m * m)
 
     def test_validation(self):
         with pytest.raises(ValueError):
             bezout_kkt_count(0)
-        with pytest.raises(ValueError):
-            max_vertices(0)
 
 
 class TestLog2Big:

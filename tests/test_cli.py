@@ -172,6 +172,21 @@ class TestKktExport:
         )
         assert code == 2
 
+    @pytest.mark.parametrize("rank", ["-1", "3"])
+    def test_rank_outside_matrix_size_exit_2(self, capsys, segment_file, rank):
+        code, out = run_cli(
+            capsys,
+            "kkt-export",
+            "--pencil",
+            segment_file,
+            "--variant",
+            "rank",
+            "--rank",
+            rank,
+            "--force",
+        )
+        assert code == 2 and out == ""
+
     def test_plain_needs_c(self, capsys, segment_file):
         assert run_cli(capsys, "kkt-export", "--pencil", segment_file)[0] == 2
 

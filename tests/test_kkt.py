@@ -1,15 +1,20 @@
 """KKT system construction, counts, residuals, and export round-trips."""
 
+import itertools
+import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from psdbound.bounds import triangular
+from psdbound.bounds import pataki_range, triangular
 from psdbound.kkt import (
     PatakiViolationError,
     PolySystem,
+    Polynomial,
     SystemInfo,
+    _mono_mul,
+    _poly_add_term,
     assignment_from_solution,
     build_kkt,
     build_kkt_normalized,
@@ -38,6 +43,54 @@ def small_pencil(m, n, seed=0):
         a -= np.trace(a) / m * np.eye(m)
         mats.append(a)
     return Pencil(mats=tuple(mats))
+
+
+def cofactor_det(mat: list[list[Polynomial]]) -> Polynomial:
+    """Determinant of a matrix of polynomials by first-row cofactor expansion."""
+    if not mat:
+        return {(): Fraction(1)}
+    out: Polynomial = {}
+    for col, entry in enumerate(mat[0]):
+        minor = cofactor_det([[row[c] for c in range(len(mat)) if c != col] for row in mat[1:]])
+        for ma, ca in entry.items():
+            for mb, cb in minor.items():
+                _poly_add_term(out, _mono_mul(ma, mb), (-1) ** col * ca * cb)
+    return out
+
+
+def reference_minors(variables, name: str, m: int, size: int) -> list[Polynomial]:
+    """Every size x size minor of the symmetric matrix ``name`` over all
+    (rows, cols) pairs, expanded by cofactors, duplicates dropped after
+    their first appearance."""
+
+    def var(i, j):
+        return {((variables.index(f"{name}_{min(i, j)}_{max(i, j)}"), 1),): Fraction(1)}
+
+    seen, out = set(), []
+    idx = range(1, m + 1)
+    for rows in itertools.combinations(idx, size):
+        for cols in itertools.combinations(idx, size):
+            poly = cofactor_det([[var(i, j) for j in cols] for i in rows])
+            key = frozenset(poly.items())
+            if key not in seen:
+                seen.add(key)
+                out.append(poly)
+    return out
+
+
+def rank_shapes() -> list[tuple[int, int, int]]:
+    """(m, n, r) for every rank r that is Pataki at some n for m = 2..5 (the
+    smallest such n), and for every Pataki rank of (m, n) = (6, 10)."""
+    shapes: dict[tuple[int, int], int] = {}
+    for m in range(2, 6):
+        for n in range(1, triangular(m) + 1):
+            for r in pataki_range(m, n).ranks:
+                shapes.setdefault((m, r), n)
+    shapes.update(((6, r), 10) for r in pataki_range(6, 10).ranks)
+    return [(m, n, r) for (m, r), n in sorted(shapes.items())]
+
+
+RANK_SHAPES = rank_shapes()
 
 
 class TestToFraction:
@@ -93,9 +146,36 @@ class TestRankVariant:
     def test_m3_r1_minor_counts(self):
         pencil = small_pencil(3, 3)
         system = build_kkt_rank(pencil, 1)
-        assert system.metadata.minor_counts == (9, 1)
-        degrees = system.degrees()[-10:]
-        assert degrees.count(2) == 9 and degrees.count(3) == 1
+        assert system.metadata.minor_counts == (6, 1)
+        degrees = system.degrees()[-7:]
+        assert degrees.count(2) == 6 and degrees.count(3) == 1
+
+    @pytest.mark.parametrize("m,n,r", RANK_SHAPES)
+    def test_minor_counts(self, m, n, r):
+        pencil = small_pencil(m, n)
+        system = build_kkt_rank(pencil, r)
+        nx, nz = triangular(math.comb(m, r + 1)), triangular(math.comb(m, m - r + 1))
+        assert system.metadata.minor_counts == (nx, nz)
+        base = build_kkt_normalized(pencil)
+        assert system.equations[: base.num_equations] == base.equations
+        degrees = system.degrees()[base.num_equations :]
+        assert degrees == [r + 1] * nx + [m - r + 1] * nz
+
+    @pytest.mark.parametrize("m,n,r", RANK_SHAPES)
+    def test_minors_match_cofactor_expansion(self, m, n, r):
+        # the distinct minors of the all-pairs cofactor expansion, in the
+        # same order and with the same term order (which fixes the JSON export)
+        system = build_kkt_rank(small_pencil(m, n), r)
+        nx, nz = system.metadata.minor_counts
+        want = reference_minors(system.variables, "X", m, r + 1)
+        want += reference_minors(system.variables, "Z", m, m - r + 1)
+        got = system.equations[system.num_equations - nx - nz :]
+        assert [list(p.items()) for p in got] == [list(p.items()) for p in want]
+
+    @pytest.mark.parametrize("r", [-1, 3, 4])
+    def test_rank_outside_matrix_size_rejected(self, r):
+        with pytest.raises(ValueError, match=r"outside \[0, 2\]"):
+            build_kkt_rank(segment_fixture(), r, force=True)
 
     def test_r_equals_m_vacuous_x_block(self):
         pencil = small_pencil(3, 3)

@@ -139,7 +139,7 @@ class TestRankOf:
 
     def test_diag(self):
         assert rank_of(np.diag([2.0, 0.0])) == 1
-        assert rank_of(np.diag([1.0, 1e-12]), scale=1.0) == 1
+        assert rank_of(np.diag([1.0, 1e-12])) == 1
         assert rank_of(np.diag([1.0, 1e-3])) == 2
 
 
