@@ -23,11 +23,9 @@ from .bounds import (
     triangular,
 )
 from .combinatorics import (
-    IndexSet,
     check_delta_exponent_bound,
     check_psi_interval_lower_bound,
     delta,
-    interval_set,
     psi,
     psi_interval_harris_tu,
     psi_interval_product,
@@ -74,7 +72,6 @@ __all__ = [
     "AllSkippedError",
     "BoundaryCloud",
     "DegreeFitReport",
-    "IndexSet",
     "InsufficientSamplesError",
     "NotInteriorError",
     "PatakiRange",
@@ -101,7 +98,6 @@ __all__ = [
     "eval_pencil",
     "export_system",
     "fit_min_vanishing_degree",
-    "interval_set",
     "load_pencil",
     "log2_big",
     "lp_extension_lower_bound",

@@ -23,7 +23,6 @@ from .bounds import (
     triangular,
 )
 from .combinatorics import (
-    IndexSet,
     check_delta_exponent_bound,
     delta,
     psi,
@@ -97,7 +96,7 @@ def cmd_psi(args) -> int:
         return EXIT_USAGE
     if args.set is not None:
         elements = _parse_int_list(args.set)
-        value = psi(IndexSet.of(elements, m=max(elements) if elements else 0))
+        value = psi(elements)
         _emit(args, {"set": elements, "psi": str(value)})
         return EXIT_OK
     p, q = args.interval

@@ -33,7 +33,6 @@ by the test suite.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
@@ -43,49 +42,7 @@ from typing import Iterable, Iterator, NamedTuple
 from .bounds import log2_big, triangular
 
 
-@dataclass(frozen=True)
-class IndexSet:
-    """A sorted subset of {1, ..., m} with its ambient size m."""
-
-    elements: tuple[int, ...]
-    m: int
-
-    def __post_init__(self) -> None:
-        if self.m < 0:
-            raise ValueError(f"ambient size must be >= 0, got {self.m}")
-        elems = tuple(self.elements)
-        object.__setattr__(self, "elements", elems)
-        if list(elems) != sorted(set(elems)):
-            raise ValueError(f"elements must be strictly increasing, got {elems}")
-        if elems and not (1 <= elems[0] and elems[-1] <= self.m):
-            raise ValueError(f"elements must lie in [1, {self.m}], got {elems}")
-
-    @classmethod
-    def of(cls, elements: Iterable[int], m: int | None = None) -> "IndexSet":
-        elems = tuple(sorted(elements))
-        if m is None:
-            m = elems[-1] if elems else 0
-        return cls(elements=elems, m=m)
-
-    def complement(self) -> "IndexSet":
-        inside = set(self.elements)
-        return IndexSet(
-            elements=tuple(i for i in range(1, self.m + 1) if i not in inside),
-            m=self.m,
-        )
-
-    @property
-    def size(self) -> int:
-        return len(self.elements)
-
-    @property
-    def element_sum(self) -> int:
-        return sum(self.elements)
-
-
-def _as_elements(I: "IndexSet | Iterable[int]") -> tuple[int, ...]:
-    if isinstance(I, IndexSet):
-        return I.elements
+def _as_elements(I: Iterable[int]) -> tuple[int, ...]:
     elems = tuple(sorted(I))
     if elems and elems[0] < 1:
         raise ValueError(f"indices must be positive, got {elems}")
@@ -120,7 +77,7 @@ def _bareiss_det(mat: list[list[int]]) -> int:
     return sign * a[n - 1][n - 1]
 
 
-def psi_minor_sum(I: "IndexSet | Iterable[int]") -> int:
+def psi_minor_sum(I: Iterable[int]) -> int:
     """The defining minor sum for psi, by direct enumeration.
 
     Sums det of the binomial submatrix with rows i-1 (i in I) over all
@@ -214,7 +171,7 @@ def _psi_cached(elems: tuple[int, ...]) -> int:
     return int(val)
 
 
-def psi(I: "IndexSet | Iterable[int]") -> int:
+def psi(I: Iterable[int]) -> int:
     """Sum of all maximal minors of the Pascal rows selected by I.
 
     Element i selects the row (C(i-1, 0), C(i-1, 1), ...), so
@@ -376,15 +333,7 @@ def check_delta_exponent_bound(m: int) -> DegreeGrowthReport:
     )
 
 
-def interval_set(p: int, q: int, m: int | None = None) -> IndexSet:
-    """The IndexSet {p+1, ..., q} (empty when p == q)."""
-    if p < 0 or p > q:
-        raise ValueError(f"need 0 <= p <= q, got p = {p}, q = {q}")
-    return IndexSet.of(range(p + 1, q + 1), m=m if m is not None else q)
-
-
 __all__ = [
-    "IndexSet",
     "IntervalBoundReport",
     "DegreeGrowthReport",
     "psi",
@@ -394,5 +343,4 @@ __all__ = [
     "delta",
     "check_psi_interval_lower_bound",
     "check_delta_exponent_bound",
-    "interval_set",
 ]

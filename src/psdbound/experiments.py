@@ -32,12 +32,6 @@ from .pencil import Pencil
 from .sdp import STATUS_OPTIMAL, solve_sdp
 
 
-def _as_rng(seed) -> np.random.Generator:
-    if isinstance(seed, np.random.Generator):
-        return seed
-    return np.random.default_rng(seed)
-
-
 def random_symmetric(rng: np.random.Generator, m: int) -> np.ndarray:
     """Standard Gaussian on symmetric matrices w.r.t. the trace inner product.
 
@@ -54,7 +48,7 @@ def random_pencil(m: int, n: int, seed) -> Pencil:
         raise ValueError(f"matrix size must be >= 1, got {m}")
     if not 1 <= n <= triangular(m):
         raise ValueError(f"need 1 <= n <= t_m = {triangular(m)}, got {n}")
-    rng = _as_rng(seed)
+    rng = np.random.default_rng(seed)
     mats = tuple(random_symmetric(rng, m) for _ in range(n + 1))
     return Pencil(mats=mats)
 

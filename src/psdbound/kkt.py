@@ -20,6 +20,12 @@ and Bezout product 2**(m*m).  Variants:
   unordered pair of row and column sets (minor(R, C) = minor(C, R) for
   symmetric matrices).
 
+The variable order x1..xn, X_i_j, Z_i_j (i <= j, row by row), c1..cn is
+decided in one place, :func:`_layout`; the builders, the rank minors,
+:func:`assignment_from_solution` and both parsers read it from there.  The
+parsers work out n, m and the Bezout product from the variables and
+equations and reject a file that states other values.
+
 Coefficients are exact rationals (floats enter via their shortest decimal
 representation), so residual evaluation at rational points is exact and
 exports round-trip losslessly.  Solving the systems is out of scope here;
@@ -123,53 +129,22 @@ def _poly_add_term(poly: Polynomial, mono: Monomial, coeff: Fraction) -> None:
             del poly[mono]
 
 
-def _mono_mul(a: Monomial, b: Monomial) -> Monomial:
-    exps: dict[int, int] = dict(a)
-    for var, e in b:
-        exps[var] = exps.get(var, 0) + e
-    return tuple(sorted(exps.items()))
-
-
-class _VariableTable:
-    """Naming and indexing of (x, X, Z, c) scalar variables."""
-
-    def __init__(self, m: int, n: int, symbolic_c: bool):
-        self.m = m
-        self.n = n
-        self.symbolic_c = symbolic_c
-        names = [f"x{i + 1}" for i in range(n)]
-        self._x_base = 0
-        self._big_x_base = len(names)
-        for i in range(1, m + 1):
-            for j in range(i, m + 1):
-                names.append(f"X_{i}_{j}")
-        self._big_z_base = len(names)
-        for i in range(1, m + 1):
-            for j in range(i, m + 1):
-                names.append(f"Z_{i}_{j}")
-        self._c_base = len(names)
-        if symbolic_c:
-            names.extend(f"c{i + 1}" for i in range(n))
-        self.names = tuple(names)
-
-    def x(self, i: int) -> int:
-        return self._x_base + i
-
-    def _tri(self, i: int, j: int) -> int:
-        # upper-triangular offset for 1-based i <= j
-        lo, hi = (i, j) if i <= j else (j, i)
-        return (lo - 1) * (2 * self.m - lo + 2) // 2 + (hi - lo)
-
-    def big_x(self, i: int, j: int) -> int:
-        return self._big_x_base + self._tri(i, j)
-
-    def big_z(self, i: int, j: int) -> int:
-        return self._big_z_base + self._tri(i, j)
-
-    def c(self, i: int) -> int:
-        if not self.symbolic_c:
-            raise ValueError("system has numeric c")
-        return self._c_base + i
+def _layout(
+    m: int, n: int, symbolic_c: bool
+) -> tuple[tuple[str, ...], list[list[int]], list[list[int]]]:
+    """The variable order of every system: x1..xn, the upper triangle of X
+    row by row (X_i_j, i <= j), the same for Z, then c1..cn, the last n
+    names, when c is symbolic.  Returns the names and the symmetric m x m
+    tables of 0-based variable indices of X and Z."""
+    t = m * (m + 1) // 2
+    iu, ju = np.triu_indices(m)
+    big_x = np.empty((m, m), dtype=int)
+    big_x[iu, ju] = big_x[ju, iu] = n + np.arange(t)
+    names = [f"x{k + 1}" for k in range(n)]
+    names += [f"{sym}_{i + 1}_{j + 1}" for sym in "XZ" for i, j in zip(iu.tolist(), ju.tolist())]
+    if symbolic_c:
+        names += [f"c{k + 1}" for k in range(n)]
+    return tuple(names), big_x.tolist(), (big_x + t).tolist()
 
 
 def build_kkt(pencil: Pencil, c: Sequence[float] | None) -> PolySystem:
@@ -187,47 +162,45 @@ def build_kkt(pencil: Pencil, c: Sequence[float] | None) -> PolySystem:
         cv = list(c)
         if len(cv) != n:
             raise ValueError(f"objective must have length {n}, got {len(cv)}")
-    table = _VariableTable(m, n, symbolic)
+    names, big_x, big_z = _layout(m, n, symbolic)
     mats = [[[to_fraction(a[i, j]) for j in range(m)] for i in range(m)] for a in pencil.mats]
 
     equations: list[Polynomial] = []
 
     # pencil block: X_ij - sum_k x_k (A_k)_ij = (A0)_ij
-    for i in range(1, m + 1):
-        for j in range(i, m + 1):
+    for i in range(m):
+        for j in range(i, m):
             poly: Polynomial = {}
-            _poly_add_term(poly, ((table.big_x(i, j), 1),), Fraction(1))
+            _poly_add_term(poly, ((big_x[i][j], 1),), Fraction(1))
             for k in range(n):
-                _poly_add_term(poly, ((table.x(k), 1),), -mats[k + 1][i - 1][j - 1])
-            _poly_add_term(poly, (), -mats[0][i - 1][j - 1])
+                _poly_add_term(poly, ((k, 1),), -mats[k + 1][i][j])
+            _poly_add_term(poly, (), -mats[0][i][j])
             equations.append(poly)
 
     # adjoint block: trace(A_k Z) + c_k = 0
     for k in range(n):
         poly = {}
-        for i in range(1, m + 1):
-            for j in range(i, m + 1):
+        for i in range(m):
+            for j in range(i, m):
                 w = Fraction(1) if i == j else Fraction(2)
-                _poly_add_term(poly, ((table.big_z(i, j), 1),), w * mats[k + 1][i - 1][j - 1])
+                _poly_add_term(poly, ((big_z[i][j], 1),), w * mats[k + 1][i][j])
         if symbolic:
-            _poly_add_term(poly, ((table.c(k), 1),), Fraction(1))
+            _poly_add_term(poly, ((len(names) - n + k, 1),), Fraction(1))
         else:
             _poly_add_term(poly, (), to_fraction(cv[k]))
         equations.append(poly)
 
-    # complementarity block: all m*m entries of X Z
-    for i in range(1, m + 1):
-        for j in range(1, m + 1):
+    # complementarity block: all m*m entries of X Z; every X index is below
+    # every Z index, so each product is already an ordered monomial
+    for i in range(m):
+        for j in range(m):
             poly = {}
-            for l in range(1, m + 1):
-                mono = _mono_mul(
-                    ((table.big_x(i, l), 1),), ((table.big_z(l, j), 1),)
-                )
-                _poly_add_term(poly, mono, Fraction(1))
+            for l in range(m):
+                _poly_add_term(poly, ((big_x[i][l], 1), (big_z[l][j], 1)), Fraction(1))
             equations.append(poly)
 
     info = SystemInfo(n=n, m=m, variant=VARIANT_PLAIN, bezout_product=_bezout(equations))
-    return PolySystem(variables=table.names, equations=tuple(equations), metadata=info)
+    return PolySystem(variables=names, equations=tuple(equations), metadata=info)
 
 
 def build_kkt_normalized(pencil: Pencil) -> PolySystem:
@@ -237,13 +210,11 @@ def build_kkt_normalized(pencil: Pencil) -> PolySystem:
     pencil's spectrahedron.
     """
     base = build_kkt(pencil, None)
-    m, n = pencil.m, pencil.n
-    table = _VariableTable(m, n, True)
+    n = pencil.n
+    first_c = base.num_variables - n  # c1..cn are the last n names of the layout
     norm_poly: Polynomial = {}
     for k in range(n):
-        _poly_add_term(
-            norm_poly, _mono_mul(((table.c(k), 1),), ((table.x(k), 1),)), Fraction(1)
-        )
+        _poly_add_term(norm_poly, ((k, 1), (first_c + k, 1)), Fraction(1))
     _poly_add_term(norm_poly, (), Fraction(-1))
     equations = base.equations + (norm_poly,)
     info = replace(base.metadata, variant=VARIANT_NORMALIZED, bezout_product=_bezout(equations))
@@ -271,20 +242,20 @@ def build_kkt_rank(pencil: Pencil, r: int, *, force: bool = False) -> PolySystem
             f"rank {r} outside the Pataki range {list(rng.ranks)} for (m, n) = ({m}, {n})"
         )
     base = build_kkt_normalized(pencil)
-    table = _VariableTable(m, n, True)
+    _, big_x, big_z = _layout(m, n, True)
 
-    def minors(entry, size: int) -> list[Polynomial]:
+    def minors(table: list[list[int]], size: int) -> list[Polynomial]:
         # Leibniz sum, one signed monomial per permutation; lexicographic order
         # gives the term order of a first-row cofactor expansion
         perms = [
             (p, Fraction(-1) if sum(a > b for a, b in combinations(p, 2)) % 2 else Fraction(1))
             for p in permutations(range(size))
         ]
-        sets = list(combinations(range(1, m + 1), size))
+        sets = list(combinations(range(m), size))
         out = []
         for k, rows in enumerate(sets):
             for cols in sets[k:]:
-                var = [[entry(i, j) for j in cols] for i in rows]
+                var = [[table[i][j] for j in cols] for i in rows]
                 poly: Polynomial = {}
                 for p, sign in perms:
                     exps: dict[int, int] = {}
@@ -294,8 +265,8 @@ def build_kkt_rank(pencil: Pencil, r: int, *, force: bool = False) -> PolySystem
                 out.append(poly)
         return out
 
-    x_minors = minors(table.big_x, r + 1)
-    z_minors = minors(table.big_z, m - r + 1)
+    x_minors = minors(big_x, r + 1)
+    z_minors = minors(big_z, m - r + 1)
     equations = base.equations + tuple(x_minors) + tuple(z_minors)
     info = replace(
         base.metadata,
@@ -337,21 +308,16 @@ def assignment_from_solution(
     c: Sequence[float] | None = None,
 ) -> dict[str, float]:
     """Assignment dict for a solver output, keyed by variable name."""
-    info = system.metadata
-    m, n = info.m, info.n
-    out: dict[str, float] = {}
-    for i in range(n):
-        out[f"x{i + 1}"] = float(solution.x[i])
-    for i in range(1, m + 1):
-        for j in range(i, m + 1):
-            out[f"X_{i}_{j}"] = float(solution.X[i - 1, j - 1])
-            out[f"Z_{i}_{j}"] = float(solution.Z[i - 1, j - 1])
-    if any(name.startswith("c") for name in system.variables):
+    m, n = system.metadata.m, system.metadata.n
+    symbolic = system.num_variables > n + m * (m + 1)
+    names, _, _ = _layout(m, n, symbolic)
+    iu = np.triu_indices(m)
+    values = [*solution.x[:n], *solution.X[iu], *solution.Z[iu]]
+    if symbolic:
         if c is None:
             raise ValueError("system has symbolic c; pass the c vector")
-        for i in range(n):
-            out[f"c{i + 1}"] = float(c[i])
-    return out
+        values += [c[k] for k in range(n)]
+    return {name: float(v) for name, v in zip(names, values)}
 
 
 # ---------------------------------------------------------------------------
@@ -404,6 +370,35 @@ def export_plain(system: PolySystem) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _parsed(variables: tuple[str, ...], equations: list[Polynomial], meta: Mapping) -> PolySystem:
+    """A parsed system with n and m read off its variables and the Bezout
+    product off its equations.  ``meta`` is the file's metadata in the JSON
+    export's keys; a stated n, m or Bezout product that disagrees with the
+    system raises ValueError, the variant, rank and minor counts are taken
+    as stated."""
+    t = sum(name.startswith("X_") for name in variables)
+    m = (math.isqrt(8 * t + 1) - 1) // 2
+    for symbolic in (False, True):
+        n = (len(variables) - 2 * t) // (1 + symbolic)
+        if _layout(m, n, symbolic)[0] == variables:
+            break
+    else:
+        raise ValueError("variables do not follow the layout x, X, Z (, c)")
+    derived = {"n": n, "m": m, "bezout_product": _bezout(equations)}
+    for key, value in derived.items():
+        if meta.get(key) is not None and int(meta[key]) != value:
+            raise ValueError(f"file states {key}={meta[key]}, the system has {key}={value}")
+    info = SystemInfo(
+        n=n,
+        m=m,
+        variant=meta.get("variant", VARIANT_PLAIN),
+        bezout_product=derived["bezout_product"],
+        rank=None if meta.get("rank") is None else int(meta["rank"]),
+        minor_counts=tuple(map(int, meta["minor_counts"])) if meta.get("minor_counts") else None,
+    )
+    return PolySystem(variables=variables, equations=tuple(equations), metadata=info)
+
+
 _TERM_RE = re.compile(r"^(?P<coeff>-?\d+(?:/\d+)?)(?P<rest>(?:\*[A-Za-z]\w*(?:\^\d+)?)*)$")
 
 
@@ -414,7 +409,7 @@ def parse_plain(text: str) -> PolySystem:
         raise ValueError("expected a 'vars:' header line")
     variables = tuple(lines[0][len("vars:") :].split())
     var_index = {name: i for i, name in enumerate(variables)}
-    meta_kv: dict[str, str] = {}
+    meta_kv: dict[str, object] = {}
     body = []
     for line in lines[1:]:
         if not line.startswith("#"):
@@ -458,23 +453,9 @@ def parse_plain(text: str) -> PolySystem:
             _poly_add_term(poly, tuple(sorted(mono_parts.items())), coeff)
         equations.append(poly)
 
-    n = int(meta_kv.get("n", sum(1 for v in variables if v.startswith("x"))))
-    m_val = meta_kv.get("m")
-    if m_val is None:
-        t_m = sum(1 for v in variables if v.startswith("X_"))
-        m_val = str((math.isqrt(8 * t_m + 1) - 1) // 2 if t_m else 0)
-    minor_counts = None
     if "minors_x" in meta_kv:
-        minor_counts = (int(meta_kv["minors_x"]), int(meta_kv["minors_z"]))
-    info = SystemInfo(
-        n=n,
-        m=int(m_val),
-        variant=meta_kv.get("variant", VARIANT_PLAIN),
-        bezout_product=_bezout(equations),
-        rank=int(meta_kv["rank"]) if "rank" in meta_kv else None,
-        minor_counts=minor_counts,
-    )
-    return PolySystem(variables=variables, equations=tuple(equations), metadata=info)
+        meta_kv["minor_counts"] = (meta_kv["minors_x"], meta_kv["minors_z"])
+    return _parsed(variables, equations, meta_kv)
 
 
 def export_json(system: PolySystem) -> str:
@@ -507,16 +488,7 @@ def parse_json(text: str) -> PolySystem:
             mono = tuple(sorted((int(v), int(e)) for v, e in mono_pairs))
             _poly_add_term(poly, mono, Fraction(coeff))
         equations.append(poly)
-    meta = data["metadata"]
-    info = SystemInfo(
-        n=int(meta["n"]),
-        m=int(meta["m"]),
-        variant=meta["variant"],
-        bezout_product=int(meta["bezout_product"]),
-        rank=meta.get("rank"),
-        minor_counts=tuple(meta["minor_counts"]) if meta.get("minor_counts") else None,
-    )
-    return PolySystem(variables=variables, equations=tuple(equations), metadata=info)
+    return _parsed(variables, equations, data.get("metadata") or {})
 
 
 def export_system(system: PolySystem, fmt: str) -> str:

@@ -35,7 +35,8 @@ stacked Cholesky fails on one slice, the stack is halved until the
 failing slices stand alone and those fall back to their eigenpairs; a
 singular Schur system ends only its own problem; both as in a lone solve.
 The crossover polish and the result assembly after the loop are stacked
-calls too, the polish over groups of problems that share a face rank.
+calls too, the polish over groups of problems that share a face rank; it
+skips the face ranks at which its x refit is not determined.
 Objectives run in chunks whose scaled coefficient stack (B, n, m, m)
 stays under ``CHUNK_BYTES``.
 
@@ -54,6 +55,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .bounds import triangular
 from .pencil import Pencil, adjoint
 
 RANK_EPS = 1e-6
@@ -356,15 +358,19 @@ def _polish(
     A0 + A(x), which sharpens the next split); the problems run in groups
     of one face rank.  ``score(rows, x, X, Z)`` maps the rows' triples to
     scalar merits.  Returns per problem with a finite refit the best one
-    seen, with its score.
+    seen, with its score.  A face rank r with t(r) + n > t(m) is skipped,
+    r = m among them: the x refit's n unknowns then outnumber the
+    t(m) - t(r) dimensions off the face, so it is not determined.
     """
-    m = X.shape[1]
+    m, n = X.shape[1], a_flat.shape[0]
     w = np.linalg.eigvalsh(np.concatenate([X[rows], Z[rows]]))
     top = w[:, -1:]
     above = (np.sum(w > 1e-7 * np.maximum(top, 0.0), axis=1) * (top[:, 0] > 0)).tolist()
     ranks = {k: {above[j], m - above[len(rows) + j]} for j, k in enumerate(rows)}
     best: dict[int, tuple[float, tuple[np.ndarray, np.ndarray, np.ndarray]]] = {}
     for r in sorted(set().union(*ranks.values())):
+        if triangular(r) + n > triangular(m):
+            continue
         group = [k for k in rows if r in ranks[k]]
         cur = X[group]
         for _ in range(3):

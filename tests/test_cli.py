@@ -82,6 +82,10 @@ class TestPsi:
         assert run_cli(capsys, "psi")[0] == 2
         assert run_cli(capsys, "psi", "--set", "3", "--interval", "1", "2")[0] == 2
 
+    @pytest.mark.parametrize("elements", ["0,1", "2,2"])
+    def test_invalid_set_exit_2(self, capsys, elements):
+        assert run_cli(capsys, "psi", "--set", elements)[0] == 2
+
 
 class TestDegree:
     def test_basic(self, capsys):

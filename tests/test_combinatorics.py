@@ -9,11 +9,9 @@ from hypothesis import strategies as st
 
 from psdbound.bounds import triangular
 from psdbound.combinatorics import (
-    IndexSet,
     check_delta_exponent_bound,
     check_psi_interval_lower_bound,
     delta,
-    interval_set,
     psi,
     psi_interval_harris_tu,
     psi_interval_product,
@@ -53,30 +51,17 @@ def brute_psi(elements):
     return total
 
 
-class TestIndexSet:
-    def test_validation(self):
-        s = IndexSet.of([3, 1], m=4)
-        assert s.elements == (1, 3)
-        assert s.complement().elements == (2, 4)
-        assert s.size == 2 and s.element_sum == 4
-        with pytest.raises(ValueError):
-            IndexSet(elements=(0, 1), m=3)
-        with pytest.raises(ValueError):
-            IndexSet(elements=(2, 2), m=3)
-        with pytest.raises(ValueError):
-            IndexSet(elements=(1, 5), m=3)
-
-    def test_complement_partition(self):
-        s = IndexSet.of([2, 5], m=6)
-        c = s.complement()
-        assert s.size + c.size == 6
-        assert sorted(s.elements + c.elements) == list(range(1, 7))
-
-
 class TestPsi:
     def test_empty_set(self):
         assert psi([]) == 1
         assert psi_minor_sum([]) == 1
+
+    @pytest.mark.parametrize("elements", [[0, 1], [2, 2]])
+    def test_invalid_sets_rejected(self, elements):
+        with pytest.raises(ValueError):
+            psi(elements)
+        with pytest.raises(ValueError):
+            psi_minor_sum(elements)
 
     @pytest.mark.parametrize("i", range(1, 31))
     def test_singleton_law(self, i):
@@ -148,7 +133,7 @@ class TestIntervalFormulas:
     @given(st.integers(min_value=0, max_value=12), st.integers(min_value=0, max_value=12))
     def test_property_interval_consistency(self, p, span):
         q = p + span
-        assert psi(interval_set(p, q).elements) == psi_interval_product(p, q)
+        assert psi(range(p + 1, q + 1)) == psi_interval_product(p, q)
 
 
 class TestDelta:

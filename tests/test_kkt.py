@@ -1,6 +1,7 @@
 """KKT system construction, counts, residuals, and export round-trips."""
 
 import itertools
+import json
 import math
 from fractions import Fraction
 
@@ -13,7 +14,6 @@ from psdbound.kkt import (
     PolySystem,
     Polynomial,
     SystemInfo,
-    _mono_mul,
     _poly_add_term,
     assignment_from_solution,
     build_kkt,
@@ -45,6 +45,14 @@ def small_pencil(m, n, seed=0):
     return Pencil(mats=tuple(mats))
 
 
+def mono_mul(a, b):
+    """Product of two monomials (sorted (variable, exponent) tuples)."""
+    exps = dict(a)
+    for var, e in b:
+        exps[var] = exps.get(var, 0) + e
+    return tuple(sorted(exps.items()))
+
+
 def cofactor_det(mat: list[list[Polynomial]]) -> Polynomial:
     """Determinant of a matrix of polynomials by first-row cofactor expansion."""
     if not mat:
@@ -54,7 +62,7 @@ def cofactor_det(mat: list[list[Polynomial]]) -> Polynomial:
         minor = cofactor_det([[row[c] for c in range(len(mat)) if c != col] for row in mat[1:]])
         for ma, ca in entry.items():
             for mb, cb in minor.items():
-                _poly_add_term(out, _mono_mul(ma, mb), (-1) ** col * ca * cb)
+                _poly_add_term(out, mono_mul(ma, mb), (-1) ** col * ca * cb)
     return out
 
 
@@ -338,6 +346,44 @@ class TestExport:
         system = build_kkt(segment_fixture(), [1.0])
         with pytest.raises(ValueError):
             export_system(system, "yaml")
+
+
+class TestParse:
+    SEGMENT = "vars: x1 X_1_1 X_1_2 X_2_2 Z_1_1 Z_1_2 Z_2_2\n# n=1 m=2 variant=plain\n"
+
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            (SEGMENT + "1*x2 = 0\n", "unknown variable"),
+            (SEGMENT + "1.5*x1 = 0\n", "cannot parse term"),
+            (SEGMENT + "1*x1 + 2\n", "must end in '= 0'"),
+            ("# n=1 m=2\n1*x1 = 0\n", "'vars:' header"),
+            ("vars: a b\n1*a = 0\n", "layout"),
+            (SEGMENT.replace("m=2", "m=9") + "1*x1 = 0\n", "m=9"),
+        ],
+        ids=["unknown-var", "bad-term", "no-zero-side", "no-header", "off-layout", "stated-m"],
+    )
+    def test_plain_rejects(self, text, message):
+        with pytest.raises(ValueError, match=message):
+            parse_system(text, "plain_text")
+
+    @pytest.mark.parametrize("key,value", [("m", 9), ("n", 2), ("bezout_product", "7")])
+    def test_json_rejects_stated_contradiction(self, key, value):
+        data = json.loads(export_system(build_kkt_normalized(segment_fixture()), "json"))
+        data["metadata"][key] = value
+        with pytest.raises(ValueError, match=f"{key}={value}"):
+            parse_system(json.dumps(data), "json")
+
+    def test_shape_and_bezout_derived(self):
+        system = build_kkt_rank(small_pencil(3, 3), 1)
+        data = json.loads(export_system(system, "json"))
+        for key in ("n", "m", "bezout_product"):
+            del data["metadata"][key]
+        assert parse_system(json.dumps(data), "json") == system
+        lines = export_plain(system).splitlines()
+        text = "\n".join(ln for ln in lines if not ln.startswith("#")) + "\n"
+        want = SystemInfo(3, 3, "plain", system.metadata.bezout_product)
+        assert parse_system(text, "plain_text").metadata == want
 
 
 class TestPolyDegree:

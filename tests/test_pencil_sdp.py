@@ -405,6 +405,23 @@ class TestSolveSdpMany:
         for c, sol in zip(cs, batch):
             assert_same_solution(sol, solve_sdp(p, c))
 
+    def test_polish_skips_undetermined_face_ranks(self, monkeypatch):
+        # trial (13, 9) of rank_frequency's (6, 7) draw: the spectra suggest
+        # r = 2 and r = 6, and at r = 6 the x refit has 7 unknowns and no
+        # dimension off the face
+        rng = np.random.default_rng((13, 9))
+        p = random_pencil(6, 7, rng)
+        c = rng.standard_normal(7)
+        ranks = []
+
+        def spy(a0, a_flat, cs, X, r):
+            ranks.append(r)
+            return _polish_round(a0, a_flat, cs, X, r)
+
+        monkeypatch.setattr(sdp, "_polish_round", spy)
+        solve_sdp(p, c, require_interior=False)
+        assert ranks and all(r * (r + 1) // 2 + 7 <= 21 for r in ranks), ranks
+
 
 def full_basis_round(a0, a_flat, cv, X, r):
     """The crossover round as one least-squares solve over the full
