@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 from datetime import datetime, timezone
 
 from . import __version__
@@ -163,16 +164,7 @@ def cmd_degree(args) -> int:
 
 
 def cmd_pataki(args) -> int:
-    rng = pataki_range(args.m, args.n)
-    _emit(
-        args,
-        {
-            "m": rng.m,
-            "n": rng.n,
-            "ranks": list(rng.ranks),
-            "strict_ranks": list(rng.strict_ranks),
-        },
-    )
+    _emit(args, asdict(pataki_range(args.m, args.n)))
     return EXIT_OK
 
 
@@ -260,18 +252,7 @@ def cmd_tightness(args) -> int:
 
 def cmd_check_growth(args) -> int:
     report = check_delta_exponent_bound(args.m)
-    _emit(
-        args,
-        {
-            "m": report.m,
-            "n": report.n,
-            "r": report.r,
-            "delta": str(report.delta),
-            "log2_delta": report.log2_delta,
-            "threshold": report.threshold,
-            "holds": report.holds,
-        },
-    )
+    _emit(args, {**report._asdict(), "delta": str(report.delta)})
     return EXIT_OK
 
 

@@ -16,27 +16,32 @@ Two families of quantities, both exact big integers:
   |I| = m - r and element sum n.
 
 Values overflow 64 bits near m = 10, so everything stays in Python ints
-(Bareiss elimination for minors, exact rational products for intervals).
+(Bareiss elimination for determinants, exact rational products for
+intervals).
 
-Two independent routes compute psi:
+Two routes compute psi:
 
 * :func:`psi_minor_sum` enumerates column subsets directly (the defining
   sum, kept as the audit oracle); column subsets violating the staircase
   condition c_b <= r_b are pruned since their minors vanish.
-* :func:`psi` evaluates the same sum as a Pfaffian via the free-endpoint
-  non-intersecting lattice-path identity (Stembridge), which makes the
+* :func:`psi` counts the same sum as free-endpoint non-intersecting
+  lattice paths, which is the Pfaffian of a skew-symmetric integer matrix
+  Q (Stembridge).  Since det Q = Pf(Q)^2 and the count is never negative,
+  psi is the integer square root of det Q, taken by the same Bareiss
+  elimination :func:`psi_minor_sum` uses for its minors; this makes the
   m = 16 degree computations take seconds instead of hours.
 
 Their agreement, together with the interval product formulas, is enforced
-by the test suite.
+by the test suite.  The interval routes (:func:`psi_interval_product`,
+:func:`psi_interval_harris_tu`) are closed-form products that do not go
+through :func:`_bareiss_det`, so they stay independent checks of it.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
-from math import comb, exp, log
+from math import comb, exp, isqrt, log
 from typing import Iterable, Iterator, NamedTuple
 
 from .bounds import log2_big, triangular
@@ -109,38 +114,6 @@ def psi_minor_sum(I: Iterable[int]) -> int:
     return total
 
 
-def _pfaffian(q: list[list[Fraction]]) -> Fraction:
-    """Pfaffian of an even-sized skew-symmetric matrix, by skew elimination."""
-    n = len(q)
-    if n == 0:
-        return Fraction(1)
-    a = [row[:] for row in q]
-    sign = 1
-    prod = Fraction(1)
-    for i in range(0, n, 2):
-        piv_col = next((j for j in range(i + 1, n) if a[i][j] != 0), None)
-        if piv_col is None:
-            return Fraction(0)
-        if piv_col != i + 1:
-            a[i + 1], a[piv_col] = a[piv_col], a[i + 1]
-            for row in a:
-                row[i + 1], row[piv_col] = row[piv_col], row[i + 1]
-            sign = -sign
-        piv = a[i][i + 1]
-        prod *= piv
-        for j in range(i + 2, n):
-            aij = a[i][j]
-            a1j = a[i + 1][j]
-            if aij == 0 and a1j == 0:
-                continue
-            for l in range(j + 1, n):
-                upd = (aij * a[i + 1][l] - a[i][l] * a1j) / piv
-                if upd:
-                    a[j][l] -= upd
-                    a[l][j] = -a[j][l]
-    return sign * prod
-
-
 @lru_cache(maxsize=None)
 def _psi_cached(elems: tuple[int, ...]) -> int:
     k = len(elems)
@@ -151,7 +124,7 @@ def _psi_cached(elems: tuple[int, ...]) -> int:
     m = [[comb(r, s) for s in range(ncols)] for r in rows]
     pref = [list(accumulate(row)) for row in m]
     size = k if k % 2 == 0 else k + 1
-    q: list[list[Fraction]] = [[Fraction(0)] * size for _ in range(size)]
+    q = [[0] * size for _ in range(size)]
     for a in range(k):
         for b in range(a + 1, k):
             s = 0
@@ -159,16 +132,18 @@ def _psi_cached(elems: tuple[int, ...]) -> int:
             pa, pb = pref[a], pref[b]
             for t in range(1, ncols):
                 s += mb[t] * pa[t - 1] - ma[t] * pb[t - 1]
-            q[a][b] = Fraction(s)
-            q[b][a] = Fraction(-s)
+            q[a][b] = s
+            q[b][a] = -s
     if k % 2:
         for a in range(k):
-            q[a][k] = Fraction(pref[a][ncols - 1])
+            q[a][k] = pref[a][ncols - 1]
             q[k][a] = -q[a][k]
-    val = _pfaffian(q)
-    if val.denominator != 1 or val < 0:
-        raise ArithmeticError(f"pfaffian route gave non-integer psi for {elems}: {val}")
-    return int(val)
+    # det Q = Pf(Q)^2 and the Pfaffian, a path count, is never negative
+    det = _bareiss_det(q)
+    root = isqrt(max(det, 0))
+    if root * root != det:
+        raise ArithmeticError(f"det Q for {elems} is not a perfect square: {det}")
+    return root
 
 
 def psi(I: Iterable[int]) -> int:
@@ -178,7 +153,8 @@ def psi(I: Iterable[int]) -> int:
     psi({i}) = 2**(i-1) and psi of the full interval {1, ..., m} is 1.
     The empty set returns 1 (empty minor convention).
 
-    Evaluated through the Pfaffian identity for free-endpoint
+    Evaluated as sqrt(det Q), det by Bareiss elimination, where Q is the
+    skew-symmetric matrix whose Pfaffian counts the free-endpoint
     non-intersecting path families; agrees with :func:`psi_minor_sum`
     everywhere (property-tested).
     """

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 import math
 from collections import Counter
 from dataclasses import dataclass, field
@@ -108,9 +107,6 @@ class RankFrequencyTable:
             "in_range_fraction": self.in_range_fraction(),
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict())
-
     def to_csv(self) -> str:
         buf = io.StringIO()
         writer = csv.writer(buf)
@@ -196,9 +192,6 @@ class TightnessReport:
             "frequency": None if self.frequency is None else self.frequency.to_dict(),
             "target_rank_count": self.target_rank_count,
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict())
 
 
 SDP_SIZE_LIMIT = 12  # above this only the exact-degree part runs

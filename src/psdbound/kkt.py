@@ -22,9 +22,11 @@ and Bezout product 2**(m*m).  Variants:
 
 The variable order x1..xn, X_i_j, Z_i_j (i <= j, row by row), c1..cn is
 decided in one place, :func:`_layout`; the builders, the rank minors,
-:func:`assignment_from_solution` and both parsers read it from there.  The
-parsers work out n, m and the Bezout product from the variables and
-equations and reject a file that states other values.
+:func:`assignment_from_solution` and both parsers read it from there.
+Every metadata field (n, m, variant, rank, minor counts, Bezout product)
+is worked out from the variables and equations by one helper,
+:func:`_info`, which the builders call and against which the parsers
+check a file's stated metadata, rejecting any field that disagrees.
 
 Coefficients are exact rationals (floats enter via their shortest decimal
 representation), so residual evaluation at rational points is exact and
@@ -37,7 +39,7 @@ from __future__ import annotations
 import json
 import math
 import re
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from decimal import Decimal
 from fractions import Fraction
 from itertools import combinations, permutations
@@ -147,6 +149,34 @@ def _layout(
     return tuple(names), big_x.tolist(), (big_x + t).tolist()
 
 
+def _info(variables: tuple[str, ...], equations: Sequence[Polynomial]) -> SystemInfo:
+    """Every metadata field, worked out from the system itself.
+
+    n and m come from the variables, which must follow :func:`_layout`; the
+    variant from the equations past the n + t_m + m^2 of the plain system
+    (none: plain, one: normalized, more: rank); the minor counts from which
+    rank equations are in X alone; r is the X minors' degree minus 1, or m
+    when there are none; the Bezout product comes from the degrees."""
+    t = sum(name.startswith("X_") for name in variables)
+    m = (math.isqrt(8 * t + 1) - 1) // 2
+    for symbolic in (False, True):
+        n = (len(variables) - 2 * t) // (1 + symbolic)
+        if _layout(m, n, symbolic)[0] == variables:
+            break
+    else:
+        raise ValueError("variables do not follow the layout x, X, Z (, c)")
+    info = SystemInfo(n=n, m=m, variant=VARIANT_PLAIN, bezout_product=_bezout(equations))
+    extra = equations[n + t + m * m :]
+    if len(extra) == 1:
+        return replace(info, variant=VARIANT_NORMALIZED)
+    if len(extra) > 1:
+        x_minors = [eq for eq in extra[1:] if all(n <= v < n + t for mono in eq for v, _ in mono)]
+        rank = poly_degree(x_minors[0]) - 1 if x_minors else m
+        counts = (len(x_minors), len(extra) - 1 - len(x_minors))
+        return replace(info, variant=VARIANT_RANK, rank=rank, minor_counts=counts)
+    return info
+
+
 def build_kkt(pencil: Pencil, c: Sequence[float] | None) -> PolySystem:
     """The first-order optimality system for the pencil and objective c.
 
@@ -199,8 +229,7 @@ def build_kkt(pencil: Pencil, c: Sequence[float] | None) -> PolySystem:
                 _poly_add_term(poly, ((big_x[i][l], 1), (big_z[l][j], 1)), Fraction(1))
             equations.append(poly)
 
-    info = SystemInfo(n=n, m=m, variant=VARIANT_PLAIN, bezout_product=_bezout(equations))
-    return PolySystem(variables=names, equations=tuple(equations), metadata=info)
+    return PolySystem(names, tuple(equations), _info(names, equations))
 
 
 def build_kkt_normalized(pencil: Pencil) -> PolySystem:
@@ -217,8 +246,7 @@ def build_kkt_normalized(pencil: Pencil) -> PolySystem:
         _poly_add_term(norm_poly, ((k, 1), (first_c + k, 1)), Fraction(1))
     _poly_add_term(norm_poly, (), Fraction(-1))
     equations = base.equations + (norm_poly,)
-    info = replace(base.metadata, variant=VARIANT_NORMALIZED, bezout_product=_bezout(equations))
-    return PolySystem(variables=base.variables, equations=equations, metadata=info)
+    return PolySystem(base.variables, equations, _info(base.variables, equations))
 
 
 def build_kkt_rank(pencil: Pencil, r: int, *, force: bool = False) -> PolySystem:
@@ -268,14 +296,7 @@ def build_kkt_rank(pencil: Pencil, r: int, *, force: bool = False) -> PolySystem
     x_minors = minors(big_x, r + 1)
     z_minors = minors(big_z, m - r + 1)
     equations = base.equations + tuple(x_minors) + tuple(z_minors)
-    info = replace(
-        base.metadata,
-        variant=VARIANT_RANK,
-        bezout_product=_bezout(equations),
-        rank=r,
-        minor_counts=(len(x_minors), len(z_minors)),
-    )
-    return PolySystem(variables=base.variables, equations=equations, metadata=info)
+    return PolySystem(base.variables, equations, _info(base.variables, equations))
 
 
 def residual(system: PolySystem, assignment: Mapping[str, object]) -> tuple[object, list]:
@@ -371,31 +392,20 @@ def export_plain(system: PolySystem) -> str:
 
 
 def _parsed(variables: tuple[str, ...], equations: list[Polynomial], meta: Mapping) -> PolySystem:
-    """A parsed system with n and m read off its variables and the Bezout
-    product off its equations.  ``meta`` is the file's metadata in the JSON
-    export's keys; a stated n, m or Bezout product that disagrees with the
-    system raises ValueError, the variant, rank and minor counts are taken
-    as stated."""
-    t = sum(name.startswith("X_") for name in variables)
-    m = (math.isqrt(8 * t + 1) - 1) // 2
-    for symbolic in (False, True):
-        n = (len(variables) - 2 * t) // (1 + symbolic)
-        if _layout(m, n, symbolic)[0] == variables:
-            break
-    else:
-        raise ValueError("variables do not follow the layout x, X, Z (, c)")
-    derived = {"n": n, "m": m, "bezout_product": _bezout(equations)}
-    for key, value in derived.items():
-        if meta.get(key) is not None and int(meta[key]) != value:
+    """A parsed system with its metadata worked out by :func:`_info`.
+    ``meta`` is the file's metadata in the JSON export's keys; a stated
+    field that disagrees with the system raises ValueError."""
+    info = _info(variables, equations)
+    for key, value in asdict(info).items():
+        stated = meta.get(key)
+        if stated is None:
+            continue
+        if isinstance(value, tuple):
+            stated = tuple(map(int, stated))
+        elif isinstance(value, int):
+            stated = int(stated)
+        if stated != value:
             raise ValueError(f"file states {key}={meta[key]}, the system has {key}={value}")
-    info = SystemInfo(
-        n=n,
-        m=m,
-        variant=meta.get("variant", VARIANT_PLAIN),
-        bezout_product=derived["bezout_product"],
-        rank=None if meta.get("rank") is None else int(meta["rank"]),
-        minor_counts=tuple(map(int, meta["minor_counts"])) if meta.get("minor_counts") else None,
-    )
     return PolySystem(variables=variables, equations=tuple(equations), metadata=info)
 
 

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 import math
 from dataclasses import dataclass, field
 from itertools import combinations_with_replacement
@@ -105,9 +104,6 @@ class BoundaryCloud:
             skipped=list(data.get("skipped", [])),
             seed=data.get("seed"),
         )
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict())
 
     def points_csv(self) -> str:
         buf = io.StringIO()
@@ -258,9 +254,6 @@ class DegreeFitReport:
             "eps_kernel": self.eps_kernel,
             "seed": self.seed,
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict())
 
 
 def evaluate_fit(report: DegreeFitReport, points: np.ndarray) -> np.ndarray:

@@ -1,14 +1,17 @@
 """Exactness and cross-route agreement of the psi / delta combinatorics."""
 
 import math
-from itertools import combinations
+import random
+from itertools import combinations, permutations
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from psdbound import combinatorics
 from psdbound.bounds import triangular
 from psdbound.combinatorics import (
+    _bareiss_det,
     check_delta_exponent_bound,
     check_psi_interval_lower_bound,
     delta,
@@ -34,6 +37,31 @@ def laplace_det(mat):
         term = mat[0][col] * laplace_det(minor)
         total += -term if col % 2 else term
     return total
+
+
+def leibniz_det(mat):
+    """Independent exact determinant: signed sum over all permutations."""
+    size = len(mat)
+    total = 0
+    for perm in permutations(range(size)):
+        sign = -1 if sum(a > b for a, b in combinations(perm, 2)) % 2 else 1
+        total += sign * math.prod(mat[i][perm[i]] for i in range(size))
+    return total
+
+
+def random_matrix(rnd, size, kind):
+    mat = [[rnd.randint(-4, 4) for _ in range(size)] for _ in range(size)]
+    if kind == "skew":
+        # zero diagonal: elimination has to swap rows to find its pivots
+        for i in range(size):
+            mat[i][i] = 0
+            for j in range(i):
+                mat[i][j] = -mat[j][i]
+    elif kind == "singular" and size:
+        # last row a combination of the others (or zero when size is 1)
+        coef = [rnd.randint(-2, 2) for _ in range(size - 1)]
+        mat[-1] = [sum(c * row[j] for c, row in zip(coef, mat)) for j in range(size)]
+    return mat
 
 
 def brute_psi(elements):
@@ -98,6 +126,35 @@ class TestPsi:
     def test_nonnegative(self):
         for sub in [(1, 4), (2, 5, 7), (3, 6, 9, 10)]:
             assert psi(sub) >= 0
+
+
+class TestBareissDet:
+    @pytest.mark.parametrize("kind", ["general", "skew", "singular"])
+    def test_matches_leibniz(self, kind):
+        rnd = random.Random(f"bareiss-{kind}")
+        for size in range(7):
+            for _ in range(25):
+                mat = random_matrix(rnd, size, kind)
+                assert _bareiss_det(mat) == leibniz_det(mat), mat
+                if kind == "singular" and size:
+                    assert _bareiss_det(mat) == 0
+
+    def test_skew_4x4_is_pfaffian_squared(self):
+        rnd = random.Random("pfaffian-4x4")
+        for _ in range(50):
+            a12, a13, a14, a23, a24, a34 = (rnd.randint(-9, 9) for _ in range(6))
+            mat = [
+                [0, a12, a13, a14],
+                [-a12, 0, a23, a24],
+                [-a13, -a23, 0, a34],
+                [-a14, -a24, -a34, 0],
+            ]
+            assert _bareiss_det(mat) == (a12 * a34 - a13 * a24 + a14 * a23) ** 2
+
+    def test_psi_rejects_non_square_determinant(self, monkeypatch):
+        monkeypatch.setattr(combinatorics, "_bareiss_det", lambda q: 2)
+        with pytest.raises(ArithmeticError, match="not a perfect square"):
+            combinatorics._psi_cached.__wrapped__((2, 3, 4))
 
 
 class TestIntervalFormulas:

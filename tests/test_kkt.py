@@ -3,6 +3,7 @@
 import itertools
 import json
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -27,7 +28,7 @@ from psdbound.kkt import (
     to_fraction,
 )
 from psdbound.pencil import Pencil
-from psdbound.polar import pentagon_fixture, segment_fixture
+from psdbound.polar import disk_fixture, pentagon_fixture, segment_fixture
 from psdbound.sdp import solve_sdp
 
 
@@ -382,8 +383,47 @@ class TestParse:
         assert parse_system(json.dumps(data), "json") == system
         lines = export_plain(system).splitlines()
         text = "\n".join(ln for ln in lines if not ln.startswith("#")) + "\n"
-        want = SystemInfo(3, 3, "plain", system.metadata.bezout_product)
-        assert parse_system(text, "plain_text").metadata == want
+        assert parse_system(text, "plain_text").metadata == system.metadata
+
+    @pytest.mark.parametrize("fixture", [segment_fixture, disk_fixture, pentagon_fixture])
+    def test_every_rank_derived(self, fixture):
+        # variant, rank and minor counts come from the equations alone, at
+        # every rank 0..m, with the metadata stripped from the file
+        pencil = fixture()
+        m = pencil.m
+        for r in range(m + 1):
+            system = build_kkt_rank(pencil, r, force=True)
+            nx, nz = triangular(math.comb(m, r + 1)), triangular(math.comb(m, m - r + 1))
+            assert system.metadata == SystemInfo(
+                pencil.n, m, "rank", system.metadata.bezout_product, r, (nx, nz)
+            )
+            data = json.loads(export_system(system, "json"))
+            del data["metadata"]
+            assert parse_system(json.dumps(data), "json") == system
+
+    @pytest.mark.parametrize(
+        "old,new,message",
+        [
+            ("variant=rank rank=1", "variant=plain rank=0", "variant=plain"),
+            ("rank=1 ", "rank=0 ", "rank=0"),
+            ("minors_z=1", "minors_z=2", "minor_counts=('1', '2')"),
+        ],
+        ids=["plain-rank-0", "rank", "minor-counts"],
+    )
+    def test_plain_rejects_stated_rank_metadata(self, old, new, message):
+        # the first case is the segment's rank-1 system passed off as plain
+        text = export_plain(build_kkt_rank(segment_fixture(), 1))
+        with pytest.raises(ValueError, match=re.escape(message)):
+            parse_system(text.replace(old, new), "plain_text")
+
+    @pytest.mark.parametrize(
+        "key,value", [("variant", "plain"), ("rank", 0), ("minor_counts", [1, 2])]
+    )
+    def test_json_rejects_stated_rank_metadata(self, key, value):
+        data = json.loads(export_system(build_kkt_rank(segment_fixture(), 1), "json"))
+        data["metadata"][key] = value
+        with pytest.raises(ValueError, match=re.escape(f"{key}={value}")):
+            parse_system(json.dumps(data), "json")
 
 
 class TestPolyDegree:
