@@ -21,17 +21,21 @@ and Bezout product 2**(m*m).  Variants:
   symmetric matrices).
 
 The variable order x1..xn, X_i_j, Z_i_j (i <= j, row by row), c1..cn is
-decided in one place, :func:`_layout`; the builders, the rank minors,
-:func:`assignment_from_solution` and both parsers read it from there.
-Every metadata field (n, m, variant, rank, minor counts, Bezout product)
-is worked out from the variables and equations by one helper,
-:func:`_info`, which the builders call and against which the parsers
-check a file's stated metadata, rejecting any field that disagrees.
+decided in one place, :func:`_layout`.  Every metadata field (n, m,
+variant, rank, minor counts, Bezout product) is worked out from the
+variables and equations by :func:`_info`, which the builders call and
+against which the parsers check a file's stated metadata.
 
 Coefficients are exact rationals (floats enter via their shortest decimal
-representation), so residual evaluation at rational points is exact and
-exports round-trip losslessly.  Solving the systems is out of scope here;
-they are exported for external algebraic solvers.
+representation), so residuals at rational points are exact and exports
+round-trip losslessly.  Builders, exporters and parsers visit each term
+once; what repeats across terms (a pencil entry, a coefficient or its
+text, a factor string, a JSON monomial) is worked out once per call in a
+memo table that is freed when the call returns.  Both parsers raise
+ValueError on a term outside the grammar, an exponent below 1, a variable
+named twice in one term, an unknown variable, a missing header or key,
+and stated metadata that disagrees.  The systems are exported for
+external algebraic solvers; solving them is out of scope here.
 """
 
 from __future__ import annotations
@@ -42,8 +46,10 @@ import re
 from dataclasses import asdict, dataclass, replace
 from decimal import Decimal
 from fractions import Fraction
-from itertools import combinations, permutations
-from typing import Mapping, Sequence
+from functools import partial
+from itertools import chain, combinations, permutations, repeat
+from operator import itemgetter, neg
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -76,6 +82,17 @@ def to_fraction(value) -> Fraction:
     raise TypeError(f"cannot convert {type(value).__name__} to an exact rational")
 
 
+class _Memo(dict):
+    """A memo table for one call: ``memo[key]`` is ``func(key)``, computed once."""
+
+    def __init__(self, func):
+        self.func = func
+
+    def __missing__(self, key):
+        value = self[key] = self.func(key)
+        return value
+
+
 @dataclass(frozen=True)
 class SystemInfo:
     """Shape metadata and the Bezout degree product of a system."""
@@ -106,29 +123,32 @@ class PolySystem:
         return [poly_degree(eq) for eq in self.equations]
 
 
+def _degrees(monos: Iterable[Monomial]) -> Iterator[int]:
+    """The degree of each monomial, summed by maps that run in C."""
+    return map(sum, map(map, repeat(itemgetter(1)), monos))
+
+
 def poly_degree(poly: Polynomial) -> int:
-    if not poly:
-        return 0
-    return max(sum(e for _, e in mono) for mono in poly)
-
-
-def _bezout(equations: Sequence[Polynomial]) -> int:
-    """Bezout degree product, constant equations counting as degree 1."""
-    return math.prod(max(poly_degree(eq), 1) for eq in equations)
+    return max(_degrees(poly), default=0)
 
 
 def _poly_add_term(poly: Polynomial, mono: Monomial, coeff: Fraction) -> None:
-    if not coeff:
-        return
-    acc = poly.get(mono)
-    if acc is None:
-        poly[mono] = coeff
-    else:
-        acc = acc + coeff
-        if acc:
-            poly[mono] = acc
-        else:
-            del poly[mono]
+    total = poly[mono] + coeff if mono in poly else coeff
+    if total:
+        poly[mono] = total
+    elif mono in poly:
+        del poly[mono]
+
+
+def _polynomial(terms: list[tuple[Monomial, Fraction]]) -> Polynomial:
+    """The terms summed as by :func:`_poly_add_term`; one dict build when no
+    monomial repeats and no coefficient is zero."""
+    poly = dict(terms)
+    if len(poly) < len(terms) or not all(poly.values()):
+        poly = {}
+        for mono, coeff in terms:
+            _poly_add_term(poly, mono, coeff)
+    return poly
 
 
 def _layout(
@@ -156,7 +176,7 @@ def _info(variables: tuple[str, ...], equations: Sequence[Polynomial]) -> System
     variant from the equations past the n + t_m + m^2 of the plain system
     (none: plain, one: normalized, more: rank); the minor counts from which
     rank equations are in X alone; r is the X minors' degree minus 1, or m
-    when there are none; the Bezout product comes from the degrees."""
+    when there are none; the Bezout product from the degrees, taken once."""
     t = sum(name.startswith("X_") for name in variables)
     m = (math.isqrt(8 * t + 1) - 1) // 2
     for symbolic in (False, True):
@@ -165,14 +185,17 @@ def _info(variables: tuple[str, ...], equations: Sequence[Polynomial]) -> System
             break
     else:
         raise ValueError("variables do not follow the layout x, X, Z (, c)")
-    info = SystemInfo(n=n, m=m, variant=VARIANT_PLAIN, bezout_product=_bezout(equations))
-    extra = equations[n + t + m * m :]
-    if len(extra) == 1:
+    degrees = [poly_degree(eq) for eq in equations]
+    info = SystemInfo(n, m, VARIANT_PLAIN, math.prod(max(d, 1) for d in degrees))
+    first = n + t + m * m  # index of the first equation past the plain system
+    if len(equations) == first + 1:
         return replace(info, variant=VARIANT_NORMALIZED)
-    if len(extra) > 1:
-        x_minors = [eq for eq in extra[1:] if all(n <= v < n + t for mono in eq for v, _ in mono)]
-        rank = poly_degree(x_minors[0]) - 1 if x_minors else m
-        counts = (len(x_minors), len(extra) - 1 - len(x_minors))
+    if len(equations) > first + 1:
+        # a sorted monomial is in X alone when its first and last variables are
+        in_x = lambda eq: all(not mo or n <= mo[0][0] and mo[-1][0] < n + t for mo in eq)
+        x_minors = [k for k in range(first + 1, len(equations)) if in_x(equations[k])]
+        rank = degrees[x_minors[0]] - 1 if x_minors else m
+        counts = (len(x_minors), len(equations) - first - 1 - len(x_minors))
         return replace(info, variant=VARIANT_RANK, rank=rank, minor_counts=counts)
     return info
 
@@ -193,42 +216,31 @@ def build_kkt(pencil: Pencil, c: Sequence[float] | None) -> PolySystem:
         if len(cv) != n:
             raise ValueError(f"objective must have length {n}, got {len(cv)}")
     names, big_x, big_z = _layout(m, n, symbolic)
-    mats = [[[to_fraction(a[i, j]) for j in range(m)] for i in range(m)] for a in pencil.mats]
-
-    equations: list[Polynomial] = []
-
+    mats = [a.tolist() for a in pencil.mats]
+    exact = _Memo(to_fraction)  # each distinct entry converted once
+    upper = [(i, j) for i in range(m) for j in range(i, m)]
+    one = Fraction(1)
     # pencil block: X_ij - sum_k x_k (A_k)_ij = (A0)_ij
-    for i in range(m):
-        for j in range(i, m):
-            poly: Polynomial = {}
-            _poly_add_term(poly, ((big_x[i][j], 1),), Fraction(1))
-            for k in range(n):
-                _poly_add_term(poly, ((k, 1),), -mats[k + 1][i][j])
-            _poly_add_term(poly, (), -mats[0][i][j])
-            equations.append(poly)
-
+    equations = [
+        _polynomial(
+            [(((big_x[i][j], 1),), one)]
+            + [(((k, 1),), exact[-mats[k + 1][i][j]]) for k in range(n)]
+            + [((), exact[-mats[0][i][j]])]
+        )
+        for i, j in upper
+    ]
     # adjoint block: trace(A_k Z) + c_k = 0
-    for k in range(n):
-        poly = {}
-        for i in range(m):
-            for j in range(i, m):
-                w = Fraction(1) if i == j else Fraction(2)
-                _poly_add_term(poly, ((big_z[i][j], 1),), w * mats[k + 1][i][j])
-        if symbolic:
-            _poly_add_term(poly, ((len(names) - n + k, 1),), Fraction(1))
-        else:
-            _poly_add_term(poly, (), to_fraction(cv[k]))
-        equations.append(poly)
-
+    for k, a in enumerate(mats[1:]):
+        terms = [(((big_z[i][j], 1),), exact[a[i][j]] * (1 if i == j else 2)) for i, j in upper]
+        terms.append((((len(names) - n + k, 1),), one) if symbolic else ((), to_fraction(cv[k])))
+        equations.append(_polynomial(terms))
     # complementarity block: all m*m entries of X Z; every X index is below
     # every Z index, so each product is already an ordered monomial
-    for i in range(m):
-        for j in range(m):
-            poly = {}
-            for l in range(m):
-                _poly_add_term(poly, ((big_x[i][l], 1), (big_z[l][j], 1)), Fraction(1))
-            equations.append(poly)
-
+    equations += [
+        {((big_x[i][l], 1), (big_z[l][j], 1)): one for l in range(m)}
+        for i in range(m)
+        for j in range(m)
+    ]
     return PolySystem(names, tuple(equations), _info(names, equations))
 
 
@@ -241,11 +253,8 @@ def build_kkt_normalized(pencil: Pencil) -> PolySystem:
     base = build_kkt(pencil, None)
     n = pencil.n
     first_c = base.num_variables - n  # c1..cn are the last n names of the layout
-    norm_poly: Polynomial = {}
-    for k in range(n):
-        _poly_add_term(norm_poly, ((k, 1), (first_c + k, 1)), Fraction(1))
-    _poly_add_term(norm_poly, (), Fraction(-1))
-    equations = base.equations + (norm_poly,)
+    norm = [(((k, 1), (first_c + k, 1)), Fraction(1)) for k in range(n)] + [((), Fraction(-1))]
+    equations = base.equations + (_polynomial(norm),)
     return PolySystem(base.variables, equations, _info(base.variables, equations))
 
 
@@ -271,31 +280,35 @@ def build_kkt_rank(pencil: Pencil, r: int, *, force: bool = False) -> PolySystem
         )
     base = build_kkt_normalized(pencil)
     _, big_x, big_z = _layout(m, n, True)
+    exact = _Memo(Fraction)  # one Fraction per distinct minor coefficient
 
-    def minors(table: list[list[int]], size: int) -> list[Polynomial]:
-        # Leibniz sum, one signed monomial per permutation; lexicographic order
-        # gives the term order of a first-row cofactor expansion
+    def minors(table: list[list[int]], size: int) -> list[dict[Monomial, int]]:
+        # Leibniz sum, one signed monomial per permutation, the signs added as
+        # ints; lexicographic order gives the term order of a first-row
+        # cofactor expansion, and a cancelled term re-enters last, as in
+        # _poly_add_term
         perms = [
-            (p, Fraction(-1) if sum(a > b for a, b in combinations(p, 2)) % 2 else Fraction(1))
+            (p, -1 if sum(a > b for a, b in combinations(p, 2)) % 2 else 1)
             for p in permutations(range(size))
         ]
         sets = list(combinations(range(m), size))
         out = []
-        for k, rows in enumerate(sets):
-            for cols in sets[k:]:
-                var = [[table[i][j] for j in cols] for i in rows]
-                poly: Polynomial = {}
-                for p, sign in perms:
-                    exps: dict[int, int] = {}
-                    for i, j in enumerate(p):
-                        exps[var[i][j]] = exps.get(var[i][j], 0) + 1
-                    _poly_add_term(poly, tuple(sorted(exps.items())), sign)
-                out.append(poly)
+        for rows, cols in ((rows, cols) for k, rows in enumerate(sets) for cols in sets[k:]):
+            var = [[table[i][j] for j in cols] for i in rows]
+            poly: dict[Monomial, int] = {}
+            for p, sign in perms:
+                exps: dict[int, int] = {}
+                for row, j in zip(var, p):
+                    exps[row[j]] = exps.get(row[j], 0) + 1
+                mono = tuple(sorted(exps.items()))
+                if total := poly.get(mono, 0) + sign:
+                    poly[mono] = total
+                else:
+                    del poly[mono]
+            out.append(dict(zip(poly, map(exact.__getitem__, poly.values()))))
         return out
 
-    x_minors = minors(big_x, r + 1)
-    z_minors = minors(big_z, m - r + 1)
-    equations = base.equations + tuple(x_minors) + tuple(z_minors)
+    equations = base.equations + tuple(minors(big_x, r + 1) + minors(big_z, m - r + 1))
     return PolySystem(base.variables, equations, _info(base.variables, equations))
 
 
@@ -349,17 +362,11 @@ def _format_fraction(f: Fraction) -> str:
     return str(f.numerator) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
 
 
-def _format_term(system: PolySystem, mono: Monomial, coeff: Fraction) -> str:
-    parts = [_format_fraction(abs(coeff))]
-    for var, exp in mono:
-        name = system.variables[var]
-        parts.append(name if exp == 1 else f"{name}^{exp}")
-    return "*".join(parts)
-
-
-def _mono_sort_key(mono: Monomial):
-    total = sum(e for _, e in mono)
-    return (-total, mono)
+def _by_coefficient(system: PolySystem, fmt) -> dict[int, str]:
+    """``fmt(c)`` per distinct coefficient object, keyed by ``id(c)``, which hashes
+    in C; the system holds every c while the table is in use, so no id recurs."""
+    coeffs = list(chain.from_iterable(eq.values() for eq in system.equations))
+    return {key: fmt(c) for key, c in dict(zip(map(id, coeffs), coeffs)).items()}
 
 
 def export_plain(system: PolySystem) -> str:
@@ -374,21 +381,27 @@ def export_plain(system: PolySystem) -> str:
         if info.minor_counts is not None:
             meta += f" minors_x={info.minor_counts[0]} minors_z={info.minor_counts[1]}"
         lines.append(meta)
+    # a coefficient's text after another term: '+ 3/2', '- 1'
+    sign = lambda c: f"+ {_format_fraction(c)}" if c > 0 else f"- {_format_fraction(abs(c))}"
+    signed = _by_coefficient(system, sign)
+    names = system.variables
+    factor_text = _Memo(lambda p: f"*{names[p[0]]}" + (f"^{p[1]}" if p[1] != 1 else "")).__getitem__
     for eq in system.equations:
-        monos = sorted(eq, key=_mono_sort_key)
-        if not monos:
-            lines.append("0 = 0")
-            continue
-        pieces = []
-        for pos, mono in enumerate(monos):
-            coeff = eq[mono]
-            term = _format_term(system, mono, coeff)
-            if pos == 0:
-                pieces.append(term if coeff > 0 else f"-{term}")
-            else:
-                pieces.append(f"+ {term}" if coeff > 0 else f"- {term}")
-        lines.append(" ".join(pieces) + " = 0")
+        # by descending degree, then monomial; the first term drops '+ ' or keeps a bare '-'
+        terms = sorted(zip(map(neg, _degrees(eq)), eq, eq.values()))
+        body = " ".join([signed[id(c)] + "".join(map(factor_text, mono)) for _, mono, c in terms])
+        lines.append(("0" if not body else body[2:] if body[0] == "+" else "-" + body[2:]) + " = 0")
     return "\n".join(lines) + "\n"
+
+
+def export_json(system: PolySystem) -> str:
+    info, text = system.metadata, _by_coefficient(system, _format_fraction).__getitem__
+    # json writes tuples as lists: minor counts, (monomial, coefficient) terms, pairs
+    return json.dumps({
+        "variables": list(system.variables),
+        "metadata": {**asdict(info), "bezout_product": str(info.bezout_product)},
+        "equations": [list(zip(eq, map(text, map(id, eq.values())))) for eq in system.equations],
+    })
 
 
 def _parsed(variables: tuple[str, ...], equations: list[Polynomial], meta: Mapping) -> PolySystem:
@@ -409,7 +422,33 @@ def _parsed(variables: tuple[str, ...], equations: list[Polynomial], meta: Mappi
     return PolySystem(variables=variables, equations=tuple(equations), metadata=info)
 
 
-_TERM_RE = re.compile(r"^(?P<coeff>-?\d+(?:/\d+)?)(?P<rest>(?:\*[A-Za-z]\w*(?:\^\d+)?)*)$")
+def _canonical(pairs: Iterable[tuple[int, int]]) -> Monomial:
+    """The sorted monomial of (variable, exponent) pairs, each variable once."""
+    mono = tuple(sorted(pairs))
+    if len(dict(mono)) < len(mono):
+        raise ValueError(f"cannot parse term {list(map(list, mono))}: a variable repeats")
+    return mono
+
+
+# a plain-text term is a coefficient, then optionally '*' and its factors
+_COEFF_RE = re.compile(r"-?\d+(?:/\d+)?")
+_FACTOR = r"[A-Za-z]\w*(?:\^\d+)?"
+_FACTORS_RE = re.compile(rf"{_FACTOR}(?:\*{_FACTOR})*")
+
+
+def _plain_monomial(units: Mapping[str, tuple[int, int]], factors: str) -> Monomial | None:
+    """The monomial of a term's factors, 'X_1_2*Z_2_3^2', with ``units`` the
+    (index, 1) pair of each name; None off the grammar or for an exponent 0."""
+    if not _FACTORS_RE.fullmatch(factors):
+        return None
+    try:
+        if "^" not in factors:
+            return _canonical(map(units.__getitem__, factors.split("*")))
+        pieces = [name.partition("^") for name in factors.split("*")]
+        pairs = [(units[name][0], int(exp) if exp else 1) for name, _, exp in pieces]
+    except KeyError as err:
+        raise ValueError(f"unknown variable {err.args[0]!r}") from None
+    return _canonical(pairs) if min(e for _, e in pairs) >= 1 else None
 
 
 def parse_plain(text: str) -> PolySystem:
@@ -418,86 +457,69 @@ def parse_plain(text: str) -> PolySystem:
     if not lines or not lines[0].startswith("vars:"):
         raise ValueError("expected a 'vars:' header line")
     variables = tuple(lines[0][len("vars:") :].split())
-    var_index = {name: i for i, name in enumerate(variables)}
     meta_kv: dict[str, object] = {}
     body = []
     for line in lines[1:]:
         if not line.startswith("#"):
             body.append(line)
-            continue
-        # metadata comment; other comment lines (manifests etc.) are ignored
-        if "=" in line and ":" not in line:
-            for part in line[1:].split():
-                key, _, val = part.partition("=")
+        elif "=" in line and ":" not in line:  # the metadata comment; others are ignored
+            for key, _, val in (part.partition("=") for part in line[1:].split()):
                 if val:
                     meta_kv[key] = val
 
+    coefficients = _Memo(lambda text: Fraction(text) if _COEFF_RE.fullmatch(text) else None)
+    monomials = _Memo(partial(_plain_monomial, {name: (i, 1) for i, name in enumerate(variables)}))
     equations: list[Polynomial] = []
     for line in body:
         expr, _, zero = line.rpartition("=")
         if zero.strip() != "0":
             raise ValueError(f"equation line must end in '= 0': {line!r}")
-        expr = expr.strip()
-        poly: Polynomial = {}
-        if expr == "0":
-            equations.append(poly)
-            continue
-        tokens = expr.replace("- ", "+ -").split("+")
-        for tok in tokens:
-            tok = tok.strip().replace(" ", "")
+        terms = []
+        for tok in expr.replace("- ", "+ -").replace(" ", "").split("+"):
+            tok = tok.strip()
             if not tok:
                 continue
-            match = _TERM_RE.match(tok)
-            if match is None:
+            head, star, factors = tok.partition("*")
+            coeff = coefficients[head]
+            mono = None if coeff is None else monomials[factors] if star else ()
+            if mono is None:
                 raise ValueError(f"cannot parse term {tok!r}")
-            coeff = Fraction(match.group("coeff"))
-            mono_parts: dict[int, int] = {}
-            rest = match.group("rest")
-            for piece in filter(None, rest.split("*")):
-                name, _, exp = piece.partition("^")
-                if name not in var_index:
-                    raise ValueError(f"unknown variable {name!r}")
-                mono_parts[var_index[name]] = mono_parts.get(var_index[name], 0) + (
-                    int(exp) if exp else 1
-                )
-            _poly_add_term(poly, tuple(sorted(mono_parts.items())), coeff)
-        equations.append(poly)
+            terms.append((mono, coeff))
+        equations.append(_polynomial(terms))
 
-    if "minors_x" in meta_kv:
-        meta_kv["minor_counts"] = (meta_kv["minors_x"], meta_kv["minors_z"])
+    counts = (meta_kv.get("minors_x"), meta_kv.get("minors_z"))
+    if counts.count(None) == 1:
+        missing = ("minors_x", "minors_z")[counts.index(None)]
+        raise ValueError(f"metadata comment states one minor count but not {missing}")
+    if None not in counts:
+        meta_kv["minor_counts"] = counts
     return _parsed(variables, equations, meta_kv)
 
 
-def export_json(system: PolySystem) -> str:
-    info = system.metadata
-    data = {
-        "variables": list(system.variables),
-        "metadata": {
-            "n": info.n,
-            "m": info.m,
-            "variant": info.variant,
-            "bezout_product": str(info.bezout_product),
-            "rank": info.rank,
-            "minor_counts": list(info.minor_counts) if info.minor_counts else None,
-        },
-        "equations": [
-            [[[list(pair) for pair in mono], _format_fraction(coeff)] for mono, coeff in eq.items()]
-            for eq in system.equations
-        ],
-    }
-    return json.dumps(data)
+def _json_pair(num_variables: int, pair: tuple) -> tuple[int, int]:
+    v, e = pair
+    if not all(isinstance(x, (int, float)) and x % 1 == 0 for x in pair) or e < 1:
+        raise ValueError(f"cannot parse term: {list(pair)} is not [index, exponent >= 1]")
+    if not 0 <= v < num_variables:
+        raise ValueError(f"unknown variable index {v}")
+    return int(v), int(e)
 
 
 def parse_json(text: str) -> PolySystem:
     data = json.loads(text)
+    for key in ("variables", "equations"):
+        if key not in data:
+            raise ValueError(f"JSON system has no {key!r}")
     variables = tuple(data["variables"])
-    equations = []
-    for eq_terms in data["equations"]:
-        poly: Polynomial = {}
-        for mono_pairs, coeff in eq_terms:
-            mono = tuple(sorted((int(v), int(e)) for v, e in mono_pairs))
-            _poly_add_term(poly, mono, Fraction(coeff))
-        equations.append(poly)
+    # a monomial is looked up by its validated pairs, which the pair memo shares
+    coefficients, monomials = _Memo(Fraction), _Memo(_canonical)
+    pair = _Memo(partial(_json_pair, len(variables))).__getitem__
+    equations = [
+        _polynomial(
+            [(monomials[tuple(map(pair, map(tuple, raw)))], coefficients[c]) for raw, c in terms]
+        )
+        for terms in data["equations"]
+    ]
     return _parsed(variables, equations, data.get("metadata") or {})
 
 

@@ -1,5 +1,6 @@
 """KKT system construction, counts, residuals, and export round-trips."""
 
+import hashlib
 import itertools
 import json
 import math
@@ -8,6 +9,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from psdbound.bounds import pataki_range, triangular
 from psdbound.kkt import (
@@ -423,6 +426,123 @@ class TestParse:
         data = json.loads(export_system(build_kkt_rank(segment_fixture(), 1), "json"))
         data["metadata"][key] = value
         with pytest.raises(ValueError, match=re.escape(f"{key}={value}")):
+            parse_system(json.dumps(data), "json")
+
+
+# the segment's rank-1 system in plain text, pinned byte for byte
+SEGMENT_RANK_1 = """\
+vars: x1 X_1_1 X_1_2 X_2_2 Z_1_1 Z_1_2 Z_2_2 c1
+# n=1 m=2 variant=rank rank=1 minors_x=1 minors_z=1
+-1*x1 + 1*X_1_1 - 1 = 0
+1*X_1_2 = 0
+1*x1 + 1*X_2_2 - 1 = 0
+1*Z_1_1 - 1*Z_2_2 + 1*c1 = 0
+1*X_1_1*Z_1_1 + 1*X_1_2*Z_1_2 = 0
+1*X_1_1*Z_1_2 + 1*X_1_2*Z_2_2 = 0
+1*X_1_2*Z_1_1 + 1*X_2_2*Z_1_2 = 0
+1*X_1_2*Z_1_2 + 1*X_2_2*Z_2_2 = 0
+1*x1*c1 - 1 = 0
+1*X_1_1*X_2_2 - 1*X_1_2^2 = 0
+1*Z_1_1*Z_2_2 - 1*Z_1_2^2 = 0
+"""
+
+
+class TestPinnedExport:
+    """Export bytes that a change to the exporters must leave as they are."""
+
+    def test_segment_rank_1_plain(self):
+        assert export_plain(build_kkt_rank(segment_fixture(), 1)) == SEGMENT_RANK_1
+
+    # small_pencil's A0 diagonal comes from eigvalsh, so the first two digests
+    # also pin the LAPACK build's bits for that 3 x 3 eigenvalue
+    DIGESTS = {
+        "rank plain_text": "2a5318ce832a8bc9eea3aa5a33eba308f5185d2fd48fe465928b8826af525f95",
+        "rank json": "894969f17643c0937b684452e6c4711b07420b0645bd03ac1410725c3489d8ce",
+        "pentagon plain_text": "764122de28979bac6139bd85e05f5ebc7523493b3ea144fd5387d1a23dd6e251",
+        "pentagon json": "133268989d231f121fe3bd776f9aea46060fd083e28f085b0a542a42b94b9309",
+    }
+
+    @pytest.mark.parametrize("case", DIGESTS)
+    def test_sha256(self, case):
+        build, fmt = case.split()
+        if build == "rank":
+            system = build_kkt_rank(small_pencil(3, 3), 1)
+        else:
+            system = build_kkt_normalized(pentagon_fixture())
+        text = export_system(system, fmt)
+        assert hashlib.sha256(text.encode()).hexdigest() == self.DIGESTS[case]
+
+
+@st.composite
+def rational_pencils(draw):
+    """A pencil with m <= 3, n <= min(3, t_m) and small decimal-rational
+    entries (every rank system needs n <= t_m)."""
+    m = draw(st.integers(1, 3))
+    n = draw(st.integers(1, min(3, triangular(m))))
+    entry = st.builds(Fraction, st.integers(-9, 9), st.sampled_from([1, 2, 4, 5, 8, 10]))
+    mats = []
+    for _ in range(n + 1):
+        a = np.zeros((m, m))
+        for i in range(m):
+            for j in range(i, m):
+                a[i, j] = a[j, i] = float(draw(entry))
+        mats.append(a)
+    return Pencil(mats=tuple(mats)), [float(draw(entry)) for _ in range(n)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(rational_pencils())
+def test_round_trip_every_variant(drawn):
+    pencil, c = drawn
+    systems = [build_kkt(pencil, c), build_kkt_normalized(pencil)]
+    systems += [build_kkt_rank(pencil, r, force=True) for r in range(pencil.m + 1)]
+    for system in systems:
+        for fmt in ("plain_text", "json"):
+            text = export_system(system, fmt)
+            back = parse_system(text, fmt)
+            assert back == system
+            assert export_system(back, fmt) == text
+
+
+class TestParseRejects:
+    """Each malformed input raises ValueError naming what is wrong."""
+
+    @pytest.mark.parametrize(
+        "old,missing", [(" minors_z=1", "minors_z"), (" minors_x=1", "minors_x")]
+    )
+    def test_plain_one_minor_count(self, old, missing):
+        with pytest.raises(ValueError, match=missing):
+            parse_system(SEGMENT_RANK_1.replace(old, ""), "plain_text")
+
+    @pytest.mark.parametrize(
+        "new,message",
+        [("-1*x1^0 +", "cannot parse term"), ("-1*x1*x1 +", "cannot parse term")],
+        ids=["exponent-0", "repeated-variable"],
+    )
+    def test_plain_bad_factors(self, new, message):
+        with pytest.raises(ValueError, match=message):
+            parse_system(SEGMENT_RANK_1.replace("-1*x1 +", new), "plain_text")
+
+    @pytest.mark.parametrize(
+        "mono,message",
+        [([[99, 1]], "unknown variable"), ([[-1, 1]], "unknown variable"),
+         ([[0, 0]], "cannot parse term"), ([[0, 1], [0, 1]], "cannot parse term"),
+         ([[0, 1.5]], "cannot parse term"), ([["0", 1]], "cannot parse term")],
+        ids=["index-99", "index-negative", "exponent-0", "repeated-variable", "float", "string"],
+    )
+    def test_json_bad_monomial(self, mono, message):
+        # the first term of the first equation takes the monomial; the system
+        # has 8 variables, x1 is index 0
+        data = json.loads(export_system(build_kkt_rank(segment_fixture(), 1), "json"))
+        data["equations"][0][0][0] = mono
+        with pytest.raises(ValueError, match=message):
+            parse_system(json.dumps(data), "json")
+
+    @pytest.mark.parametrize("key", ["variables", "equations"])
+    def test_json_missing_key(self, key):
+        data = json.loads(export_system(build_kkt_rank(segment_fixture(), 1), "json"))
+        del data[key]
+        with pytest.raises(ValueError, match=key):
             parse_system(json.dumps(data), "json")
 
 
