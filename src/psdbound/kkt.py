@@ -29,13 +29,12 @@ against which the parsers check a file's stated metadata.
 Coefficients are exact rationals (floats enter via their shortest decimal
 representation), so residuals at rational points are exact and exports
 round-trip losslessly.  Builders, exporters and parsers visit each term
-once; what repeats across terms (a pencil entry, a coefficient or its
-text, a factor string, a JSON monomial) is worked out once per call in a
-memo table that is freed when the call returns.  Both parsers raise
-ValueError on a term outside the grammar, an exponent below 1, a variable
-named twice in one term, an unknown variable, a missing header or key,
-and stated metadata that disagrees.  The systems are exported for
-external algebraic solvers; solving them is out of scope here.
+once; what repeats across terms (a pencil entry, a coefficient or its text,
+a factor, a monomial) is worked out once per call in a memo table freed
+when the call returns.  Both parsers raise ValueError on a term outside the
+grammar, an exponent below 1, a variable named twice in one term, an unknown
+variable, a missing header or key, and stated metadata that disagrees.  The
+systems are for external algebraic solvers; solving them is out of scope.
 """
 
 from __future__ import annotations
@@ -133,21 +132,24 @@ def poly_degree(poly: Polynomial) -> int:
 
 
 def _poly_add_term(poly: Polynomial, mono: Monomial, coeff: Fraction) -> None:
-    total = poly[mono] + coeff if mono in poly else coeff
-    if total:
-        poly[mono] = total
-    elif mono in poly:
-        del poly[mono]
+    if not coeff:
+        return
+    acc = poly.get(mono)
+    if acc is None:
+        poly[mono] = coeff
+    else:
+        acc = acc + coeff
+        if acc:
+            poly[mono] = acc
+        else:
+            del poly[mono]
 
 
-def _polynomial(terms: list[tuple[Monomial, Fraction]]) -> Polynomial:
-    """The terms summed as by :func:`_poly_add_term`; one dict build when no
-    monomial repeats and no coefficient is zero."""
-    poly = dict(terms)
-    if len(poly) < len(terms) or not all(poly.values()):
-        poly = {}
-        for mono, coeff in terms:
-            _poly_add_term(poly, mono, coeff)
+def _polynomial(terms: Iterable[tuple[Monomial, Fraction]]) -> Polynomial:
+    """The terms summed by :func:`_poly_add_term`."""
+    poly: Polynomial = {}
+    for mono, coeff in terms:
+        _poly_add_term(poly, mono, coeff)
     return poly
 
 
@@ -430,25 +432,19 @@ def _canonical(pairs: Iterable[tuple[int, int]]) -> Monomial:
     return mono
 
 
-# a plain-text term is a coefficient, then optionally '*' and its factors
+# a plain-text term is a coefficient, then optionally '*' and its factors,
+# each a name with an optional exponent of at least 1
 _COEFF_RE = re.compile(r"-?\d+(?:/\d+)?")
-_FACTOR = r"[A-Za-z]\w*(?:\^\d+)?"
+_FACTOR = r"[A-Za-z]\w*(?:\^0*[1-9]\d*)?"
 _FACTORS_RE = re.compile(rf"{_FACTOR}(?:\*{_FACTOR})*")
 
 
-def _plain_monomial(units: Mapping[str, tuple[int, int]], factors: str) -> Monomial | None:
-    """The monomial of a term's factors, 'X_1_2*Z_2_3^2', with ``units`` the
-    (index, 1) pair of each name; None off the grammar or for an exponent 0."""
-    if not _FACTORS_RE.fullmatch(factors):
-        return None
-    try:
-        if "^" not in factors:
-            return _canonical(map(units.__getitem__, factors.split("*")))
-        pieces = [name.partition("^") for name in factors.split("*")]
-        pairs = [(units[name][0], int(exp) if exp else 1) for name, _, exp in pieces]
-    except KeyError as err:
-        raise ValueError(f"unknown variable {err.args[0]!r}") from None
-    return _canonical(pairs) if min(e for _, e in pairs) >= 1 else None
+def _plain_pair(index: Mapping[str, int], factor: str) -> tuple[int, int]:
+    """The (index, exponent) pair of a factor, 'Z_2_3^2'."""
+    name, _, exp = factor.partition("^")
+    if name not in index:
+        raise ValueError(f"unknown variable {name!r}")
+    return index[name], int(exp) if exp else 1
 
 
 def parse_plain(text: str) -> PolySystem:
@@ -468,7 +464,10 @@ def parse_plain(text: str) -> PolySystem:
                     meta_kv[key] = val
 
     coefficients = _Memo(lambda text: Fraction(text) if _COEFF_RE.fullmatch(text) else None)
-    monomials = _Memo(partial(_plain_monomial, {name: (i, 1) for i, name in enumerate(variables)}))
+    pair = _Memo(partial(_plain_pair, {name: i for i, name in enumerate(variables)})).__getitem__
+    monomials = _Memo(
+        lambda text: _canonical(map(pair, text.split("*"))) if _FACTORS_RE.fullmatch(text) else None
+    )
     equations: list[Polynomial] = []
     for line in body:
         expr, _, zero = line.rpartition("=")
@@ -498,7 +497,7 @@ def parse_plain(text: str) -> PolySystem:
 
 def _json_pair(num_variables: int, pair: tuple) -> tuple[int, int]:
     v, e = pair
-    if not all(isinstance(x, (int, float)) and x % 1 == 0 for x in pair) or e < 1:
+    if not all(type(x) in (int, float) and x % 1 == 0 for x in pair) or e < 1:
         raise ValueError(f"cannot parse term: {list(pair)} is not [index, exponent >= 1]")
     if not 0 <= v < num_variables:
         raise ValueError(f"unknown variable index {v}")

@@ -453,11 +453,16 @@ class TestPinnedExport:
     def test_segment_rank_1_plain(self):
         assert export_plain(build_kkt_rank(segment_fixture(), 1)) == SEGMENT_RANK_1
 
-    # small_pencil's A0 diagonal comes from eigvalsh, so the first two digests
-    # also pin the LAPACK build's bits for that 3 x 3 eigenvalue
+    # a 3 x 3, n = 2 pencil with integer entries, so no floating-point
+    # routine takes part in the pinned bytes
+    INTEGER_PENCIL = Pencil(mats=tuple(np.array(a, dtype=float).reshape(3, 3) for a in (
+        [4, 1, 0, 1, 4, -1, 0, -1, 4],
+        [1, 2, 0, 2, -1, 1, 0, 1, 3],
+        [0, -1, 2, -1, 1, 0, 2, 0, -2],
+    )))
     DIGESTS = {
-        "rank plain_text": "2a5318ce832a8bc9eea3aa5a33eba308f5185d2fd48fe465928b8826af525f95",
-        "rank json": "894969f17643c0937b684452e6c4711b07420b0645bd03ac1410725c3489d8ce",
+        "rank plain_text": "204c4849b0d17ff54f7e4bf85e09eb4b0ddd71161fce5bab797652ab6fac5108",
+        "rank json": "0c49a20a1c367a0ec6f12c6fd549c0eba324d957f752b764a160a428e9940b39",
         "pentagon plain_text": "764122de28979bac6139bd85e05f5ebc7523493b3ea144fd5387d1a23dd6e251",
         "pentagon json": "133268989d231f121fe3bd776f9aea46060fd083e28f085b0a542a42b94b9309",
     }
@@ -466,7 +471,7 @@ class TestPinnedExport:
     def test_sha256(self, case):
         build, fmt = case.split()
         if build == "rank":
-            system = build_kkt_rank(small_pencil(3, 3), 1)
+            system = build_kkt_rank(self.INTEGER_PENCIL, 1, force=True)
         else:
             system = build_kkt_normalized(pentagon_fixture())
         text = export_system(system, fmt)
@@ -527,8 +532,10 @@ class TestParseRejects:
         "mono,message",
         [([[99, 1]], "unknown variable"), ([[-1, 1]], "unknown variable"),
          ([[0, 0]], "cannot parse term"), ([[0, 1], [0, 1]], "cannot parse term"),
-         ([[0, 1.5]], "cannot parse term"), ([["0", 1]], "cannot parse term")],
-        ids=["index-99", "index-negative", "exponent-0", "repeated-variable", "float", "string"],
+         ([[0, 1.5]], "cannot parse term"), ([["0", 1]], "cannot parse term"),
+         ([[True, 1]], "cannot parse term"), ([[0, True]], "cannot parse term")],
+        ids=["index-99", "index-negative", "exponent-0", "repeated-variable", "float", "string",
+             "bool-index", "bool-exponent"],
     )
     def test_json_bad_monomial(self, mono, message):
         # the first term of the first equation takes the monomial; the system
