@@ -275,11 +275,12 @@ def build_kkt_rank(pencil: Pencil, r: int, *, force: bool = False) -> PolySystem
     m, n = pencil.m, pencil.n
     if not 0 <= r <= m:
         raise ValueError(f"rank {r} outside [0, {m}]")
-    rng = pataki_range(m, n)
-    if r not in rng.ranks and not force:
-        raise PatakiViolationError(
-            f"rank {r} outside the Pataki range {list(rng.ranks)} for (m, n) = ({m}, {n})"
-        )
+    if not force:  # the Pataki range is defined only for n <= t(m)
+        ranks = pataki_range(m, n).ranks
+        if r not in ranks:
+            raise PatakiViolationError(
+                f"rank {r} outside the Pataki range {list(ranks)} for (m, n) = ({m}, {n})"
+            )
     base = build_kkt_normalized(pencil)
     _, big_x, big_z = _layout(m, n, True)
     exact = _Memo(Fraction)  # one Fraction per distinct minor coefficient

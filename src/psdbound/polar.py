@@ -33,7 +33,6 @@ from .sdp import STATUS_OPTIMAL, solve_sdp_many
 
 EPS_VALUE = 1e-9  # support values below this are treated as degenerate
 EPS_KERNEL = 1e-7  # relative singular-value threshold declaring a kernel
-OVERSAMPLE = 3  # rows per monomial kept by the degree fit
 
 
 class AllSkippedError(RuntimeError):
@@ -271,10 +270,10 @@ def fit_min_vanishing_degree(cloud: BoundaryCloud, max_degree: int) -> DegreeFit
     rescaled to unit RMS radius (Vandermonde conditioning) and a kernel is
     declared when the smallest singular value is at most ``EPS_KERNEL``
     times the largest.  Needs at least 2 monomial_count points per tested
-    degree and caps the rows at ``OVERSAMPLE`` monomial_count (evenly
-    subsampled), so oversampling stabilizes the rank decision.  Every
-    degree up to ``max_degree`` that the cloud can test is tested, so the
-    report carries the full kernel profile.
+    degree and fits on every point of the cloud: a row subsample could miss
+    a whole boundary component and show a kernel the cloud does not have.
+    Every degree up to ``max_degree`` that the cloud can test is tested, so
+    the report carries the full kernel profile.
     """
     if max_degree < 1:
         raise ValueError(f"need max_degree >= 1, got {max_degree}")
@@ -303,9 +302,7 @@ def fit_min_vanishing_degree(cloud: BoundaryCloud, max_degree: int) -> DegreeFit
             raise InsufficientSamplesError(
                 f"degree {degree} needs {need} points, cloud has {npts}"
             )
-        rows = min(npts, OVERSAMPLE * len(monos))
-        idx = np.floor(np.linspace(0, npts, rows, endpoint=False)).astype(int)
-        mat = _eval_monomials(scaled[idx], monos)
+        mat = _eval_monomials(scaled, monos)
         u, svals, vt = np.linalg.svd(mat, full_matrices=False)
         sigma_max = float(svals[0])
         kernel_dim = int(np.sum(svals <= EPS_KERNEL * sigma_max))
@@ -320,7 +317,7 @@ def fit_min_vanishing_degree(cloud: BoundaryCloud, max_degree: int) -> DegreeFit
             DegreeFit(
                 degree=degree,
                 monomial_count=len(monos),
-                sample_count=rows,
+                sample_count=npts,
                 sigma_max=sigma_max,
                 singular_tail=[float(s) for s in svals[-min(6, len(svals)) :]],
                 kernel_dim=kernel_dim,

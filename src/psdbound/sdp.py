@@ -23,17 +23,19 @@ row per problem (``x`` is (B, n), ``X`` and ``Z`` are (B, m, m)) and go
 through numpy's stacked linear algebra, which does the same arithmetic on
 each slice as on a lone matrix; inner products are one BLAS dot per row
 (``np.vecdot``), never a GEMM across rows.  Scalar decisions (statuses,
-step lengths, centering) run row by row in Python with the same
-expressions as a lone solve.  So each problem's result is bitwise
-identical to solving it alone, whatever batch it sits in and in whatever
-order; :func:`solve_sdp` is the one-objective case.
+centering) run row by row in Python, and the step-length and Schur-ridge
+rules elementwise, with the same expressions as a lone solve.  So each
+problem's result is bitwise identical to solving it alone, whatever batch
+it sits in and in whatever order; :func:`solve_sdp` is the one-objective
+case.
 
 A problem whose solve has ended stops taking steps.  Its row leaves the
 stack once half the stack's rows have ended, or at once if its iterate is
-not finite, so the stack changes shape only a few times per run.  When a
-stacked Cholesky fails on one slice, the stack is halved until the
-failing slices stand alone and those fall back to their eigenpairs; a
-singular Schur system ends only its own problem; both as in a lone solve.
+not finite, so the stack changes shape only a few times per run.  The
+step lengths come from the eigenpairs of X and Z that the NT scaling
+already computes, so no slice needs a factorization of its own.  A
+singular Schur system halves the stack until the singular slices stand
+alone, and ends only its own problem, as in a lone solve.
 The crossover polish and the result assembly after the loop are stacked
 calls too, the polish over groups of problems that share a face rank; it
 skips the face ranks at which its x refit is not determined.
@@ -141,28 +143,13 @@ def _sym(mat: np.ndarray) -> np.ndarray:
     return (mat + mat.mT) / 2.0
 
 
-def _factor(mats: np.ndarray) -> np.ndarray:
-    """Cholesky factors of a stack of matrices.  A slice that is not
-    numerically positive definite makes the stacked call fail whole; the
-    stack is then halved until the failing slices stand alone, and each of
-    those falls back to V sqrt(W) from its clipped eigenpairs."""
-    try:
-        return np.linalg.cholesky(mats)
-    except np.linalg.LinAlgError:
-        if len(mats) > 1:
-            half = len(mats) // 2
-            return np.concatenate([_factor(mats[:half]), _factor(mats[half:])])
-    w, v = np.linalg.eigh(mats)
-    return v * np.sqrt(np.maximum(w, 1e-300))[:, None, :]
-
-
-def _max_step(chol: np.ndarray, directions: np.ndarray) -> list[float]:
+def _max_step(half: np.ndarray, directions: np.ndarray) -> np.ndarray:
     """Per slice, the largest alpha <= 1 with mat + alpha*direction still
-    positive definite, for mat = chol chol^T (see :func:`_factor`)."""
-    y = np.linalg.solve(chol, directions)
-    scaled = np.linalg.solve(chol, y.mT).mT
-    lam_min = np.linalg.eigvalsh(_sym(scaled))[:, 0].tolist()
-    return [1.0 if lam >= -1e-14 else min(1.0, -1.0 / lam) for lam in lam_min]
+    positive definite, for mat^-1 = half half^T (see :func:`_nt_scaling`):
+    half^T direction half is similar to mat^-1/2 direction mat^-1/2."""
+    lam = np.linalg.eigvalsh(_sym(half.mT @ directions @ half))[:, 0]
+    # fmin, like Python's min, keeps 1.0 against a NaN
+    return np.where(lam >= -1e-14, 1.0, np.fmin(1.0, -1.0 / np.minimum(lam, -1e-14)))
 
 
 def _schur_gram(a_flat: np.ndarray, f_mat: np.ndarray) -> np.ndarray:
@@ -214,40 +201,39 @@ def _errors(dots: list[float], norm_a0: float, norm_c: float) -> tuple[float, fl
     )
 
 
-def _spectrum(mat: np.ndarray, ok: list[bool]) -> tuple[np.ndarray, np.ndarray]:
-    """eigh over a stack, each spectrum floored at 1e-30 of its top.
+def _spectrum(mat: np.ndarray, ok: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """eigh over a stack, each spectrum floored at 1e-30 of its top, and
+    ``ok`` cleared where a slice is not numerically positive definite.
 
-    Clears ``ok[k]`` where slice k is not numerically positive definite and
-    gives every slice not ok unit eigenvalues, so later calls see no NaN.
+    Every slice not ok gets unit eigenvalues, so later calls see no NaN.
     """
     w, v = np.linalg.eigh(mat)
-    for k, (lo, hi) in enumerate(zip(w[:, 0].tolist(), w[:, -1].tolist())):
-        if lo <= 0 or not math.isfinite(hi):
-            ok[k] = False
+    ok = ok & ~(w[:, 0] <= 0) & np.isfinite(w[:, -1])
     w = np.maximum(w, 1e-30 * w[:, -1:])
-    if not all(ok):
-        w[np.logical_not(ok)] = 1.0
-    return w, v
+    w[~ok] = 1.0
+    return w, v, ok
 
 
-def _nt_scaling(X: np.ndarray, Z: np.ndarray) -> tuple[np.ndarray, np.ndarray, list[bool]]:
+def _nt_scaling(
+    X: np.ndarray, Z: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[bool]]:
     """Nesterov-Todd factors F (F F^T = W^-1 for W Z W = X) and Z^-1 over a
-    stack, and per slice whether it has them.
+    stack, the half-inverses H = V W^-1/2 (H H^T = X^-1, then Z^-1) of the
+    stack's X and Z from their eigenpairs, and per slice whether it has them.
 
     A slice has none when X, the middle matrix X^1/2 Z X^1/2 or Z is
     numerically singular: the float floor is reached.
     """
     count = len(X)
-    ok_xz = [True] * (2 * count)
-    w, v = _spectrum(np.concatenate([X, Z]), ok_xz)  # X and Z decompose together
-    ok = [a and b for a, b in zip(ok_xz[:count], ok_xz[count:])]
-    root = np.sqrt(w[:count])[:, None, :]
+    # X and Z decompose together
+    w, v, ok_xz = _spectrum(np.concatenate([X, Z]), np.ones(2 * count, dtype=bool))
+    root = np.sqrt(w)[:, None, :]
+    half = v / root
     vx, vz = v[:count], v[count:]
-    xh = (vx * root) @ vx.mT
-    xih = (vx / root) @ vx.mT
-    wg, vg = _spectrum(_sym(xh @ Z @ xh), ok)
-    f_mat = (xih @ vg) * np.sqrt(np.sqrt(wg))[:, None, :]
-    return f_mat, (vz / w[count:, None, :]) @ vz.mT, ok
+    xh = (vx * root[:count]) @ vx.mT
+    wg, vg, ok = _spectrum(_sym(xh @ Z @ xh), ok_xz[:count] & ok_xz[count:])
+    f_mat = (half[:count] @ vx.mT @ vg) * np.sqrt(np.sqrt(wg))[:, None, :]
+    return f_mat, (vz / w[count:, None, :]) @ vz.mT, half, ok.tolist()
 
 
 def _solve_each(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, list[bool]]:
@@ -523,7 +509,7 @@ def _solve_stack(
 
         step = []
         if go:
-            f_mat, zinv, scaled = _nt_scaling(*_pick(work, s.X, s.Z))
+            f_mat, zinv, half, scaled = _nt_scaling(*_pick(work, s.X, s.Z))
             going = set(go)
             step = [j for j, (k, ok) in enumerate(zip(work, scaled)) if ok and k in going]
             stuck += [k for k, ok in zip(work, scaled) if not ok and k in going]
@@ -551,13 +537,10 @@ def _solve_stack(
             winv = f_mat @ f_mat.mT
             schur = _schur_gram(a_flat, f_mat)
             # tiny ridge keeps borderline-dependent pencils solvable
-            trace = np.trace(schur, axis1=1, axis2=2).tolist()
-            ridge = np.array([1e-14 * max(1.0, t / max(n, 1)) for t in trace])
+            trace = np.trace(schur, axis1=1, axis2=2)
+            ridge = 1e-14 * np.fmax(1.0, trace / max(n, 1))
             schur.reshape(len(work), n * n)[:, :: n + 1] += ridge[:, None]
             wrw = winv @ rd @ winv
-            # the step lengths of the predictor and of the step itself start
-            # from the same X and Z, so they share one factorization
-            chol = _factor(np.concatenate([X, Z]))
 
             target_mu = [s.mu_fix[k] for k in work]
             tau = [0.9] * len(work)
@@ -566,7 +549,7 @@ def _solve_stack(
             if pred:
                 # predictor: sigma = 0 target in  Delta_X + W Delta_Z W = -X
                 _, dX_a, dZ_a, solved_a = _newton(a_flat, schur, winv, wrw, rd, rp, -X)
-                alpha = np.array(_max_step(chol, np.concatenate([dX_a, dZ_a])))
+                alpha = _max_step(half, np.concatenate([dX_a, dZ_a]))
                 ap_a, ad_a = alpha[: len(work), None, None], alpha[len(work) :, None, None]
                 gaps_aff = _dot(X + ap_a * dX_a, Z + ad_a * dZ_a).tolist()
                 for j in pred:
@@ -584,7 +567,7 @@ def _solve_stack(
 
             target = np.array(target_mu)[:, None, None] * zinv - X
             dx, dX, dZ, solved_c = _newton(a_flat, schur, winv, wrw, rd, rp, target)
-            steps = _max_step(chol, np.concatenate([dX, dZ]))
+            steps = _max_step(half, np.concatenate([dX, dZ])).tolist()
             moving = [False] * len(work)
             alpha_p, alpha_d = [0.0] * len(work), [0.0] * len(work)
             for j in step:

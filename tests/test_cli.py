@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from psdbound.cli import main
-from psdbound.pencil import save_pencil
+from psdbound.kkt import build_kkt_rank, parse_system
+from psdbound.pencil import Pencil, load_pencil, save_pencil
 from psdbound.polar import disk_fixture, pentagon_fixture, segment_fixture
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -190,6 +191,19 @@ class TestKktExport:
             "--force",
         )
         assert code == 2 and out == ""
+
+    @pytest.mark.parametrize("fmt", ["plain_text", "json"])
+    def test_forced_rank_without_pataki_range(self, capsys, tmp_path, fmt):
+        # n = 2 > t(1) = 1: there is no Pataki range, and --force builds anyway
+        path = tmp_path / "line.json"
+        save_pencil(Pencil(mats=(np.eye(1), np.eye(1), 2.0 * np.eye(1))), path)
+        argv = ["kkt-export", "--pencil", str(path), "--variant", "rank", "--rank", "0"]
+        assert run_cli(capsys, *argv)[0] == 2
+        code, out = run_cli(capsys, *argv, "--force", "--format", fmt)
+        assert code == 0
+        system = parse_system(out, fmt)
+        assert system == build_kkt_rank(load_pencil(path), 0, force=True)
+        assert system.metadata.rank == 0
 
     def test_plain_needs_c(self, capsys, segment_file):
         assert run_cli(capsys, "kkt-export", "--pencil", segment_file)[0] == 2

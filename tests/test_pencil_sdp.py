@@ -14,8 +14,8 @@ from psdbound import sdp
 from psdbound.sdp import (
     NotInteriorError,
     SdpSolution,
-    _factor,
     _max_step,
+    _nt_scaling,
     _polish_round,
     _schur_gram,
     _solve_each,
@@ -342,14 +342,22 @@ class TestSolveSdpMany:
 
     def test_max_step_indefinite_slice(self):
         rng = np.random.default_rng(2)
-        mats = np.array([g @ g.T + np.eye(3) for g in rng.standard_normal((4, 3, 3))])
-        mats[2] = np.diag([1.0, -1.0, 2.0])
-        dirs = np.array([(g + g.T) / 2 for g in rng.standard_normal((4, 3, 3))])
-        with pytest.raises(np.linalg.LinAlgError):
-            np.linalg.cholesky(mats)  # the stacked factorization fails whole
-        steps = _max_step(_factor(mats), dirs)
-        assert steps == [_max_step(_factor(mats[k : k + 1]), dirs[k : k + 1])[0] for k in range(4)]
+        mats = np.array([g @ g.T + np.eye(3) for g in rng.standard_normal((8, 3, 3))])
+        mats[2] = np.diag([1.0, -1.0, 2.0])  # an X that has no NT scaling
+        dirs = np.array([(g + g.T) for g in rng.standard_normal((8, 3, 3))])
+        half = _nt_scaling(mats[:4], mats[4:])[2]  # of X, then of Z
+        steps = _max_step(half, dirs)
+        each = [_max_step(half[k : k + 1], dirs[k : k + 1])[0] for k in range(8)]
+        assert np.array_equal(steps, each)
         assert all(0.0 < step <= 1.0 for step in steps)
+        # the step from the Cholesky factor L of mat: lambda_min of L^-1 D L^-T
+        for k in (0, 1, 3, 4, 5, 6, 7):
+            chol = np.linalg.cholesky(mats[k])
+            scaled = np.linalg.solve(chol, np.linalg.solve(chol, dirs[k]).T)
+            lam = np.linalg.eigvalsh((scaled + scaled.T) / 2)[0]
+            want = 1.0 if lam >= -1e-14 else min(1.0, -1.0 / lam)
+            assert steps[k] == pytest.approx(want, rel=1e-10, abs=0), k
+        assert np.sum(steps < 1.0) >= 4  # the formula is exercised, not only the cap
 
     def test_singular_schur_slice_fails_alone(self):
         rng = np.random.default_rng(4)
@@ -361,21 +369,6 @@ class TestSolveSdpMany:
         for k in (0, 2):
             assert np.array_equal(out[k], np.linalg.solve(a[k], b[k]))
         assert not out[1].any()
-
-    @pytest.mark.parametrize("bad", [(0,), (5,), (2, 3), (0, 5), (0, 1, 2, 3, 4, 5)])
-    def test_factor_bisects_to_bad_slices(self, bad):
-        rng = np.random.default_rng(6)
-        mats = np.array([g @ g.T + np.eye(3) for g in rng.standard_normal((6, 3, 3))])
-        for k in bad:
-            mats[k] = np.diag([1.0, -1.0, 2.0]) + 0.1 * k
-        got = _factor(mats)
-        for k in range(6):
-            if k in bad:
-                w, v = np.linalg.eigh(mats[k])
-                want = v * np.sqrt(np.maximum(w, 1e-300))
-            else:
-                want = np.linalg.cholesky(mats[k])
-            assert np.array_equal(got[k], want), k
 
     @pytest.mark.parametrize("bad", [(0,), (5,), (2, 3), (0, 5), (0, 1, 2, 3, 4, 5)])
     def test_solve_each_bisects_to_singular_slices(self, bad):
@@ -392,7 +385,7 @@ class TestSolveSdpMany:
     def test_face_rank_groups_equal_solo(self, monkeypatch):
         p = pentagon_fixture()
         cs = [p.lift_direction(v) for v in pentagon_vertices()] + [np.zeros(p.n)]
-        cs += pentagon_objectives(5, 1)[1]
+        cs += pentagon_objectives(20, 1)[1]
         groups = set()
 
         def spy(a0, a_flat, cs, X, r):
