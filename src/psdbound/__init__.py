@@ -66,7 +66,7 @@ from .polar import (
     sample_polar_boundary,
     segment_fixture,
 )
-from .sdp import NotInteriorError, SdpSolution, rank_of, solve_sdp, support_value, sym_eig
+from .sdp import NotInteriorError, SdpSolution, rank_of, solve_sdp
 
 __all__ = [
     "AllSkippedError",
@@ -119,8 +119,6 @@ __all__ = [
     "segment_fixture",
     "shift_to_interior",
     "solve_sdp",
-    "support_value",
-    "sym_eig",
     "symmetrize",
     "tightness_report",
     "triangular",

@@ -35,15 +35,21 @@ not finite, so the stack changes shape only a few times per run.  The
 step lengths come from the eigenpairs of X and Z that the NT scaling
 already computes, so no slice needs a factorization of its own.  A
 singular Schur system halves the stack until the singular slices stand
-alone, and ends only its own problem, as in a lone solve.
-The crossover polish and the result assembly after the loop are stacked
-calls too, the polish over groups of problems that share a face rank; it
-skips the face ranks at which its x refit is not determined.
-Objectives run in chunks whose scaled coefficient stack (B, n, m, m)
-stays under ``CHUNK_BYTES``.
+alone, and ends only its own problem, as in a lone solve.  A solve ends
+when its path error reaches ``TOL`` or stops falling.
+
+Every solve that does not end unbounded or infeasible is then finished by
+up to three stacked Gauss-Newton steps on the symmetrized KKT system
+F(x, Z) = (A*(Z) + c, (XZ + ZX)/2) with X = A0 + A(x), which is square in
+x and the upper triangle of Z (Alizadeh-Haeberly-Overton, SIAM J. Optim.
+8, 1998); near a strictly complementary optimum they converge
+quadratically.  The finished pair is judged by the acceptance rule.
+Objectives run in chunks whose largest per-row stack, the finish's
+Jacobian or the scaled coefficients (B, n, m, m), stays under
+``CHUNK_BYTES``.
 
 The numerics are fixed module constants, not options: the path phase
-targets relative feasibility and gap ``TOL``, a stalled solve is accepted
+targets relative feasibility and gap ``TOL``, a finished solve is accepted
 at ``ACCEPT``, a solve runs at most ``MAX_ITER`` iterations, and an x (or
 Z) whose norm passes ``DIVERGE_NORM`` ends it as unbounded (or
 infeasible).  Numerical ranks use ``RANK_EPS``.
@@ -57,17 +63,16 @@ from typing import Sequence
 
 import numpy as np
 
-from .bounds import triangular
 from .pencil import Pencil, adjoint
 
 RANK_EPS = 1e-6
 RANK_GAP_FLAG = 100.0  # flag leading/trailing eigenvalue ratios below this
 
 TOL = 1e-10  # target relative feasibility and gap of the path phase
-ACCEPT = 1e-7  # relative feasibility and gap a stalled solve may still accept
+ACCEPT = 1e-7  # relative feasibility and gap a finished solve must reach
 MAX_ITER = 100
 DIVERGE_NORM = 1e8  # ||x|| (or ||Z|| / max(1, ||c||)) past this ends the solve
-CHUNK_BYTES = 1 << 24  # bytes of one chunk's scaled coefficient stack (B, n, m, m)
+CHUNK_BYTES = 1 << 24  # bytes of one chunk's largest per-row stack
 
 STATUS_OPTIMAL = "optimal"
 STATUS_INFEASIBLE = "infeasible"
@@ -77,13 +82,6 @@ STATUS_FAILURE = "numerical_failure"
 
 class NotInteriorError(ValueError):
     """A0 is not positive definite, so 0 is not interior to the feasible set."""
-
-
-def sym_eig(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues (descending) and orthonormal eigenvectors of a symmetric matrix."""
-    a = np.asarray(mat, dtype=float)
-    w, v = np.linalg.eigh((a + a.T) / 2.0)
-    return w[::-1].copy(), v[:, ::-1].copy()
 
 
 def rank_of(mat: np.ndarray) -> int:
@@ -275,125 +273,79 @@ def _newton(
     return dx, adx + rd, g_mat - _sym(winv @ adx @ winv), solved
 
 
-def _lstsq(lhs: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, list[bool]]:
-    """Least-squares solution of lhs @ sol = rhs over a stack, or the
-    minimum-norm one where lhs is wide, by QR (of lhs^T where wide); and per
-    slice whether its triangular system was solved."""
-    if lhs.shape[-2] >= lhs.shape[-1]:
-        q, r = np.linalg.qr(lhs)
-        return _solve_each(r, q.mT @ rhs)
-    q, r = np.linalg.qr(lhs.mT)
-    sol, solved = _solve_each(r.mT, rhs)
-    return q @ sol, solved
-
-
-def _polish_round(
-    a0: np.ndarray, a_flat: np.ndarray, cs: np.ndarray, X: np.ndarray, r: int
+def _finish(
+    a0: np.ndarray, a_flat: np.ndarray, cs: np.ndarray, x: np.ndarray, Z: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """One crossover round at optimal-face rank r over a stack: the refit
-    (x, X, Z), and per slice whether it came out finite and solved.
+    """Up to three Gauss-Newton steps on the symmetrized KKT system over a
+    stack: the finished (x, X, Z), and per row whether it took a step.
 
-    The split subspaces come from X alone: with exact primal feasibility
-    the near-kernel of X locates the optimal face far more accurately than
-    the dual iterate does.  Q1 holds the top r eigenvectors of X and Q2 the
-    rest.  x is the least-squares fit of A0 + A(x) = Q1 M Q1^T with M
-    eliminated: it fits P(A0 + A(x)) = 0 for P(S) = S - Q1 Q1^T S Q1 Q1^T.
-    X is re-evaluated through the pencil (exact feasibility), and
-    Z = Q2 N Q2^T is refit against A*(Z) + c = 0, its stray negative
-    eigenvalues clipped.  ``a_flat`` holds A1..An as rows of length m*m.
+    The system is F(x, Z) = (A*(Z) + c, the upper triangle of (XZ + ZX)/2)
+    with X = A0 + A(x) (Alizadeh-Haeberly-Overton, SIAM J. Optim. 8, 1998);
+    its unknowns are x and the upper triangle of Z, so it is square.  A row
+    takes a step only while the step is finite, ||F|| falls, and X and Z
+    stay psd to ``-ACCEPT * max(1, lambda_max)``; a row whose step is
+    refused stops.  ``a_flat`` holds A1..An as rows of length m*m.
     """
-    count, m = X.shape[:2]
-    a_mats = a_flat.reshape(-1, m, m)
-    v = np.linalg.eigh(X)[1]
-    q1, q2 = v[..., m - r :], v[..., : m - r]
+    count, m = Z.shape[:2]
+    n = a_flat.shape[0]
+    iu, ju = np.triu_indices(m)
+    t = len(iu)
+    pair = np.empty((m, m), dtype=int)  # column of Z_ab = Z_ba among the unknowns
+    pair[iu, ju] = pair[ju, iu] = np.arange(t)
+    o = np.arange(m)
+    rows = n + np.arange(t)[:, None]
+    col_oj, col_io = n + pair[o, ju[:, None]], n + pair[iu[:, None], o]
+    a_mats = a_flat.reshape(n, m, m)
+    jac = np.zeros((count, n + t, n + t))
+    # d<A_k, Z>/dZ_ab: the dual block is constant
+    jac[:, :n, n:] = a_flat[:, iu * m + ju] * np.where(iu == ju, 1.0, 2.0)
 
-    face = q1 @ q1.mT
-    lhs = face[:, None] @ a_mats @ face[:, None]
-    np.subtract(a_mats, lhs, out=lhs)
-    rhs = (face @ a0 @ face - a0).reshape(count, m * m, 1)
-    x, solved_x = _lstsq(lhs.reshape(count, -1, m * m).mT, rhs)
-    x = x[..., 0]
+    def pencil_at(x: np.ndarray) -> np.ndarray:
+        return _sym(a0 + (x[:, None, :] @ a_flat).reshape(len(x), m, m))
 
-    # <A_i, q_a q_b^T + q_b q_a^T> = 2 (Q2^T A_i Q2)_ab for a < b
-    iu, ju = np.triu_indices(m - r)
-    blocks = q2.mT[:, None] @ a_mats @ q2[:, None]
-    lhs2 = blocks[..., iu, ju] * np.where(iu == ju, 1.0, 2.0)
-    coef, solved_z = _lstsq(lhs2, -cs[..., None])
-    ok = np.array(solved_x) & np.array(solved_z) & np.isfinite(coef).all(axis=(1, 2))
-    n_mat = np.zeros((count, m - r, m - r))
-    n_mat[:, iu, ju] = n_mat[:, ju, iu] = np.where(ok[:, None], coef[..., 0], 0.0)
-    wn, vn = np.linalg.eigh(n_mat)
-    vz = q2 @ vn
-    z = _sym((vz * np.maximum(wn, 0.0)[:, None, :]) @ vz.mT)
+    def residual(cv: np.ndarray, X: np.ndarray, Z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        dual = (a_flat @ Z.reshape(len(Z), m * m, 1))[..., 0] + cv
+        f = np.concatenate([dual, _sym(X @ Z)[:, iu, ju]], axis=1)
+        return f, _dot(f, f)
 
-    x_big = _sym(a0 + (x[:, None, :] @ a_flat).reshape(count, m, m))
-    for a in (x, x_big, z):
-        ok &= np.isfinite(a.reshape(count, -1)).all(axis=1)
-    return x, x_big, z, ok
-
-
-def _polish(
-    a0: np.ndarray, a_flat: np.ndarray, cs: np.ndarray, X: np.ndarray, Z: np.ndarray,
-    rows: list[int], score,
-) -> dict[int, tuple[float, tuple[np.ndarray, np.ndarray, np.ndarray]]]:
-    """Crossover refinement assuming strict complementarity, for the given
-    rows of a stack.
-
-    Per problem, tries the face ranks suggested by the spectra of X and of
-    Z, iterating each three rounds (the refit x sharpens the kernel of
-    A0 + A(x), which sharpens the next split); the problems run in groups
-    of one face rank.  ``score(rows, x, X, Z)`` maps the rows' triples to
-    scalar merits.  Returns per problem with a finite refit the best one
-    seen, with its score.  A face rank r with t(r) + n > t(m) is skipped,
-    r = m among them: the x refit's n unknowns then outnumber the
-    t(m) - t(r) dimensions off the face, so it is not determined.
-    """
-    m, n = X.shape[1], a_flat.shape[0]
-    w = np.linalg.eigvalsh(np.concatenate([X[rows], Z[rows]]))
-    top = w[:, -1:]
-    above = (np.sum(w > 1e-7 * np.maximum(top, 0.0), axis=1) * (top[:, 0] > 0)).tolist()
-    ranks = {k: {above[j], m - above[len(rows) + j]} for j, k in enumerate(rows)}
-    best: dict[int, tuple[float, tuple[np.ndarray, np.ndarray, np.ndarray]]] = {}
-    for r in sorted(set().union(*ranks.values())):
-        if triangular(r) + n > triangular(m):
-            continue
-        group = [k for k in rows if r in ranks[k]]
-        cur = X[group]
-        for _ in range(3):
-            x, x_big, z, ok = _polish_round(a0, a_flat, cs[group], cur, r)
-            keep = ok.nonzero()[0]
-            if not keep.size:
-                break
-            group = [group[j] for j in keep.tolist()]
-            x, x_big, z = x[keep], x_big[keep], z[keep]
-            for j, (k, val) in enumerate(zip(group, score(group, x, x_big, z))):
-                if val < best.get(k, (math.inf,))[0]:  # a NaN score never wins
-                    best[k] = val, (x[j], x_big[j], z[j])
-            cur = x_big
-    return best
-
-
-@dataclass
-class _Stack:
-    """State of one stack of problems: matrices as stacks with one row per
-    problem, scalars as lists.  A row keeps its place when its problem's
-    solve ends, so the loop reads and writes the rows of active problems."""
-
-    x: np.ndarray
-    X: np.ndarray
-    Z: np.ndarray
-    best_x: np.ndarray  # the best iterate: smallest max(path error, rel_comp)
-    best_X: np.ndarray
-    best_Z: np.ndarray
-    path_x: np.ndarray  # the best path iterate: smallest path error
-    path_X: np.ndarray
-    path_Z: np.ndarray
-    best_metric: list[float]
-    best_path: list[float]
-    stall: list[int]
-    centering: list[bool]  # final phase: pure centering steps at frozen mu
-    mu_fix: list[float]
-    center_left: list[int]
+    x, Z = x.copy(), Z.copy()
+    X = pencil_at(x)
+    f, norm2 = residual(cs, X, Z)
+    moved = np.zeros(count, dtype=bool)
+    live = np.isfinite(norm2).nonzero()[0]
+    for _ in range(3):
+        if not live.size:
+            break
+        jl = jac[: len(live)]
+        # d((XZ + ZX)/2)_ij/dx_k = ((A_k Z + Z A_k)/2)_ij
+        az = a_mats @ Z[live, None]
+        jl[:, n:, :n] = ((az[..., iu, ju] + az[..., ju, iu]) / 2.0).mT
+        del az  # before the LU solve, which copies the Jacobian
+        # d((XZ + ZX)/2)_ij/dZ_ab: X_io/2 at {a, b} = {o, j}, X_oj/2 at {a, b} = {i, o}
+        jl[:, n:, n:] = 0.0
+        xl = X[live]
+        jl[:, rows, col_oj] += xl[:, iu[:, None], o] / 2.0
+        jl[:, rows, col_io] += xl[:, o, ju[:, None]] / 2.0
+        d, solved = _solve_each(jl, -f[live, :, None])
+        d = d[..., 0]
+        ok = np.array(solved) & np.isfinite(d).all(axis=1)
+        cand, d = live[ok], d[ok]
+        if not cand.size:
+            break
+        x_new = x[cand] + d[:, :n]
+        dz = np.zeros((len(cand), m, m))
+        dz[:, iu, ju] = dz[:, ju, iu] = d[:, n:]
+        Z_new = Z[cand] + dz
+        X_new = pencil_at(x_new)
+        f_new, norm2_new = residual(cs[cand], X_new, Z_new)
+        w = np.linalg.eigvalsh(np.concatenate([X_new, Z_new]))
+        psd = w[:, 0] >= -ACCEPT * np.maximum(1.0, w[:, -1])
+        take = (norm2_new < norm2[cand]) & psd[: len(cand)] & psd[len(cand) :]
+        live = cand[take]
+        x[live], X[live], Z[live] = x_new[take], X_new[take], Z_new[take]
+        f[live], norm2[live] = f_new[take], norm2_new[take]
+        moved[live] = True
+    return x, X, Z, moved
 
 
 def _pick(rows: list[int], *stacks: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -405,22 +357,14 @@ def _pick(rows: list[int], *stacks: np.ndarray) -> tuple[np.ndarray, ...]:
     return tuple(stack[index] for stack in stacks)
 
 
-def _copy_rows(rows: list[int], src: tuple[np.ndarray, ...], dst: tuple[np.ndarray, ...]) -> None:
-    """For each pair of stacks, dst[k] = src[k] in place for the given rows."""
-    for a, b in zip(src, dst):
-        if len(rows) == len(b):
-            b[...] = a
-        elif rows:
-            b[rows] = a[rows]
-
-
 def _solve_stack(
     pencil: Pencil, a_flat: np.ndarray, lam0: float, cs: np.ndarray
 ) -> list[SdpSolution]:
     """The interior-point loop over one stack of objectives, then each
-    problem's polish and solution.  Matrix work runs as stacked calls over
+    problem's finish and solution.  Matrix work runs as stacked calls over
     the rows in ``work``; the scalar decisions run row by row in Python for
-    the live problems, the same arithmetic as a lone solve."""
+    the live problems, the same arithmetic as a lone solve.  A row keeps
+    its place in the stacks x, X, Z when its problem's solve ends."""
     m, n = pencil.m, pencil.n
     mats = pencil.mats
     a0 = mats[0]
@@ -430,78 +374,50 @@ def _solve_stack(
     norm_c = np.sqrt(_dot(cs, cs)).tolist()
     # a primal-feasible start when A0 is interior: the residual stays zero
     start = a0 if lam0 > 0.0 else scale0 * np.eye(m)
-    s = _Stack(
-        x=np.zeros((count, n)),
-        X=np.repeat(start[None], count, axis=0),
-        Z=np.array([max(1.0, c) for c in norm_c])[:, None, None] * np.eye(m),
-        best_x=np.zeros((count, n)),
-        best_X=np.zeros((count, m, m)),
-        best_Z=np.zeros((count, m, m)),
-        path_x=np.zeros((count, n)),
-        path_X=np.zeros((count, m, m)),
-        path_Z=np.zeros((count, m, m)),
-        best_metric=[math.inf] * count,
-        best_path=[math.inf] * count,
-        stall=[0] * count,
-        centering=[False] * count,
-        mu_fix=[0.0] * count,
-        center_left=[0] * count,
-    )
+    x = np.zeros((count, n))
+    X = np.repeat(start[None], count, axis=0)
+    Z = np.array([max(1.0, c) for c in norm_c])[:, None, None] * np.eye(m)
+    best_path = [math.inf] * count  # smallest path error seen
+    stall = [0] * count  # passes since best_path last fell
     live = list(range(count))  # problems still iterating
     # rows the stacked calls run on: the live ones, plus ended ones until
     # half the rows have ended, so that the stack keeps its shape across
     # passes (shapes that shrink by a row or two every pass fragment the heap)
     work = live
-    final = [STATUS_FAILURE] * count  # a solve that runs out of iterations fails
+    # a solve that ends short of unbounded or infeasible is judged after the finish
+    final = [STATUS_FAILURE] * count
     iterations = [MAX_ITER] * count
 
     for it in range(1, MAX_ITER + 1):
-        rd, rp, dots = _residuals(a0, a_flat, *_pick(work, cs, s.x, s.X, s.Z))
+        rd, rp, dots = _residuals(a0, a_flat, *_pick(work, cs, x, X, Z))
         is_live = set(live)
         status: dict[int, str] = {}  # problems whose solve ends in this pass
-        better, improved, go, stuck, broken, head = [], [], [], [], [], {}
+        go, broken, head = [], [], {}
         for k, row in zip(work, dots):
             if k not in is_live:
                 continue
-            feas_p, feas_d, rel_gap, rel_comp = _errors(row, norm_a0, norm_c[k])
+            feas_p, feas_d, rel_gap, _ = _errors(row, norm_a0, norm_c[k])
             path_err = max(feas_p, feas_d, rel_gap)
             head[k] = (feas_p, feas_d, rel_gap, path_err, row[1])
             xnorm, znorm = math.sqrt(row[7]), math.sqrt(row[4])
-            metric = max(path_err, rel_comp)
-            if it == 1 or metric < s.best_metric[k] * 0.9999:
-                s.best_metric[k] = metric
-                better.append(k)
-            if path_err < s.best_path[k] * 0.9999:
-                s.best_path[k] = path_err
-                improved.append(k)
-                s.stall[k] = 0
+            if path_err < best_path[k] * 0.9999:
+                best_path[k] = path_err
+                stall[k] = 0
             else:
-                s.stall[k] += 1
+                stall[k] += 1
 
-            if s.centering[k]:
-                s.center_left[k] -= 1
-            on_target = feas_p <= TOL and feas_d <= TOL and rel_gap <= TOL
-            if on_target and rel_comp <= 3e-8:
-                status[k] = STATUS_OPTIMAL
-            elif not s.centering[k] and (on_target or s.stall[k] > 12):
-                # the path phase has converged or bottomed out: either way
-                # the iterate may be off-centre (X and Z misaligned,
-                # typically at a curved optimal face), so finish with pure
-                # centering steps
-                stuck.append(k)
-            elif s.center_left[k] < 0:  # the centering steps are used up
-                status[k] = STATUS_FAILURE
-            elif not math.isfinite(xnorm) or not math.isfinite(znorm):
+            if not math.isfinite(xnorm) or not math.isfinite(znorm):
                 status[k] = STATUS_FAILURE
                 broken.append(k)
+            elif path_err <= TOL or stall[k] > 12:
+                # the path phase has converged or bottomed out: the finish takes over
+                status[k] = STATUS_FAILURE
             elif xnorm > DIVERGE_NORM:
                 status[k] = STATUS_UNBOUNDED if row[6] > 0 else STATUS_FAILURE
             elif znorm > DIVERGE_NORM * max(1.0, norm_c[k]):
                 status[k] = STATUS_INFEASIBLE
             else:
                 go.append(k)
-        _copy_rows(better, (s.x, s.X, s.Z), (s.best_x, s.best_X, s.best_Z))
-        _copy_rows(improved, (s.x, s.X, s.Z), (s.path_x, s.path_X, s.path_Z))
         if broken:  # a non-finite iterate leaves the stack before any LAPACK call
             keep = [j for j, k in enumerate(work) if k not in broken]
             work = [work[j] for j in keep]
@@ -509,31 +425,19 @@ def _solve_stack(
 
         step = []
         if go:
-            f_mat, zinv, half, scaled = _nt_scaling(*_pick(work, s.X, s.Z))
+            f_mat, zinv, half, scaled = _nt_scaling(*_pick(work, X, Z))
             going = set(go)
-            step = [j for j, (k, ok) in enumerate(zip(work, scaled)) if ok and k in going]
-            stuck += [k for k, ok in zip(work, scaled) if not ok and k in going]
-
-        # restart once from the best path iterate in pure-centering mode,
-        # at the largest mu the acceptance gap allows: tiny mu would leave
-        # the Newton system too ill-conditioned to centre
-        back = []
-        for k in stuck:
-            if s.centering[k] or s.best_path[k] > 1e-6:
-                status[k] = STATUS_FAILURE
-            else:
-                back.append(k)
-        _copy_rows(back, (s.path_x, s.path_X, s.path_Z), (s.x, s.X, s.Z))
-        for k in back:
-            gap_floor = ACCEPT * (1.0 + abs(float(cs[k] @ s.x[k]))) / (3.0 * m)
-            s.mu_fix[k] = max(float(np.vdot(s.X[k], s.Z[k])) / m, gap_floor, 1e-300)
-            s.centering[k] = True
-            s.center_left[k] = 16
+            for j, k in enumerate(work):
+                if k in going:
+                    if scaled[j]:
+                        step.append(j)
+                    else:  # X or Z reached the float floor: the finish takes over
+                        status[k] = STATUS_FAILURE
 
         # the step runs on every row of the stack; only the rows in ``step``
         # (positions in ``work``) take theirs
         if step:
-            x, X, Z = _pick(work, s.x, s.X, s.Z)
+            xw, Xw, Zw = _pick(work, x, X, Z)
             winv = f_mat @ f_mat.mT
             schur = _schur_gram(a_flat, f_mat)
             # tiny ridge keeps borderline-dependent pencils solvable
@@ -542,30 +446,26 @@ def _solve_stack(
             schur.reshape(len(work), n * n)[:, :: n + 1] += ridge[:, None]
             wrw = winv @ rd @ winv
 
-            target_mu = [s.mu_fix[k] for k in work]
+            # predictor: sigma = 0 target in  Delta_X + W Delta_Z W = -X
+            _, dX_a, dZ_a, solved = _newton(a_flat, schur, winv, wrw, rd, rp, -Xw)
+            alpha = _max_step(half, np.concatenate([dX_a, dZ_a]))
+            ap_a, ad_a = alpha[: len(work), None, None], alpha[len(work) :, None, None]
+            gaps_aff = _dot(Xw + ap_a * dX_a, Zw + ad_a * dZ_a).tolist()
+            target_mu = [0.0] * len(work)
             tau = [0.9] * len(work)
-            solved = [True] * len(work)
-            pred = [j for j in step if not s.centering[work[j]]]
-            if pred:
-                # predictor: sigma = 0 target in  Delta_X + W Delta_Z W = -X
-                _, dX_a, dZ_a, solved_a = _newton(a_flat, schur, winv, wrw, rd, rp, -X)
-                alpha = _max_step(half, np.concatenate([dX_a, dZ_a]))
-                ap_a, ad_a = alpha[: len(work), None, None], alpha[len(work) :, None, None]
-                gaps_aff = _dot(X + ap_a * dX_a, Z + ad_a * dZ_a).tolist()
-                for j in pred:
-                    feas_p, feas_d, rel_gap, path_err, gap = head[work[j]]
-                    mu = max(gap / m, 1e-300)
-                    sigma = min(1.0, max((max(0.0, gaps_aff[j] / m) / mu) ** 3, 1e-12))
-                    # keep the gap from outrunning infeasibility: residuals
-                    # shrink by (1 - alpha) per step, so hold the path back
-                    # while they lag
-                    if max(feas_p, feas_d) > max(0.1 * rel_gap, TOL):
-                        sigma = max(sigma, 0.5)
-                    target_mu[j] = sigma * mu
-                    tau[j] = 0.9 if path_err > 1e-4 else (0.98 if path_err > 1e-9 else 0.995)
-                    solved[j] = solved_a[j]
+            for j in step:
+                feas_p, feas_d, rel_gap, path_err, gap = head[work[j]]
+                mu = max(gap / m, 1e-300)
+                sigma = min(1.0, max((max(0.0, gaps_aff[j] / m) / mu) ** 3, 1e-12))
+                # keep the gap from outrunning infeasibility: residuals
+                # shrink by (1 - alpha) per step, so hold the path back
+                # while they lag
+                if max(feas_p, feas_d) > max(0.1 * rel_gap, TOL):
+                    sigma = max(sigma, 0.5)
+                target_mu[j] = sigma * mu
+                tau[j] = 0.9 if path_err > 1e-4 else (0.98 if path_err > 1e-9 else 0.995)
 
-            target = np.array(target_mu)[:, None, None] * zinv - X
+            target = np.array(target_mu)[:, None, None] * zinv - Xw
             dx, dX, dZ, solved_c = _newton(a_flat, schur, winv, wrw, rd, rp, target)
             steps = _max_step(half, np.concatenate([dX, dZ])).tolist()
             moving = [False] * len(work)
@@ -574,27 +474,25 @@ def _solve_stack(
                 if not (solved[j] and solved_c[j]):
                     status[work[j]] = STATUS_FAILURE  # a singular Schur system ends the solve
                     continue
-                ap = min(1.0, tau[j] * steps[j])
-                ad = min(1.0, tau[j] * steps[len(work) + j])
-                if s.centering[work[j]]:
-                    ap = ad = min(ap, ad)
-                moving[j], alpha_p[j], alpha_d[j] = True, ap, ad
+                moving[j] = True
+                alpha_p[j] = min(1.0, tau[j] * steps[j])
+                alpha_d[j] = min(1.0, tau[j] * steps[len(work) + j])
             ap, ad = np.array(alpha_p), np.array(alpha_d)
             moved = (
-                x + ap[:, None] * dx,
-                _sym(X + ap[:, None, None] * dX),
-                _sym(Z + ad[:, None, None] * dZ),
+                xw + ap[:, None] * dx,
+                _sym(Xw + ap[:, None, None] * dX),
+                _sym(Zw + ad[:, None, None] * dZ),
             )
             if not all(moving):  # the other rows keep their iterate
                 mask = np.array(moving)
                 moved = tuple(
                     np.where(mask.reshape(-1, *[1] * (new.ndim - 1)), new, old)
-                    for new, old in zip(moved, (x, X, Z))
+                    for new, old in zip(moved, (xw, Xw, Zw))
                 )
             if len(work) == count:
-                s.x, s.X, s.Z = moved
+                x, X, Z = moved
             else:
-                s.x[work], s.X[work], s.Z[work] = moved
+                x[work], X[work], Z[work] = moved
 
         for k, result in status.items():
             final[k], iterations[k] = result, it
@@ -604,47 +502,31 @@ def _solve_stack(
         if 2 * len(live) <= len(work):
             work = live
 
-    return _assemble(pencil, a_flat, norm_a0, scale0, cs, norm_c, final, iterations, s)
+    return _assemble(pencil, a_flat, norm_a0, scale0, cs, norm_c, final, iterations, x, X, Z)
 
 
 def _assemble(
     pencil: Pencil, a_flat: np.ndarray, norm_a0: float, scale0: float, cs: np.ndarray,
-    norm_c: list[float], final: list[str], iterations: list[int], s: _Stack,
+    norm_c: list[float], final: list[str], iterations: list[int],
+    x: np.ndarray, X: np.ndarray, Z: np.ndarray,
 ) -> list[SdpSolution]:
-    """Polish the stack's final iterates and assemble each solution."""
+    """Finish the stack's final iterates, judge them and assemble each solution."""
     m = pencil.m
     a0 = pencil.mats[0]
     count = len(cs)
-    last, best = (s.x, s.X, s.Z), (s.best_x, s.best_X, s.best_Z)
-
-    def errors(rows: list[int], x: np.ndarray, X: np.ndarray, Z: np.ndarray):
-        rd, _, dots = _residuals(a0, a_flat, cs[rows], x, X, Z)
-        return rd, [_errors(row, norm_a0, norm_c[k]) for row, k in zip(dots, rows)]
-
-    def score(rows: list[int], x: np.ndarray, X: np.ndarray, Z: np.ndarray) -> list[float]:
-        return [max(e) for e in errors(rows, x, X, Z)[1]]
-
-    x, X, Z = last  # refit rows are written in place; solutions copy theirs
-    # pick the better of the last and the best-seen iterate, then try the
-    # strict-complementarity crossover to zero out the product error
     todo = [k for k in range(count) if final[k] not in (STATUS_UNBOUNDED, STATUS_INFEASIBLE)]
-    both = score(todo + todo, *(np.concatenate([a[todo], b[todo]]) for a, b in zip(last, best)))
-    top = dict(zip(todo, both))
-    for k, val in zip(todo, both[len(todo) :]):
-        if val < top[k]:
-            top[k] = val
-            x[k], X[k], Z[k] = best[0][k], best[1][k], best[2][k]
-    for k, (val, triple) in _polish(a0, a_flat, cs, X, Z, todo, score).items():
-        if val < top[k]:
-            x[k], X[k], Z[k] = triple
-    rd, err = errors(list(range(count)), x, X, Z)
+    if todo:
+        fx, fX, fZ, moved = _finish(a0, a_flat, cs[todo], x[todo], Z[todo])
+        for j in moved.nonzero()[0].tolist():
+            x[todo[j]], X[todo[j]], Z[todo[j]] = fx[j], fX[j], fZ[j]
+    rd, _, dots = _residuals(a0, a_flat, cs, x, X, Z)
     w = np.linalg.eigvalsh(np.concatenate([X, Z]))  # spectra and ranks
 
     solutions = []
     for k in range(count):
         status = final[k]
         if status not in (STATUS_UNBOUNDED, STATUS_INFEASIBLE):
-            feas_p, feas_d, rel_gap, rel_comp = err[k]
+            feas_p, feas_d, rel_gap, rel_comp = _errors(dots[k], norm_a0, norm_c[k])
             if feas_p <= ACCEPT and feas_d <= ACCEPT and rel_gap <= ACCEPT and rel_comp <= 1e-6:
                 status = STATUS_OPTIMAL
             else:
@@ -695,9 +577,11 @@ def solve_sdp_many(
     ``require_interior`` enforces A0 positive definite (rejecting other
     inputs with :class:`NotInteriorError`); pass False to attempt a fully
     infeasible start, as the random-instance experiments do.  A solve that
-    stalls before the target tolerance ``TOL`` still returns ``optimal`` if
-    it cleared ``ACCEPT`` on feasibility and relative gap and 1e-6 on the
-    relative Frobenius norm of X Z.
+    does not end ``unbounded`` or ``infeasible`` is finished by Gauss-Newton
+    steps on the KKT system, and returns ``optimal`` if the finished pair
+    clears ``ACCEPT`` on feasibility and relative gap and 1e-6 on the
+    relative Frobenius norm of X Z, ``numerical_failure`` otherwise.  An
+    objective with a NaN or infinite entry raises ValueError.
     """
     m, n = pencil.m, pencil.n
     cs = np.asarray(objectives, dtype=float)
@@ -705,13 +589,17 @@ def solve_sdp_many(
         cs = cs.reshape(0, n)
     if cs.ndim != 2 or cs.shape[1] != n:
         raise ValueError(f"objectives must have shape (B, {n}), got shape {cs.shape}")
+    bad = (~np.isfinite(cs)).any(axis=1).nonzero()[0]
+    if bad.size:
+        raise ValueError(f"objective {bad[0]} is not finite: {cs[bad[0]].tolist()}")
     lam0 = float(np.linalg.eigvalsh(pencil.mats[0])[0])
     if require_interior and lam0 <= 0.0:
         raise NotInteriorError(
             f"A0 must be positive definite for an interior start (lambda_min = {lam0:.3e})"
         )
     a_flat = np.array(pencil.mats[1:]).reshape(n, m * m)  # row i is A_{i+1}, raveled
-    size = max(1, CHUNK_BYTES // max(1, 8 * n * m * m))
+    # the larger per-row array: the finish's Jacobian or the scaled coefficients
+    size = max(1, CHUNK_BYTES // (8 * max(n * m * m, (n + m * (m + 1) // 2) ** 2)))
     return [
         sol
         for k in range(0, len(cs), size)
@@ -727,12 +615,3 @@ def solve_sdp(pencil: Pencil, c: Sequence[float], *, require_interior: bool = Tr
         raise ValueError(f"objective must have length {pencil.n}, got shape {cv.shape}")
     return solve_sdp_many(pencil, cv[None], require_interior=require_interior)[0]
 
-
-def support_value(pencil: Pencil, direction: np.ndarray) -> SdpSolution:
-    """Support problem max <direction, pi(x)> over the spectrahedron.
-
-    Directions live in the image space when the pencil carries a
-    projection; they are pulled back through the adjoint before solving.
-    """
-    c = pencil.lift_direction(np.asarray(direction, dtype=float))
-    return solve_sdp(pencil, c)

@@ -32,7 +32,7 @@ from psdbound.polar import (
     sample_polar_boundary,
     segment_fixture,
 )
-from psdbound.sdp import solve_sdp, support_value
+from psdbound.sdp import solve_sdp
 
 
 def report(num: int, ok: bool, detail: str) -> None:
@@ -111,7 +111,7 @@ def test_criterion_06_pentagon_end_to_end():
     bound = psd_rank_lower_bound(5)
     ceil_ok = bound.ceiling == 2
     support_ok = all(
-        abs(support_value(pencil, vert).value - 1.0) <= 1e-6
+        abs(solve_sdp(pencil, pencil.lift_direction(vert)).value - 1.0) <= 1e-6
         for vert in pentagon_vertices()
     )
     elapsed = time.time() - t0

@@ -14,16 +14,14 @@ from psdbound import sdp
 from psdbound.sdp import (
     NotInteriorError,
     SdpSolution,
+    _finish,
     _max_step,
     _nt_scaling,
-    _polish_round,
     _schur_gram,
     _solve_each,
     rank_of,
     solve_sdp,
     solve_sdp_many,
-    support_value,
-    sym_eig,
 )
 
 
@@ -113,26 +111,6 @@ class TestPencil:
             Pencil.from_dict(data)
 
 
-class TestSymEig:
-    def test_identity(self):
-        w, v = sym_eig(np.eye(3))
-        assert np.allclose(w, np.ones(3))
-        assert np.allclose(v @ v.T, np.eye(3))
-
-    def test_sorted_descending(self):
-        w, _ = sym_eig(np.diag([2.0, 0.0]))
-        assert np.allclose(w, [2.0, 0.0])
-
-    def test_reconstruction(self):
-        theta = 0.7
-        rot = np.array([[np.cos(theta), -np.sin(theta)], [np.sin(theta), np.cos(theta)]])
-        mat = rot @ np.diag([3.0, -1.0]) @ rot.T
-        w, v = sym_eig(mat)
-        assert np.allclose(w, [3.0, -1.0], atol=1e-10)
-        assert np.linalg.norm(mat - (v * w) @ v.T) <= 1e-10 * max(1.0, np.linalg.norm(mat))
-        assert np.linalg.norm(v @ v.T - np.eye(2)) <= 1e-10
-
-
 class TestRankOf:
     def test_zero(self):
         assert rank_of(np.zeros((3, 3))) == 0
@@ -195,12 +173,13 @@ class TestSolveSdp:
     def test_pentagon_vertex_supports(self):
         p = pentagon_fixture()
         for vert in pentagon_vertices():
-            sol = support_value(p, vert)
+            sol = solve_sdp(p, p.lift_direction(vert))
             assert sol.status == "optimal"
             assert sol.value == pytest.approx(1.0, abs=1e-6)
 
     def test_pentagon_direction_e2(self):
-        sol = support_value(pentagon_fixture(), np.array([0.0, 1.0]))
+        p = pentagon_fixture()
+        sol = solve_sdp(p, p.lift_direction(np.array([0.0, 1.0])))
         assert sol.value == pytest.approx(np.sin(2 * np.pi / 5), abs=1e-6)
 
     def test_determinism(self):
@@ -231,22 +210,19 @@ class TestSolveSdp:
         assert checked >= 30
 
     def test_large_strictly_feasible_instance(self):
-        # (m, n) = (24, 80), both sides strictly feasible: A0 shifted to
-        # lambda_min >= 1 and c = -A*(Z0) with Z0 positive definite
-        rng = np.random.default_rng((2024, 11))
-        p, _ = shift_to_interior(random_pencil(24, 80, rng), 1.0)
-        g = rng.standard_normal((24, 24))
-        c = -adjoint(p, g @ g.T / 24 + 0.1 * np.eye(24))
+        p, c = strictly_feasible_pair(24, 80, (2024, 11))
         sol = solve_sdp(p, c)
         assert sol.status == "optimal"
-        scale = max(1.0, sol.spectrum_X[0], sol.spectrum_Z[0])
-        x_big = eval_pencil(p, sol.x)
-        assert np.linalg.norm(x_big - sol.X) <= 1e-7 * (1 + np.linalg.norm(p.mats[0]))
-        assert np.linalg.norm(adjoint(p, sol.Z) + c) <= 1e-7 * (1 + np.linalg.norm(c))
-        assert np.linalg.eigvalsh(sol.X)[0] >= -1e-7 * scale
-        assert np.linalg.eigvalsh(sol.Z)[0] >= -1e-7 * scale
-        dual_value = float(np.vdot(p.mats[0], sol.Z))
-        assert abs(sol.value - dual_value) <= 1e-6 * (1 + abs(sol.value))
+        assert_certified(p, c, sol)
+
+    @pytest.mark.parametrize("i", [0, 16, 53, 83, 178, 189, 192])
+    def test_strictly_feasible_pairs_end_optimal(self, i):
+        # (6, 10) pairs on which the path phase alone has ended short of
+        # ACCEPT, on one step rule or another
+        p, c = strictly_feasible_pair(6, 10, (2024, i))
+        sol = solve_sdp(p, c)
+        assert sol.status == "optimal"
+        assert_certified(p, c, sol)
 
     def test_schur_gram_matches_pairwise_products(self):
         rng = np.random.default_rng(5)
@@ -275,6 +251,28 @@ class TestSolveSdp:
             inside += sol.rank_X in rng_ranks
         assert solved >= 180
         assert inside / solved >= 0.99
+
+
+def strictly_feasible_pair(m, n, key):
+    """A0 shifted to lambda_min >= 1 and c = -A*(Z0) with Z0 positive
+    definite: both sides strictly feasible."""
+    rng = np.random.default_rng(key)
+    p, _ = shift_to_interior(random_pencil(m, n, rng), 1.0)
+    g = rng.standard_normal((m, m))
+    return p, -adjoint(p, g @ g.T / m + 0.1 * np.eye(m))
+
+
+def assert_certified(p, c, sol):
+    """X, Z and x of an optimal solve checked through the pencil itself:
+    X = A0 + A(x), A*(Z) + c = 0, X and Z psd, and a zero duality gap."""
+    scale = max(1.0, sol.spectrum_X[0], sol.spectrum_Z[0])
+    x_big = eval_pencil(p, sol.x)
+    assert np.linalg.norm(x_big - sol.X) <= 1e-7 * (1 + np.linalg.norm(p.mats[0]))
+    assert np.linalg.norm(adjoint(p, sol.Z) + c) <= 1e-7 * (1 + np.linalg.norm(c))
+    assert np.linalg.eigvalsh(x_big)[0] >= -1e-7 * scale
+    assert np.linalg.eigvalsh(sol.Z)[0] >= -1e-7 * scale
+    dual_value = float(np.vdot(p.mats[0], sol.Z))
+    assert abs(sol.value - dual_value) <= 1e-6 * (1 + abs(sol.value))
 
 
 def assert_same_solution(got, want):
@@ -307,7 +305,8 @@ class TestSolveSdpMany:
     def test_chunks_do_not_change_results(self, monkeypatch):
         p, cs = pentagon_objectives(12, 11)
         whole = solve_sdp_many(p, cs)
-        monkeypatch.setattr(sdp, "CHUNK_BYTES", 8 * p.n * p.m**2 * 5)  # chunks of 5
+        # chunks of 5: the Jacobian of the finish is the larger per-row stack
+        monkeypatch.setattr(sdp, "CHUNK_BYTES", 8 * (p.n + p.m * (p.m + 1) // 2) ** 2 * 5)
         for got, want in zip(solve_sdp_many(p, cs), whole):
             assert_same_solution(got, want)
 
@@ -382,83 +381,60 @@ class TestSolveSdpMany:
             want = np.zeros((3, 1)) if k in bad else np.linalg.solve(a[k], b[k])
             assert np.array_equal(out[k], want), k
 
-    def test_face_rank_groups_equal_solo(self, monkeypatch):
+    def test_face_rank_groups_equal_solo(self):
+        # vertices, the zero objective and edge directions: rows whose
+        # optimal faces have different ranks, finished in one stack
         p = pentagon_fixture()
         cs = [p.lift_direction(v) for v in pentagon_vertices()] + [np.zeros(p.n)]
         cs += pentagon_objectives(20, 1)[1]
-        groups = set()
-
-        def spy(a0, a_flat, cs, X, r):
-            groups.add(r)
-            return _polish_round(a0, a_flat, cs, X, r)
-
-        monkeypatch.setattr(sdp, "_polish_round", spy)
         batch = solve_sdp_many(p, cs)
-        assert len(groups) >= 3  # rows of one batch fall into several face-rank groups
         for c, sol in zip(cs, batch):
             assert_same_solution(sol, solve_sdp(p, c))
 
-    def test_polish_skips_undetermined_face_ranks(self, monkeypatch):
-        # trial (13, 9) of rank_frequency's (6, 7) draw: the spectra suggest
-        # r = 2 and r = 6, and at r = 6 the x refit has 7 unknowns and no
-        # dimension off the face
-        rng = np.random.default_rng((13, 9))
-        p = random_pencil(6, 7, rng)
-        c = rng.standard_normal(7)
-        ranks = []
-
-        def spy(a0, a_flat, cs, X, r):
-            ranks.append(r)
-            return _polish_round(a0, a_flat, cs, X, r)
-
-        monkeypatch.setattr(sdp, "_polish_round", spy)
-        solve_sdp(p, c, require_interior=False)
-        assert ranks and all(r * (r + 1) // 2 + 7 <= 21 for r in ranks), ranks
+    def test_non_finite_objectives_rejected(self):
+        p = segment_fixture()
+        with pytest.raises(ValueError, match="objective 1 is not finite"):
+            solve_sdp_many(p, [[1.0], [np.nan], [np.inf]])
+        with pytest.raises(ValueError, match="objective 0 is not finite"):
+            solve_sdp(p, [-np.inf])
 
 
-def full_basis_round(a0, a_flat, cv, X, r):
-    """The crossover round as one least-squares solve over the full
-    symmetric block basis: lstsq([A^T | -basis(Q1)], -vec A0) for x, and
-    lstsq over basis(Q2) for Z."""
-    m, n = a0.shape[0], a_flat.shape[0]
-
-    def basis(q):
-        out = []
-        for a in range(q.shape[1]):
-            for b in range(a, q.shape[1]):
-                e = np.outer(q[:, a], q[:, b])
-                out.append(e + e.T if a != b else np.outer(q[:, a], q[:, a]))
-        return out
-
-    v = np.linalg.eigh(X)[1][:, ::-1]
-    q1, q2 = v[:, :r], v[:, r:]
-    lhs = np.column_stack([a_flat.T] + [-e.ravel() for e in basis(q1)])
-    x = np.linalg.lstsq(lhs, -a0.ravel(), rcond=None)[0][:n]
+def kkt_map(a0, a_flat, c, v):
+    """F(x, Z) = (A*(Z) + c, upper triangle of (XZ + ZX)/2) at v = (x, upper
+    triangle of Z), X = A0 + A(x), entry by entry."""
+    m, n = a0.shape[0], len(c)
+    iu, ju = np.triu_indices(m)
+    mats = a_flat.reshape(n, m, m)
     z = np.zeros((m, m))
-    bas2 = basis(q2)
-    if bas2:
-        lhs2 = a_flat @ np.array(bas2).reshape(len(bas2), m * m).T
-        for coef, e in zip(np.linalg.lstsq(lhs2, -cv, rcond=None)[0], bas2):
-            z += coef * e
-    w, u = np.linalg.eigh(z)
-    z = (u * np.maximum(w, 0.0)) @ u.T
-    x_big = a0 + (x @ a_flat).reshape(m, m)
-    return x, (x_big + x_big.T) / 2, (z + z.T) / 2
+    z[iu, ju] = z[ju, iu] = v[n:]
+    x_big = a0 + np.tensordot(v[:n], mats, axes=1)
+    dual = [np.sum(a * z) + ci for a, ci in zip(mats, c)]
+    prod = x_big @ z + z @ x_big
+    return np.array(dual + [prod[i, j] / 2 for i, j in zip(iu, ju)])
 
 
-def test_polish_round_matches_full_basis_lstsq():
-    rng = np.random.default_rng((2024, 0))
-    large, _ = shift_to_interior(random_pencil(24, 80, rng), 1.0)
-    g = rng.standard_normal((24, 24))
-    large_c = -adjoint(large, g @ g.T / 24 + 0.1 * np.eye(24))
-    cases = [(large, [large_c])] + [pentagon_objectives(30, 7000)]
-    for p, cs in cases:
-        m = p.m
-        a0, a_flat = p.mats[0], np.array(p.mats[1:]).reshape(p.n, m * m)
-        for c, sol in zip(cs, solve_sdp_many(p, cs)):
-            assert sol.status == "optimal"
-            for r in {sol.rank_X, m - sol.rank_Z}:
-                got = _polish_round(a0, a_flat, c[None], sol.X[None], r)
-                assert got[3].tolist() == [True]
-                for new, old in zip(got[:3], full_basis_round(a0, a_flat, c, sol.X, r)):
-                    assert np.linalg.norm(new[0] - old) <= 1e-10 * np.linalg.norm(old)
+def test_finish_jacobian_matches_central_differences(monkeypatch):
+    rng = np.random.default_rng(12)
+    m, n = 4, 3
+    p, c = bounded_random_pencil(12, m, n)
+    a0, a_flat = p.mats[0], np.array(p.mats[1:]).reshape(n, m * m)
+    x = rng.standard_normal(n)
+    g = rng.standard_normal((m, m))
+    z = g @ g.T
+    calls = []
+
+    def spy(a, b):
+        calls.append((a.copy(), b.copy()))
+        return _solve_each(a, b)
+
+    monkeypatch.setattr(sdp, "_solve_each", spy)
+    _finish(a0, a_flat, c[None], x[None], z[None])
+    jac, rhs = calls[0][0][0], calls[0][1][0, :, 0]
+    v = np.concatenate([x, z[np.triu_indices(m)]])
+    assert np.allclose(rhs, -kkt_map(a0, a_flat, c, v), rtol=1e-12, atol=1e-12)
+    h = 1e-5
+    columns = [
+        (kkt_map(a0, a_flat, c, v + h * e) - kkt_map(a0, a_flat, c, v - h * e)) / (2 * h)
+        for e in np.eye(len(v))
+    ]
+    np.testing.assert_allclose(jac, np.array(columns).T, rtol=1e-6, atol=1e-9)

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from psdbound.experiments import random_pencil, shift_to_interior
 from psdbound.pencil import Pencil
 from psdbound.polar import (
     AllSkippedError,
@@ -18,7 +19,7 @@ from psdbound.polar import (
     sample_polar_boundary,
     segment_fixture,
 )
-from psdbound.sdp import support_value
+from psdbound.sdp import solve_sdp
 
 
 def unit_circle(count):
@@ -47,7 +48,7 @@ class TestSampling:
         pencil = pentagon_fixture()
         cloud = sample_polar_boundary(pencil, 30, seed=5)
         assert len(cloud) == 30
-        values = [support_value(pencil, y).value for y in cloud.directions]
+        values = [solve_sdp(pencil, pencil.lift_direction(y)).value for y in cloud.directions]
         assert cloud.values.tolist() == values
 
     def test_pentagon_points_on_polar_pentagon(self, pentagon_cloud):
@@ -56,11 +57,24 @@ class TestSampling:
         support = np.max(pentagon_cloud.points @ verts.T, axis=1)
         assert np.abs(support - 1.0).max() <= 1e-6
 
+    @pytest.mark.parametrize("seed", range(5))
+    def test_pentagon_points_exactly_on_polar_lines(self, seed):
+        # the finished solves put each point on its polar edge to rounding
+        cloud = sample_polar_boundary(pentagon_fixture(), 150, seed)
+        support = np.max(cloud.points @ pentagon_vertices().T, axis=1)
+        assert np.abs(support - 1.0).max() <= 1e-12
+
+    def test_planar_cubic_directions_all_solved(self):
+        # strictly feasible and bounded: no support solve may fail
+        pencil = shift_to_interior(random_pencil(3, 2, 1), 0.5)[0]
+        cloud = sample_polar_boundary(pencil, 600, 1)
+        assert [s for s in cloud.skipped if s["reason"] == "numerical_failure"] == []
+
     def test_boundary_membership_resolve(self, pentagon_cloud):
         pencil = pentagon_fixture()
         idx = np.linspace(0, len(pentagon_cloud) - 1, 12).astype(int)
         for i in idx:
-            sol = support_value(pencil, pentagon_cloud.points[i])
+            sol = solve_sdp(pencil, pencil.lift_direction(pentagon_cloud.points[i]))
             assert sol.status == "optimal"
             assert abs(sol.value - 1.0) <= 1e-6
 
