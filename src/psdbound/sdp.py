@@ -35,23 +35,25 @@ not finite, so the stack changes shape only a few times per run.  The
 step lengths come from the eigenpairs of X and Z that the NT scaling
 already computes, so no slice needs a factorization of its own.  A
 singular Schur system halves the stack until the singular slices stand
-alone, and ends only its own problem, as in a lone solve.  A solve ends
-when its path error reaches ``TOL`` or stops falling.
+alone, and ends only its own problem, as in a lone solve.  A step goes
+0.9 of the way to the boundary, 0.98 once the path error is below 1e-4.
+The path phase ends when its path error reaches ``TOL`` or stops falling.
 
 Every solve that does not end unbounded or infeasible is then finished by
 up to three stacked Gauss-Newton steps on the symmetrized KKT system
 F(x, Z) = (A*(Z) + c, (XZ + ZX)/2) with X = A0 + A(x), which is square in
 x and the upper triangle of Z (Alizadeh-Haeberly-Overton, SIAM J. Optim.
-8, 1998); near a strictly complementary optimum they converge
-quadratically.  The finished pair is judged by the acceptance rule.
-Objectives run in chunks whose largest per-row stack, the finish's
-Jacobian or the scaled coefficients (B, n, m, m), stays under
-``CHUNK_BYTES``.
+8, 1998).  Near a strictly complementary optimum they converge
+quadratically, so the path phase hands over at ``TOL`` = 1e-8, above the
+float floor where it stalls (a path error of 3e-10 to 1e-9 at m = 24);
+the finished pair is judged by the acceptance rule.  Objectives run in
+chunks whose largest per-row stack, the finish's Jacobian or the scaled
+coefficients (B, n, m, m), stays under ``CHUNK_BYTES``.
 
 The numerics are fixed module constants, not options: the path phase
-targets relative feasibility and gap ``TOL``, a finished solve is accepted
-at ``ACCEPT``, a solve runs at most ``MAX_ITER`` iterations, and an x (or
-Z) whose norm passes ``DIVERGE_NORM`` ends it as unbounded (or
+hands over at relative feasibility and gap ``TOL``, a finished solve is
+accepted at ``ACCEPT``, a solve runs at most ``MAX_ITER`` iterations, and
+an x (or Z) whose norm passes ``DIVERGE_NORM`` ends it as unbounded (or
 infeasible).  Numerical ranks use ``RANK_EPS``.
 """
 
@@ -68,7 +70,7 @@ from .pencil import Pencil, adjoint
 RANK_EPS = 1e-6
 RANK_GAP_FLAG = 100.0  # flag leading/trailing eigenvalue ratios below this
 
-TOL = 1e-10  # target relative feasibility and gap of the path phase
+TOL = 1e-8  # path error handed to the finish: above the float floor, in Newton's quadratic reach
 ACCEPT = 1e-7  # relative feasibility and gap a finished solve must reach
 MAX_ITER = 100
 DIVERGE_NORM = 1e8  # ||x|| (or ||Z|| / max(1, ||c||)) past this ends the solve
@@ -86,13 +88,13 @@ class NotInteriorError(ValueError):
 
 def rank_of(mat: np.ndarray) -> int:
     """Numerical rank: eigenvalues above RANK_EPS * max(0, lambda_max)."""
-    return _rank(np.linalg.eigvalsh(np.asarray(mat, dtype=float)))
+    return _ranks(np.linalg.eigvalsh(np.asarray(mat, dtype=float))[None])[0]
 
 
-def _rank(w: np.ndarray) -> int:
-    """:func:`rank_of` from the ascending eigenvalues w."""
-    top = float(w[-1]) if w.size else 0.0
-    return int(np.sum(w > RANK_EPS * max(0.0, top)))
+def _ranks(w: np.ndarray) -> list[int]:
+    """:func:`rank_of` of each row of a stack of ascending spectra w."""
+    # fmax, like Python's max, keeps 0.0 against a NaN
+    return (w > RANK_EPS * np.fmax(0.0, w[:, -1:])).sum(axis=1).tolist()
 
 
 @dataclass
@@ -452,9 +454,8 @@ def _solve_stack(
             ap_a, ad_a = alpha[: len(work), None, None], alpha[len(work) :, None, None]
             gaps_aff = _dot(Xw + ap_a * dX_a, Zw + ad_a * dZ_a).tolist()
             target_mu = [0.0] * len(work)
-            tau = [0.9] * len(work)
             for j in step:
-                feas_p, feas_d, rel_gap, path_err, gap = head[work[j]]
+                feas_p, feas_d, rel_gap, _, gap = head[work[j]]
                 mu = max(gap / m, 1e-300)
                 sigma = min(1.0, max((max(0.0, gaps_aff[j] / m) / mu) ** 3, 1e-12))
                 # keep the gap from outrunning infeasibility: residuals
@@ -463,7 +464,6 @@ def _solve_stack(
                 if max(feas_p, feas_d) > max(0.1 * rel_gap, TOL):
                     sigma = max(sigma, 0.5)
                 target_mu[j] = sigma * mu
-                tau[j] = 0.9 if path_err > 1e-4 else (0.98 if path_err > 1e-9 else 0.995)
 
             target = np.array(target_mu)[:, None, None] * zinv - Xw
             dx, dX, dZ, solved_c = _newton(a_flat, schur, winv, wrw, rd, rp, target)
@@ -475,8 +475,9 @@ def _solve_stack(
                     status[work[j]] = STATUS_FAILURE  # a singular Schur system ends the solve
                     continue
                 moving[j] = True
-                alpha_p[j] = min(1.0, tau[j] * steps[j])
-                alpha_d[j] = min(1.0, tau[j] * steps[len(work) + j])
+                tau = 0.9 if head[work[j]][3] > 1e-4 else 0.98  # of the way to the boundary
+                alpha_p[j] = min(1.0, tau * steps[j])
+                alpha_d[j] = min(1.0, tau * steps[len(work) + j])
             ap, ad = np.array(alpha_p), np.array(alpha_d)
             moved = (
                 xw + ap[:, None] * dx,
@@ -519,8 +520,9 @@ def _assemble(
         fx, fX, fZ, moved = _finish(a0, a_flat, cs[todo], x[todo], Z[todo])
         for j in moved.nonzero()[0].tolist():
             x[todo[j]], X[todo[j]], Z[todo[j]] = fx[j], fX[j], fZ[j]
-    rd, _, dots = _residuals(a0, a_flat, cs, x, X, Z)
+    _, _, dots = _residuals(a0, a_flat, cs, x, X, Z)
     w = np.linalg.eigvalsh(np.concatenate([X, Z]))  # spectra and ranks
+    ranks = _ranks(w)
 
     solutions = []
     for k in range(count):
@@ -543,7 +545,7 @@ def _assemble(
         # apart from the stacked copy the iteration used
         rp = -(cs[k] + adjoint(pencil, Z[k]))
         spec_x, spec_z = w[k, ::-1].copy(), w[count + k, ::-1].copy()
-        rank_x, rank_z = _rank(w[k]), _rank(w[count + k])
+        rank_x, rank_z = ranks[k], ranks[count + k]
         solutions.append(
             SdpSolution(
                 x=x[k].copy(),
@@ -553,9 +555,7 @@ def _assemble(
                 status=status,
                 rank_X=rank_x,
                 rank_Z=rank_z,
-                residuals=(
-                    float(np.linalg.norm(rd[k])), float(np.linalg.norm(rp)), float(np.vdot(X[k], Z[k]))
-                ),
+                residuals=(math.sqrt(dots[k][0]), float(np.linalg.norm(rp)), dots[k][1]),
                 spectrum_X=spec_x,
                 spectrum_Z=spec_z,
                 iterations=iterations[k],

@@ -214,6 +214,8 @@ class TestSolveSdp:
         sol = solve_sdp(p, c)
         assert sol.status == "optimal"
         assert_certified(p, c, sol)
+        # handed over at TOL, above the path phase's float floor: no 13-pass stall tail
+        assert sol.iterations <= 30
 
     @pytest.mark.parametrize("i", [0, 16, 53, 83, 178, 189, 192])
     def test_strictly_feasible_pairs_end_optimal(self, i):
@@ -223,6 +225,8 @@ class TestSolveSdp:
         sol = solve_sdp(p, c)
         assert sol.status == "optimal"
         assert_certified(p, c, sol)
+        # handed over at TOL, above the path phase's float floor: no 13-pass stall tail
+        assert sol.iterations <= 30
 
     def test_schur_gram_matches_pairwise_products(self):
         rng = np.random.default_rng(5)
@@ -301,6 +305,17 @@ class TestSolveSdpMany:
             assert len(batch) == len(cs)
             for i, sol in zip(order, batch):
                 assert_same_solution(sol, solo[i])
+
+    def test_reported_fields_match_their_definitions(self):
+        # residuals and ranks come from the stack's own products and spectra
+        p, cs = pentagon_objectives(30, 8)
+        for c, sol in zip(cs, solve_sdp_many(p, cs)):
+            assert sol.residuals[0] == pytest.approx(
+                np.linalg.norm(eval_pencil(p, sol.x) - sol.X), abs=1e-13
+            )
+            assert sol.residuals[1] == np.linalg.norm(adjoint(p, sol.Z) + c)
+            assert sol.residuals[2] == pytest.approx(np.vdot(sol.X, sol.Z), rel=1e-12, abs=1e-15)
+            assert (sol.rank_X, sol.rank_Z) == (rank_of(sol.X), rank_of(sol.Z))
 
     def test_chunks_do_not_change_results(self, monkeypatch):
         p, cs = pentagon_objectives(12, 11)
