@@ -57,6 +57,7 @@ from .polar import (
     BoundaryCloud,
     DegreeFitReport,
     InsufficientSamplesError,
+    NotInteriorError,
     PipelineResult,
     bound_pipeline,
     disk_fixture,
@@ -66,7 +67,7 @@ from .polar import (
     sample_polar_boundary,
     segment_fixture,
 )
-from .sdp import NotInteriorError, SdpSolution, rank_of, solve_sdp
+from .sdp import SdpSolution, rank_of, solve_sdp
 
 __all__ = [
     "AllSkippedError",

@@ -43,12 +43,12 @@ from .polar import (
     AllSkippedError,
     BoundaryCloud,
     InsufficientSamplesError,
+    NotInteriorError,
     bound_pipeline,
     fit_min_vanishing_degree,
     pentagon_fixture,
     sample_polar_boundary,
 )
-from .sdp import NotInteriorError
 
 EXIT_OK = 0
 EXIT_NUMERICAL = 1
@@ -222,7 +222,7 @@ def cmd_sample_polar(args) -> int:
 def cmd_fit_degree(args) -> int:
     with open(args.cloud, "r", encoding="utf-8") as fh:
         data = json.load(fh)
-    cloud = BoundaryCloud.from_dict(data.get("cloud", data))
+    cloud = BoundaryCloud.from_dict(data.get("cloud", data) if isinstance(data, dict) else data)
     report = fit_min_vanishing_degree(cloud, args.max_degree)
     _emit(args, {"report": report.to_dict()})
     return EXIT_OK

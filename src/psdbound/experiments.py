@@ -120,8 +120,8 @@ class RankFrequencyTable:
 def rank_frequency(m: int, n: int, trials: int, seed: int) -> RankFrequencyTable:
     """Empirical distribution of the optimal slack rank at shape (m, n).
 
-    Each trial draws a fresh raw Gaussian pencil and objective and solves
-    with an infeasible start; non-optimal statuses (infeasible, unbounded,
+    Each trial draws a fresh raw Gaussian pencil (A0 indefinite in general)
+    and objective and solves it; non-optimal statuses (infeasible, unbounded,
     numerical failure) are skipped and counted.
     """
     if trials < 1:
@@ -134,7 +134,7 @@ def rank_frequency(m: int, n: int, trials: int, seed: int) -> RankFrequencyTable
         rng = np.random.default_rng((seed, trial))
         pencil = random_pencil(m, n, rng)
         c = rng.standard_normal(n)
-        sol = solve_sdp(pencil, c, require_interior=False)
+        sol = solve_sdp(pencil, c)
         statuses[sol.status] += 1
         if sol.status != STATUS_OPTIMAL:
             skipped += 1
@@ -201,8 +201,11 @@ def tightness_report(m: int, trials: int, seed: int) -> TightnessReport:
     """Exact degree and empirical rank frequency at n = t_{m/2}+1, r = m/2+1.
 
     The empirical part is skipped (trials = 0 in the report) when m exceeds
-    the desk-scale SDP limit; the exact degree is fine up to m = 16.
+    the desk-scale SDP limit or trials is 0; the exact degree is fine up to
+    m = 16.
     """
+    if trials < 0:
+        raise ValueError(f"need trials >= 0, got {trials}")
     growth = check_delta_exponent_bound(m)
     freq = None
     target_count = None

@@ -53,7 +53,7 @@ from typing import Iterable, Iterator, Mapping, Sequence
 import numpy as np
 
 from .bounds import pataki_range
-from .pencil import Pencil
+from .pencil import Pencil, json_fields
 from .sdp import SdpSolution
 
 # a polynomial is a map {monomial: coefficient}; a monomial is a sorted
@@ -71,12 +71,14 @@ class PatakiViolationError(ValueError):
 
 
 def to_fraction(value) -> Fraction:
-    """Exact rational from ints, Fractions, or floats (shortest decimal)."""
+    """Exact rational from ints, Fractions, or finite floats (shortest decimal)."""
     if isinstance(value, Fraction):
         return value
     if isinstance(value, (int, np.integer)):
         return Fraction(int(value))
     if isinstance(value, (float, np.floating)):
+        if not math.isfinite(value):
+            raise ValueError(f"{float(value)} has no exact rational value")
         return Fraction(Decimal(repr(float(value))))
     raise TypeError(f"cannot convert {type(value).__name__} to an exact rational")
 
@@ -507,10 +509,8 @@ def _json_pair(num_variables: int, pair: tuple) -> tuple[int, int]:
 
 def parse_json(text: str) -> PolySystem:
     data = json.loads(text)
-    for key in ("variables", "equations"):
-        if key not in data:
-            raise ValueError(f"JSON system has no {key!r}")
-    variables = tuple(data["variables"])
+    variables, raw_equations = json_fields(data, "JSON system", "variables", "equations")
+    variables = tuple(variables)
     # a monomial is looked up by its validated pairs, which the pair memo shares
     coefficients, monomials = _Memo(Fraction), _Memo(_canonical)
     pair = _Memo(partial(_json_pair, len(variables))).__getitem__
@@ -518,7 +518,7 @@ def parse_json(text: str) -> PolySystem:
         _polynomial(
             [(monomials[tuple(map(pair, map(tuple, raw)))], coefficients[c]) for raw, c in terms]
         )
-        for terms in data["equations"]
+        for terms in raw_equations
     ]
     return _parsed(variables, equations, data.get("metadata") or {})
 

@@ -11,7 +11,8 @@ The interchange format is JSON:
      "projection": [[n floats] x k]}        # optional
 
 Symmetry is validated on load with tolerance 1e-12 and then enforced
-exactly; an empty (m = 0) matrix or a NaN or infinite entry is rejected.
+exactly.  ValueError rejects an empty (m = 0) matrix, a NaN or infinite
+entry, a missing key and a value of the wrong type.
 """
 
 from __future__ import annotations
@@ -39,6 +40,16 @@ def symmetrize(mat: np.ndarray, tol: float = SYMMETRY_TOL) -> np.ndarray:
     if float(np.abs(a - a.T).max()) > tol * scale:
         raise ValueError("matrix is not symmetric within tolerance")
     return (a + a.T) / 2.0
+
+
+def json_fields(data, what: str, *keys: str) -> list:
+    """The values of ``keys`` in the JSON object ``data``, else ValueError."""
+    if not isinstance(data, dict):
+        raise ValueError(f"{what} must be an object, got {type(data).__name__}")
+    for key in keys:
+        if key not in data:
+            raise ValueError(f"{what} has no {key!r}")
+    return [data[key] for key in keys]
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -116,18 +127,19 @@ class Pencil:
 
     @classmethod
     def from_dict(cls, data: dict) -> "Pencil":
-        m = int(data["m"])
-        n = int(data["n"])
-        mats = data["mats"]
-        if len(mats) != n + 1:
-            raise ValueError(f"expected {n + 1} matrices, got {len(mats)}")
-        arrs = []
-        for flat in mats:
-            if len(flat) != m * m:
-                raise ValueError(f"matrix data has {len(flat)} entries, expected {m * m}")
-            arrs.append(np.asarray(flat, dtype=float).reshape(m, m))
-        proj = data.get("projection")
-        return cls(mats=tuple(arrs), projection=None if proj is None else np.asarray(proj))
+        m, n, mats = json_fields(data, "pencil JSON", "m", "n", "mats")
+        try:
+            m, n, proj = int(m), int(n), data.get("projection")
+            if len(mats) != n + 1:
+                raise ValueError(f"expected {n + 1} matrices, got {len(mats)}")
+            for flat in mats:
+                if len(flat) != m * m:
+                    raise ValueError(f"matrix data has {len(flat)} entries, expected {m * m}")
+            arrs = tuple(np.asarray(flat, dtype=float).reshape(m, m) for flat in mats)
+            proj = None if proj is None else np.asarray(proj, dtype=float)
+        except TypeError as exc:  # a number where a list belongs, or the reverse
+            raise ValueError(f"pencil JSON has a value of the wrong type: {exc}") from None
+        return cls(mats=arrs, projection=proj)
 
 
 def eval_pencil(pencil: Pencil, x: Sequence[float]) -> np.ndarray:

@@ -28,11 +28,15 @@ from typing import Sequence
 import numpy as np
 
 from .bounds import psd_rank_lower_bound
-from .pencil import Pencil
+from .pencil import Pencil, json_fields
 from .sdp import STATUS_OPTIMAL, solve_sdp_many
 
 EPS_VALUE = 1e-9  # support values below this are treated as degenerate
 EPS_KERNEL = 1e-7  # relative singular-value threshold declaring a kernel
+
+
+class NotInteriorError(ValueError):
+    """A0 is not positive definite, so the origin is not interior to the body."""
 
 
 class AllSkippedError(RuntimeError):
@@ -93,16 +97,15 @@ class BoundaryCloud:
 
     @classmethod
     def from_dict(cls, data: dict) -> "BoundaryCloud":
-        return cls(
-            ambient_dim=int(data["ambient_dim"]),
-            points=np.asarray(data["points"], dtype=float).reshape(-1, int(data["ambient_dim"])),
-            directions=np.asarray(data["directions"], dtype=float).reshape(
-                -1, int(data["ambient_dim"])
-            ),
-            values=np.asarray(data["values"], dtype=float),
-            skipped=list(data.get("skipped", [])),
-            seed=data.get("seed"),
-        )
+        fields = json_fields(data, "cloud JSON", "ambient_dim", "points", "directions", "values")
+        try:
+            dim = int(fields[0])
+            points, directions = (np.asarray(v, dtype=float).reshape(-1, dim) for v in fields[1:3])
+            values = np.asarray(fields[3], dtype=float)
+            skipped = list(data.get("skipped", []))
+        except TypeError as exc:  # a number where a list belongs, or the reverse
+            raise ValueError(f"cloud JSON has a value of the wrong type: {exc}") from None
+        return cls(dim, points, directions, values, skipped, data.get("seed"))
 
     def points_csv(self) -> str:
         buf = io.StringIO()
@@ -116,8 +119,10 @@ class BoundaryCloud:
 def sample_polar_boundary(pencil: Pencil, num_dirs: int, seed: int) -> BoundaryCloud:
     """Sample boundary points of the polar of the pencil's body.
 
-    Directions are unit Gaussians in the image space (seeded); each is
-    lifted through the projection adjoint when one is present, the support
+    The polar needs the origin interior to the body: a pencil whose A0 is
+    not positive definite raises :class:`NotInteriorError`.  Directions are
+    unit Gaussians in the image space (seeded); each is lifted through the
+    projection adjoint when one is present, the support
     SDPs of all directions are solved in one stacked run
     (:func:`~psdbound.sdp.solve_sdp_many`), and each direction divided by
     its support value is stored.  Unbounded or failed solves, and support
@@ -125,6 +130,9 @@ def sample_polar_boundary(pencil: Pencil, num_dirs: int, seed: int) -> BoundaryC
     """
     if num_dirs < 1:
         raise ValueError(f"need at least one direction, got {num_dirs}")
+    lam0 = float(np.linalg.eigvalsh(pencil.mats[0])[0])
+    if lam0 <= 0.0:
+        raise NotInteriorError(f"A0 is not positive definite (lambda_min = {lam0:.3e})")
     k = pencil.image_dim
     rng = np.random.default_rng(seed)
     raw = rng.standard_normal((num_dirs, k))

@@ -12,10 +12,12 @@ pair
     min <A0, Z>  s.t.  <A_i, Z> = -c_i,  Z psd      (primal)
     max  c^T x   s.t.  A0 + A(x) psd                (dual)
 
-with infeasible starts and fixed deterministic step rules: identical
-inputs give identical outputs on a given platform.  The Schur complement is
-the Gram matrix of the NT-scaled coefficient matrices F^T A_i F, where
-F F^T = W^{-1}.  Everything is dense; intended scale is m <= 24, n <= 80.
+with fixed deterministic step rules: identical inputs give identical
+outputs on a given platform.  Any pencil is taken: the solve starts at
+X = A0 when A0 is positive definite and from an infeasible start
+otherwise.  The Schur complement is the Gram matrix of the NT-scaled
+coefficient matrices F^T A_i F, where F F^T = W^{-1}.  Everything is
+dense; intended scale is m <= 24, n <= 80.
 
 One pencil, many objectives: :func:`solve_sdp_many` runs a single
 iteration loop over a stack of problems.  Matrices are stacks with one
@@ -60,7 +62,7 @@ infeasible).  Numerical ranks use ``RANK_EPS``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -68,7 +70,6 @@ import numpy as np
 from .pencil import Pencil, adjoint
 
 RANK_EPS = 1e-6
-RANK_GAP_FLAG = 100.0  # flag leading/trailing eigenvalue ratios below this
 
 TOL = 1e-8  # path error handed to the finish: above the float floor, in Newton's quadratic reach
 ACCEPT = 1e-7  # relative feasibility and gap a finished solve must reach
@@ -80,10 +81,6 @@ STATUS_OPTIMAL = "optimal"
 STATUS_INFEASIBLE = "infeasible"
 STATUS_UNBOUNDED = "unbounded"
 STATUS_FAILURE = "numerical_failure"
-
-
-class NotInteriorError(ValueError):
-    """A0 is not positive definite, so 0 is not interior to the feasible set."""
 
 
 def rank_of(mat: np.ndarray) -> int:
@@ -104,9 +101,8 @@ class SdpSolution:
     ``residuals`` is (primal feasibility ||A0 + A(x) - X||_F,
     dual feasibility ||A*(Z) + c||_2, complementarity trace(X Z)).
     ``ray`` is populated for unbounded problems: a unit direction with
-    A(ray) psd (within tolerance) and c^T ray > 0.
-    ``rank_uncertain`` flags a trailing eigenvalue ratio below 100 at the
-    rank cut, i.e. a rank decision that deserves a look at the spectra.
+    A(ray) psd (within tolerance) and c^T ray > 0.  The descending spectra
+    ride along for auditing the rank decisions.
     """
 
     x: np.ndarray
@@ -120,17 +116,7 @@ class SdpSolution:
     spectrum_X: np.ndarray
     spectrum_Z: np.ndarray
     iterations: int
-    rank_uncertain: bool = False
-    ray: np.ndarray | None = field(default=None)
-
-
-def _uncertain(spec: np.ndarray, rank: int) -> bool:
-    """Whether the descending spectrum's gap at the rank cut is below RANK_GAP_FLAG."""
-    if rank == 0 or rank >= spec.size:
-        return False
-    lo = abs(float(spec[rank]))
-    hi = abs(float(spec[rank - 1]))
-    return lo > 0 and hi / lo < RANK_GAP_FLAG
+    ray: np.ndarray | None = None
 
 
 def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -544,8 +530,6 @@ def _assemble(
         # the reported residual goes through the pencil's own adjoint, a route
         # apart from the stacked copy the iteration used
         rp = -(cs[k] + adjoint(pencil, Z[k]))
-        spec_x, spec_z = w[k, ::-1].copy(), w[count + k, ::-1].copy()
-        rank_x, rank_z = ranks[k], ranks[count + k]
         solutions.append(
             SdpSolution(
                 x=x[k].copy(),
@@ -553,35 +537,30 @@ def _assemble(
                 Z=Z[k].copy(),
                 value=float(cs[k] @ x[k]),
                 status=status,
-                rank_X=rank_x,
-                rank_Z=rank_z,
+                rank_X=ranks[k],
+                rank_Z=ranks[count + k],
                 residuals=(math.sqrt(dots[k][0]), float(np.linalg.norm(rp)), dots[k][1]),
-                spectrum_X=spec_x,
-                spectrum_Z=spec_z,
+                spectrum_X=w[k, ::-1].copy(),
+                spectrum_Z=w[count + k, ::-1].copy(),
                 iterations=iterations[k],
-                rank_uncertain=_uncertain(spec_x, rank_x) or _uncertain(spec_z, rank_z),
                 ray=ray,
             )
         )
     return solutions
 
 
-def solve_sdp_many(
-    pencil: Pencil, objectives: Sequence[Sequence[float]], *, require_interior: bool = True
-) -> list[SdpSolution]:
+def solve_sdp_many(pencil: Pencil, objectives: Sequence[Sequence[float]]) -> list[SdpSolution]:
     """Solve max c^T x over the pencil's spectrahedron for each c in
     ``objectives`` (shape (B, n)), in one stacked interior-point run.
 
     Each solution is bitwise identical to the one :func:`solve_sdp` returns
-    for its objective alone, whatever the batch and its order.
-    ``require_interior`` enforces A0 positive definite (rejecting other
-    inputs with :class:`NotInteriorError`); pass False to attempt a fully
-    infeasible start, as the random-instance experiments do.  A solve that
-    does not end ``unbounded`` or ``infeasible`` is finished by Gauss-Newton
-    steps on the KKT system, and returns ``optimal`` if the finished pair
-    clears ``ACCEPT`` on feasibility and relative gap and 1e-6 on the
-    relative Frobenius norm of X Z, ``numerical_failure`` otherwise.  An
-    objective with a NaN or infinite entry raises ValueError.
+    for its objective alone, whatever the batch and its order, and any
+    pencil is taken.  A solve that does not end ``unbounded`` or
+    ``infeasible`` is finished by Gauss-Newton steps on the KKT system, and
+    returns ``optimal`` if the finished pair clears ``ACCEPT`` on
+    feasibility and relative gap and 1e-6 on the relative Frobenius norm of
+    X Z, ``numerical_failure`` otherwise.  An objective with a NaN or
+    infinite entry raises ValueError.
     """
     m, n = pencil.m, pencil.n
     cs = np.asarray(objectives, dtype=float)
@@ -593,10 +572,6 @@ def solve_sdp_many(
     if bad.size:
         raise ValueError(f"objective {bad[0]} is not finite: {cs[bad[0]].tolist()}")
     lam0 = float(np.linalg.eigvalsh(pencil.mats[0])[0])
-    if require_interior and lam0 <= 0.0:
-        raise NotInteriorError(
-            f"A0 must be positive definite for an interior start (lambda_min = {lam0:.3e})"
-        )
     a_flat = np.array(pencil.mats[1:]).reshape(n, m * m)  # row i is A_{i+1}, raveled
     # the larger per-row array: the finish's Jacobian or the scaled coefficients
     size = max(1, CHUNK_BYTES // (8 * max(n * m * m, (n + m * (m + 1) // 2) ** 2)))
@@ -607,11 +582,11 @@ def solve_sdp_many(
     ]
 
 
-def solve_sdp(pencil: Pencil, c: Sequence[float], *, require_interior: bool = True) -> SdpSolution:
+def solve_sdp(pencil: Pencil, c: Sequence[float]) -> SdpSolution:
     """Solve max c^T x over the pencil's spectrahedron: the one-objective
     case of :func:`solve_sdp_many`, which documents the statuses."""
     cv = np.asarray(c, dtype=float)
     if cv.shape != (pencil.n,):
         raise ValueError(f"objective must have length {pencil.n}, got shape {cv.shape}")
-    return solve_sdp_many(pencil, cv[None], require_interior=require_interior)[0]
+    return solve_sdp_many(pencil, cv[None])[0]
 

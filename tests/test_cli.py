@@ -208,6 +208,11 @@ class TestKktExport:
     def test_plain_needs_c(self, capsys, segment_file):
         assert run_cli(capsys, "kkt-export", "--pencil", segment_file)[0] == 2
 
+    @pytest.mark.parametrize("c", ["inf", "-inf", "1e400"])
+    def test_non_finite_c_exit_2(self, capsys, segment_file, c):
+        argv = ["kkt-export", "--pencil", segment_file, "--variant", "plain", f"--c={c}"]
+        assert run_cli(capsys, *argv) == (2, "")
+
 
 class TestSamplingCommands:
     def test_sample_fit_pipe(self, capsys, tmp_path):
@@ -306,6 +311,36 @@ class TestSamplingCommands:
         code, _ = run_cli(capsys, "fit-degree", "--cloud", str(bad), "--max-degree", "2")
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "doc, message",
+        [
+            ({"m": 2, "n": 1}, "has no 'mats'"),
+            ({"m": 2, "n": 1, "mats": [[1, 0, 0, 1], 5]}, "wrong type"),
+            ([1], "must be an object, got list"),
+        ],
+    )
+    def test_malformed_pencil_exit_2(self, capsys, tmp_path, doc, message):
+        bad = tmp_path / "pencil.json"
+        bad.write_text(json.dumps(doc))
+        assert main(["sample-polar", "--pencil", str(bad), "--num-dirs", "5"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and message in err
+
+    @pytest.mark.parametrize(
+        "doc, message",
+        [
+            ({"ambient_dim": 1, "points": [[1.0]], "directions": [[1.0]]}, "has no 'values'"),
+            (segment_fixture().to_dict(), "has no 'ambient_dim'"),
+            ([[1.0, 0.0]], "must be an object, got list"),
+        ],
+    )
+    def test_malformed_cloud_exit_2(self, capsys, tmp_path, doc, message):
+        bad = tmp_path / "cloud.json"
+        bad.write_text(json.dumps(doc))
+        assert main(["fit-degree", "--cloud", str(bad)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and message in err
+
     def test_degenerate_input_exit_3(self, capsys, tmp_path):
         bad = tmp_path / "bad.json"
         save_pencil(
@@ -341,6 +376,9 @@ class TestExperimentCommands:
         assert code == 0
         assert data["tightness"]["delta"] == "8"
         assert_golden_schema("tightness", data)
+
+    def test_tightness_negative_trials_exit_2(self, capsys):
+        assert run_cli(capsys, "tightness", "--m", "4", "--trials", "-3") == (2, "")
 
     def test_check_growth(self, capsys):
         code, data = run_json(capsys, "check-growth", "--m", "6")

@@ -117,6 +117,10 @@ class TestTightness:
         assert report.frequency is None
         assert report.bound_holds == (8**20 >= 2**16)
 
+    def test_negative_trials_rejected(self):
+        with pytest.raises(ValueError, match="trials >= 0"):
+            tightness_report(4, trials=-3, seed=1)
+
     def test_empirical_part_m6(self):
         report = tightness_report(6, trials=150, seed=7)
         assert report.frequency is not None

@@ -116,6 +116,11 @@ class TestToFraction:
         with pytest.raises(TypeError):
             to_fraction("0.5")
 
+    @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan, float("1e400")])
+    def test_rejects_non_finite(self, value):
+        with pytest.raises(ValueError, match="no exact rational"):
+            to_fraction(value)
+
 
 class TestCounts:
     def test_plain_m2_n1(self):

@@ -12,7 +12,6 @@ from psdbound.polar import disk_fixture, pentagon_fixture, pentagon_vertices, se
 from psdbound.experiments import random_pencil, shift_to_interior
 from psdbound import sdp
 from psdbound.sdp import (
-    NotInteriorError,
     SdpSolution,
     _finish,
     _max_step,
@@ -137,9 +136,13 @@ class TestSolveSdp:
         assert abs(sol.value) <= 1e-9
 
     def test_not_interior(self):
+        # A0 is indefinite, so the origin is outside the body {x >= 1}: the
+        # solve starts infeasible and still finds max -x = -1
         p = Pencil(mats=(np.diag([1.0, -1.0]), np.eye(2)))
-        with pytest.raises(NotInteriorError):
-            solve_sdp(p, [1.0])
+        sol = solve_sdp(p, [-1.0])
+        assert sol.status == "optimal"
+        assert sol.value == pytest.approx(-1.0, abs=1e-7)
+        assert sol.x == pytest.approx([1.0], abs=1e-7)
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
@@ -156,7 +159,7 @@ class TestSolveSdp:
     def test_infeasible(self):
         # -1 + x >= 0 and -1 - x >= 0 have no common solution
         p = Pencil(mats=(-np.eye(2), np.diag([1.0, -1.0])))
-        sol = solve_sdp(p, [1.0], require_interior=False)
+        sol = solve_sdp(p, [1.0])
         assert sol.status == "infeasible"
         assert sol.ray is None
 
@@ -351,8 +354,6 @@ class TestSolveSdpMany:
         with pytest.raises(ValueError, match="shape"):
             solve_sdp_many(p, [[1.0, 2.0]])
         assert solve_sdp_many(p, []) == []
-        with pytest.raises(NotInteriorError):
-            solve_sdp_many(Pencil(mats=(np.diag([1.0, -1.0]), np.eye(2))), [[1.0], [-1.0]])
 
     def test_max_step_indefinite_slice(self):
         rng = np.random.default_rng(2)
@@ -396,7 +397,7 @@ class TestSolveSdpMany:
             want = np.zeros((3, 1)) if k in bad else np.linalg.solve(a[k], b[k])
             assert np.array_equal(out[k], want), k
 
-    def test_face_rank_groups_equal_solo(self):
+    def test_different_face_ranks_finish_in_one_stack(self):
         # vertices, the zero objective and edge directions: rows whose
         # optimal faces have different ranks, finished in one stack
         p = pentagon_fixture()

@@ -9,6 +9,7 @@ from psdbound.polar import (
     AllSkippedError,
     BoundaryCloud,
     InsufficientSamplesError,
+    NotInteriorError,
     bound_pipeline,
     disk_fixture,
     evaluate_fit,
@@ -20,6 +21,10 @@ from psdbound.polar import (
     segment_fixture,
 )
 from psdbound.sdp import solve_sdp
+
+
+# {x >= 1}: A0 is indefinite, so the origin is not interior to the body
+NOT_INTERIOR = Pencil(mats=(np.diag([1.0, -1.0]), np.eye(2)))
 
 
 def unit_circle(count):
@@ -42,6 +47,10 @@ class TestSampling:
         cloud = sample_polar_boundary(segment_fixture(), 30, seed=13)
         assert set(np.round(cloud.points.ravel(), 6)) <= {-1.0, 1.0}
         assert {-1.0, 1.0} <= set(np.round(cloud.points.ravel(), 6))
+
+    def test_not_interior(self):
+        with pytest.raises(NotInteriorError, match="positive definite"):
+            sample_polar_boundary(NOT_INTERIOR, 10, seed=0)
 
     def test_values_match_single_solves(self):
         # one stacked run gives each direction the value of its own solve
@@ -263,6 +272,10 @@ class TestPipeline:
         result = bound_pipeline(pentagon_fixture(), 150, 6, seed)
         assert result.conclusive
         assert result.d_est == 5
+
+    def test_not_interior(self):
+        with pytest.raises(NotInteriorError):
+            bound_pipeline(NOT_INTERIOR, 10, 2, seed=0)
 
     def test_disk(self):
         result = bound_pipeline(disk_fixture(), 80, 4, seed=11)
