@@ -25,22 +25,22 @@ Two routes compute psi:
   sum, kept as the audit oracle); column subsets violating the staircase
   condition c_b <= r_b are pruned since their minors vanish.
 * :func:`psi` counts the same sum as free-endpoint non-intersecting
-  lattice paths, which is the Pfaffian of a skew-symmetric integer matrix
-  Q (Stembridge).  Since det Q = Pf(Q)^2 and the count is never negative,
-  psi is the integer square root of det Q, taken by the same Bareiss
-  elimination :func:`psi_minor_sum` uses for its minors; this makes the
-  m = 16 degree computations take seconds instead of hours.
+  lattice paths: the Pfaffian of a skew-symmetric matrix Q (Stembridge)
+  of pair values psi({i, j}), padded by the singletons 2**(i-1) when |I|
+  is odd (Nie-Ranestad-Sturmfels 2010).  Each pair value has a closed
+  form by Vandermonde's identity, so the setup is O(k^2) with no Pascal
+  matrix, and psi is the integer square root of det Q = Pf(Q)^2.
 
-Their agreement, together with the interval product formulas, is enforced
-by the test suite.  The interval routes (:func:`psi_interval_product`,
+The test suite enforces their agreement with each other and with the
+interval products.  :func:`psi` and :func:`psi_minor_sum` share
+:func:`_bareiss_det`; the interval routes (:func:`psi_interval_product`,
 :func:`psi_interval_harris_tu`) are closed-form products that do not go
-through :func:`_bareiss_det`, so they stay independent checks of it.
+through it, so they stay independent checks of it.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import accumulate
 from math import comb, exp, isqrt, log
 from typing import Iterable, Iterator, NamedTuple
 
@@ -115,28 +115,27 @@ def psi_minor_sum(I: Iterable[int]) -> int:
 
 
 @lru_cache(maxsize=None)
+def _pair(x: int, y: int) -> int:
+    """psi of the pair {x+1, y+1}, x < y: sum of C(x+y, j) over x <= j < y."""
+    return sum(comb(x + y, j) for j in range(x, y))
+
+
+@lru_cache(maxsize=None)
 def _psi_cached(elems: tuple[int, ...]) -> int:
     k = len(elems)
     if k == 0:
         return 1
     rows = [e - 1 for e in elems]
-    ncols = rows[-1] + 1
-    m = [[comb(r, s) for s in range(ncols)] for r in rows]
-    pref = [list(accumulate(row)) for row in m]
-    size = k if k % 2 == 0 else k + 1
+    size = k + k % 2
     q = [[0] * size for _ in range(size)]
     for a in range(k):
         for b in range(a + 1, k):
-            s = 0
-            ma, mb = m[a], m[b]
-            pa, pb = pref[a], pref[b]
-            for t in range(1, ncols):
-                s += mb[t] * pa[t - 1] - ma[t] * pb[t - 1]
-            q[a][b] = s
-            q[b][a] = -s
+            q[a][b] = _pair(rows[a], rows[b])
+            q[b][a] = -q[a][b]
     if k % 2:
+        # the pad column holds the singletons, psi({i}) = 2**(i-1)
         for a in range(k):
-            q[a][k] = pref[a][ncols - 1]
+            q[a][k] = 1 << rows[a]
             q[k][a] = -q[a][k]
     # det Q = Pf(Q)^2 and the Pfaffian, a path count, is never negative
     det = _bareiss_det(q)

@@ -42,13 +42,20 @@ def symmetrize(mat: np.ndarray, tol: float = SYMMETRY_TOL) -> np.ndarray:
     return (a + a.T) / 2.0
 
 
-def json_fields(data, what: str, *keys: str) -> list:
-    """The values of ``keys`` in the JSON object ``data``, else ValueError."""
+def json_fields(data, what: str, *keys: str, ints: tuple[str, ...] = ()) -> list:
+    """The values of ``keys`` in the JSON object ``data``, else ValueError.
+
+    Each key in ``ints`` must hold a JSON integer: a float, string or bool
+    raises ValueError rather than being truncated or coerced.
+    """
     if not isinstance(data, dict):
         raise ValueError(f"{what} must be an object, got {type(data).__name__}")
     for key in keys:
         if key not in data:
             raise ValueError(f"{what} has no {key!r}")
+    for key in ints:
+        if not isinstance(data[key], int) or isinstance(data[key], bool):
+            raise ValueError(f"{what} {key!r} must be an integer, got {data[key]!r}")
     return [data[key] for key in keys]
 
 
@@ -127,9 +134,9 @@ class Pencil:
 
     @classmethod
     def from_dict(cls, data: dict) -> "Pencil":
-        m, n, mats = json_fields(data, "pencil JSON", "m", "n", "mats")
+        m, n, mats = json_fields(data, "pencil JSON", "m", "n", "mats", ints=("m", "n"))
         try:
-            m, n, proj = int(m), int(n), data.get("projection")
+            proj = data.get("projection")
             if len(mats) != n + 1:
                 raise ValueError(f"expected {n + 1} matrices, got {len(mats)}")
             for flat in mats:

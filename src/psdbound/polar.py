@@ -97,11 +97,12 @@ class BoundaryCloud:
 
     @classmethod
     def from_dict(cls, data: dict) -> "BoundaryCloud":
-        fields = json_fields(data, "cloud JSON", "ambient_dim", "points", "directions", "values")
+        dim, *fields = json_fields(
+            data, "cloud JSON", "ambient_dim", "points", "directions", "values", ints=("ambient_dim",)
+        )
         try:
-            dim = int(fields[0])
-            points, directions = (np.asarray(v, dtype=float).reshape(-1, dim) for v in fields[1:3])
-            values = np.asarray(fields[3], dtype=float)
+            points, directions = (np.asarray(v, dtype=float).reshape(-1, dim) for v in fields[:2])
+            values = np.asarray(fields[2], dtype=float)
             skipped = list(data.get("skipped", []))
         except TypeError as exc:  # a number where a list belongs, or the reverse
             raise ValueError(f"cloud JSON has a value of the wrong type: {exc}") from None

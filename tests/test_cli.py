@@ -341,6 +341,31 @@ class TestSamplingCommands:
         out, err = capsys.readouterr()
         assert out == "" and message in err
 
+    @pytest.mark.parametrize(
+        "sizes, message",
+        [
+            ({"m": 2.9, "n": 1.5}, "'m' must be an integer, got 2.9"),
+            ({"m": "2", "n": 1}, "'m' must be an integer, got '2'"),
+            ({"m": 2, "n": True}, "'n' must be an integer, got True"),
+        ],
+    )
+    def test_non_integer_pencil_size_exit_2(self, capsys, tmp_path, sizes, message):
+        bad = tmp_path / "pencil.json"
+        bad.write_text(json.dumps({**sizes, "mats": [[1, 0, 0, 1], [1, 0, 0, -1]]}))
+        assert main(["sample-polar", "--pencil", str(bad), "--num-dirs", "5"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and message in err
+
+    @pytest.mark.parametrize("dim", [1.7, 2.0, "2", True])
+    def test_non_integer_cloud_dim_exit_2(self, capsys, tmp_path, dim):
+        bad = tmp_path / "cloud.json"
+        circle = [[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]]
+        cloud = {"ambient_dim": dim, "points": circle, "directions": circle, "values": [1.0] * 4}
+        bad.write_text(json.dumps(cloud))
+        assert main(["fit-degree", "--cloud", str(bad)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "'ambient_dim' must be an integer" in err
+
     def test_degenerate_input_exit_3(self, capsys, tmp_path):
         bad = tmp_path / "bad.json"
         save_pencil(

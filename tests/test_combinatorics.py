@@ -117,6 +117,11 @@ class TestPsi:
                 for sub in combinations(range(1, m + 1), k):
                     assert psi(sub) == psi_minor_sum(sub), sub
 
+    def test_pairs_match_minor_sum(self):
+        # the closed-form pair entries of Q, past the {1..8} sweep above
+        for i, j in combinations(range(1, 17), 2):
+            assert psi((i, j)) == psi_minor_sum((i, j)), (i, j)
+
     @settings(max_examples=60, deadline=None)
     @given(st.sets(st.integers(min_value=1, max_value=11), min_size=0, max_size=6))
     def test_property_routes_agree(self, elements):
@@ -186,6 +191,12 @@ class TestIntervalFormulas:
                 if q >= 1 and q - p >= 1:
                     assert psi_interval_harris_tu(q, q - p) == want
 
+    def test_every_interval_to_16(self):
+        # the product does not go through _bareiss_det, so it checks the Pfaffian
+        for p in range(0, 17):
+            for q in range(p, 17):
+                assert psi(range(p + 1, q + 1)) == psi_interval_product(p, q), (p, q)
+
     @settings(max_examples=40, deadline=None)
     @given(st.integers(min_value=0, max_value=12), st.integers(min_value=0, max_value=12))
     def test_property_interval_consistency(self, p, span):
@@ -207,6 +218,11 @@ class TestDelta:
         for m in range(1, 9):
             for r in range(1, m + 1):
                 assert delta(triangular(m - r), m, r) == psi_interval_harris_tu(m, r)
+
+    def test_harris_tu_consistency_to_16(self):
+        for m in range(9, 17):
+            for r in range(1, m + 1):
+                assert delta(triangular(m - r), m, r) == psi_interval_harris_tu(m, r), (m, r)
 
     def test_validation(self):
         with pytest.raises(ValueError):
