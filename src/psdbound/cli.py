@@ -1,10 +1,12 @@
 """Command-line front end.
 
-Every subcommand prints a single JSON document (to stdout or ``--out``)
-that embeds a run manifest: subcommand, flags, seeds, version, timestamp.
-Big integers are serialized as decimal strings since JSON numbers cannot
-hold them.  Exit codes: 0 ok, 1 numerical failure, 2 usage error,
-3 infeasible or degenerate input.
+Every subcommand prints a single document (to stdout or ``--out``).  The
+JSON ones embed a run manifest (subcommand, flags, seeds, version,
+timestamp) and go through one strict encoder: a report dataclass is written
+field by field, an ndarray as a list, and a NaN or infinite float raises
+instead of printing invalid JSON (RFC 8259).  Big integers are serialized
+as decimal strings since JSON numbers cannot hold them.  Exit codes: 0 ok,
+1 numerical failure, 2 usage error, 3 infeasible or degenerate input.
 """
 
 from __future__ import annotations
@@ -12,8 +14,10 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, fields
 from datetime import datetime, timezone
+
+import numpy as np
 
 from . import __version__
 from .bounds import (
@@ -32,7 +36,6 @@ from .combinatorics import (
 )
 from .experiments import rank_frequency, tightness_report
 from .kkt import (
-    PatakiViolationError,
     build_kkt,
     build_kkt_normalized,
     build_kkt_rank,
@@ -71,12 +74,25 @@ def _manifest(args: argparse.Namespace) -> dict:
     }
 
 
+def _fields(obj):
+    """The encoder's fallback: an ndarray as a list, a dataclass as a dict
+    of its fields in order (the encoder recurses into their values, with no
+    copy); anything else raises TypeError (from ``fields``)."""
+    if isinstance(obj, np.ndarray):
+        return obj.tolist()
+    return {f.name: getattr(obj, f.name) for f in fields(obj)}
+
+
+def _json(obj, indent: int | None = None) -> str:
+    """Every JSON document the CLI writes; a NaN or infinity raises ValueError."""
+    return json.dumps(obj, indent=indent, default=_fields, allow_nan=False)
+
+
 def _emit(args: argparse.Namespace, payload: dict, *, text: str | None = None) -> None:
     if text is not None:
         data = text
     else:
-        payload = {"manifest": _manifest(args), **payload}
-        data = json.dumps(payload, indent=2) + "\n"
+        data = _json({"manifest": _manifest(args), **payload}, indent=2) + "\n"
     if getattr(args, "out", None):
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(data)
@@ -131,7 +147,7 @@ def cmd_degree(args) -> int:
         rows = []
         total = 0
         for r in rng.ranks:
-            if r == 0 or r > args.m:
+            if r == 0:
                 continue
             d = delta(args.n, args.m, r)
             total += d
@@ -204,7 +220,7 @@ def cmd_kkt_export(args) -> int:
     text = export_system(system, args.format)
     if args.format == "plain_text":
         # manifest as a comment line; parsers skip it
-        text += "# manifest: " + json.dumps(_manifest(args)) + "\n"
+        text += "# manifest: " + _json(_manifest(args)) + "\n"
     _emit(args, {}, text=text)
     return EXIT_OK
 
@@ -215,7 +231,7 @@ def cmd_sample_polar(args) -> int:
     if args.format == "csv":
         _emit(args, {}, text=cloud.points_csv())
     else:
-        _emit(args, {"cloud": cloud.to_dict()})
+        _emit(args, {"cloud": cloud})
     return EXIT_OK
 
 
@@ -224,14 +240,14 @@ def cmd_fit_degree(args) -> int:
         data = json.load(fh)
     cloud = BoundaryCloud.from_dict(data.get("cloud", data) if isinstance(data, dict) else data)
     report = fit_min_vanishing_degree(cloud, args.max_degree)
-    _emit(args, {"report": report.to_dict()})
+    _emit(args, {"report": report})
     return EXIT_OK
 
 
 def cmd_pipeline(args) -> int:
     pencil = load_pencil(args.pencil)
     result = bound_pipeline(pencil, args.num_dirs, args.max_degree, args.seed)
-    _emit(args, {"pipeline": result.to_dict()})
+    _emit(args, {"pipeline": result})
     return EXIT_OK
 
 
@@ -259,7 +275,7 @@ def cmd_check_growth(args) -> int:
 def cmd_pentagon(args) -> int:
     pencil = pentagon_fixture()
     result = bound_pipeline(pencil, args.num_dirs, args.max_degree, args.seed)
-    payload = {"pipeline": result.to_dict()}
+    payload = {"pipeline": result}
     if result.d_est != 5:
         payload["error"] = f"expected boundary degree 5, fitted {result.d_est}"
         _emit(args, payload)
@@ -377,9 +393,6 @@ def main(argv: list[str] | None = None) -> int:
     except (NotInteriorError, AllSkippedError, InsufficientSamplesError) as exc:
         print(f"psdbound: {exc}", file=sys.stderr)
         return EXIT_DEGENERATE
-    except PatakiViolationError as exc:
-        print(f"psdbound: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except (ValueError, OSError) as exc:
         print(f"psdbound: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -85,11 +85,12 @@ class RankFrequencyTable:
     def solved(self) -> int:
         return self.trials - self.skipped
 
-    def in_range_fraction(self) -> float:
-        """Fraction of solved trials whose rank lies in the Pataki range."""
+    def in_range_fraction(self) -> float | None:
+        """Fraction of solved trials whose rank lies in the Pataki range,
+        None when no trial was solved."""
         solved = self.solved
         if solved == 0:
-            return float("nan")
+            return None
         good = sum(cnt for rank, cnt in self.counts.items() if rank in self.pataki.ranks)
         return good / solved
 

@@ -14,13 +14,19 @@ The fitted degree is an estimate with audit data (singular-value tails per
 degree), not a certificate.  It also deliberately measures the boundary
 itself: the critical-equation variety that vanishes on the boundary can
 have extra components, and those must not inflate the answer.
+
+The result dataclasses (:class:`BoundaryCloud`, :class:`DegreeFitReport`,
+:class:`PipelineResult`) carry no serializer of their own: the CLI's JSON
+encoder writes each report dataclass field by field, in field order, and
+each array as a list.  Every float they hold is finite; a quantity with no
+finite value, such as the gap of a kernel whose largest singular value is
+exactly 0, is None.
 """
 
 from __future__ import annotations
 
 import csv
 import io
-import math
 from dataclasses import dataclass, field
 from itertools import combinations_with_replacement
 from typing import Sequence
@@ -85,16 +91,6 @@ class BoundaryCloud:
     def __len__(self) -> int:
         return len(self.points)
 
-    def to_dict(self) -> dict:
-        return {
-            "ambient_dim": self.ambient_dim,
-            "points": self.points.tolist(),
-            "directions": self.directions.tolist(),
-            "values": self.values.tolist(),
-            "skipped": self.skipped,
-            "seed": self.seed,
-        }
-
     @classmethod
     def from_dict(cls, data: dict) -> "BoundaryCloud":
         dim, *fields = json_fields(
@@ -138,23 +134,14 @@ def sample_polar_boundary(pencil: Pencil, num_dirs: int, seed: int) -> BoundaryC
     rng = np.random.default_rng(seed)
     raw = rng.standard_normal((num_dirs, k))
 
-    units = {}
-    for idx, y in enumerate(raw):
-        norm = float(np.linalg.norm(y))
-        if norm >= 1e-12:
-            units[idx] = y / norm
-    lifted = [pencil.lift_direction(y) for y in units.values()]
-    solutions = dict(zip(units, solve_sdp_many(pencil, lifted)))
+    units = [y / float(np.linalg.norm(y)) for y in raw]
+    solutions = solve_sdp_many(pencil, [pencil.lift_direction(y) for y in units])
 
     points = []
     directions = []
     values = []
     skipped: list[dict] = []
-    for idx in range(num_dirs):
-        if idx not in units:
-            skipped.append({"index": idx, "reason": "degenerate_direction"})
-            continue
-        y, sol = units[idx], solutions[idx]
+    for idx, (y, sol) in enumerate(zip(units, solutions)):
         if sol.status != STATUS_OPTIMAL:
             skipped.append({"index": idx, "reason": sol.status})
             continue
@@ -214,18 +201,9 @@ class DegreeFit:
     sigma_max: float
     singular_tail: list[float]
     kernel_dim: int
-    gap: float | None  # smallest non-kernel sigma over largest kernel sigma
-
-    def to_dict(self) -> dict:
-        return {
-            "degree": self.degree,
-            "monomial_count": self.monomial_count,
-            "sample_count": self.sample_count,
-            "sigma_max": self.sigma_max,
-            "singular_tail": self.singular_tail,
-            "kernel_dim": self.kernel_dim,
-            "gap": self.gap,
-        }
+    # smallest non-kernel sigma over largest kernel sigma; None without a
+    # kernel, when every sigma is in it, or when the largest kernel sigma is 0
+    gap: float | None
 
 
 @dataclass
@@ -241,27 +219,6 @@ class DegreeFitReport:
     max_abs_eval: float | None  # of the fitted polynomial over the whole cloud
     eps_kernel: float
     seed: int | None
-
-    def to_dict(self) -> dict:
-        return {
-            "ambient_dim": self.ambient_dim,
-            "degrees_tested": self.degrees_tested,
-            "per_degree": [f.to_dict() for f in self.per_degree],
-            "fitted_degree": self.fitted_degree,
-            "fitted_monomials": (
-                None
-                if self.fitted_monomials is None
-                else [list(e) for e in self.fitted_monomials]
-            ),
-            "fitted_coefficients": (
-                None
-                if self.fitted_coefficients is None
-                else self.fitted_coefficients.tolist()
-            ),
-            "max_abs_eval": self.max_abs_eval,
-            "eps_kernel": self.eps_kernel,
-            "seed": self.seed,
-        }
 
 
 def evaluate_fit(report: DegreeFitReport, points: np.ndarray) -> np.ndarray:
@@ -316,11 +273,8 @@ def fit_min_vanishing_degree(cloud: BoundaryCloud, max_degree: int) -> DegreeFit
         sigma_max = float(svals[0])
         kernel_dim = int(np.sum(svals <= EPS_KERNEL * sigma_max))
         gap = None
-        if kernel_dim >= 1:
-            below = float(svals[-1])
-            above = float(svals[len(svals) - kernel_dim - 1]) if kernel_dim < len(svals) else None
-            if above is not None:
-                gap = above / below if below > 0 else math.inf
+        if 1 <= kernel_dim < len(svals) and svals[-1] > 0:
+            gap = float(svals[-kernel_dim - 1]) / float(svals[-1])
         degrees_tested.append(degree)
         per_degree.append(
             DegreeFit(
@@ -445,18 +399,6 @@ class PipelineResult:
     cloud_size: int
     skipped: int
     report: DegreeFitReport
-
-    def to_dict(self) -> dict:
-        return {
-            "d_est": self.d_est,
-            "conclusive": self.conclusive,
-            "d_used": self.d_used,
-            "psd_bound": self.psd_bound,
-            "psd_bound_ceil": self.psd_bound_ceil,
-            "cloud_size": self.cloud_size,
-            "skipped": self.skipped,
-            "report": self.report.to_dict(),
-        }
 
 
 def bound_pipeline(pencil: Pencil, num_dirs: int, max_degree: int, seed: int) -> PipelineResult:

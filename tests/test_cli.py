@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from psdbound.cli import main
-from psdbound.kkt import build_kkt_rank, parse_system
+from psdbound.kkt import build_kkt_normalized, build_kkt_rank, parse_system
 from psdbound.pencil import Pencil, load_pencil, save_pencil
 from psdbound.polar import disk_fixture, pentagon_fixture, segment_fixture
 
@@ -35,9 +35,18 @@ def run_cli(capsys, *argv):
     return code, out
 
 
+def refuse(constant):
+    raise ValueError(f"{constant} is not JSON (RFC 8259)")
+
+
+def loads(text):
+    """json.loads that refuses NaN and Infinity, as RFC 8259 does."""
+    return json.loads(text, parse_constant=refuse)
+
+
 def run_json(capsys, *argv):
     code, out = run_cli(capsys, *argv)
-    return code, json.loads(out)
+    return code, loads(out)
 
 
 def assert_golden_schema(name, payload):
@@ -112,6 +121,12 @@ class TestDegree:
         assert int(data["sum_over_range"]) == sum(rows.values())
         assert_golden_schema("degree_all_ranks", data)
 
+    def test_all_ranks_at_t_m_skips_rank_0(self, capsys):
+        # n = t_3: the Pataki range is {0}, and rank 0 adds no degree
+        code, data = run_json(capsys, "degree", "--n", "6", "--m", "3", "--all-ranks")
+        assert code == 0
+        assert (data["ranks"], data["sum_over_range"]) == ([], "0")
+
 
 class TestPatakiBound:
     def test_pataki(self, capsys):
@@ -168,7 +183,7 @@ class TestKktExport:
             "json",
         )
         assert code == 0
-        data = json.loads(out)
+        data = loads(out)
         assert data["metadata"]["variant"] == "rank"
 
     def test_rank_violation_exit_2(self, capsys, segment_file):
@@ -205,6 +220,12 @@ class TestKktExport:
         assert system == build_kkt_rank(load_pencil(path), 0, force=True)
         assert system.metadata.rank == 0
 
+    def test_normalized_variant(self, capsys, segment_file):
+        argv = ["kkt-export", "--pencil", segment_file, "--variant", "normalized"]
+        code, out = run_cli(capsys, *argv)
+        assert code == 0
+        assert parse_system(out, "plain_text") == build_kkt_normalized(load_pencil(segment_file))
+
     def test_plain_needs_c(self, capsys, segment_file):
         assert run_cli(capsys, "kkt-export", "--pencil", segment_file)[0] == 2
 
@@ -232,7 +253,7 @@ class TestSamplingCommands:
             str(cloud_file),
         )
         assert code == 0
-        data = json.loads(cloud_file.read_text())
+        data = loads(cloud_file.read_text())
         assert_golden_schema("sample_polar", data)
         code, fit = run_json(
             capsys, "fit-degree", "--cloud", str(cloud_file), "--max-degree", "4"
@@ -240,6 +261,23 @@ class TestSamplingCommands:
         assert code == 0
         assert fit["report"]["fitted_degree"] == 2
         assert_golden_schema("fit_degree", fit)
+
+    def test_exact_kernel_gap_is_null(self, capsys, tmp_path):
+        # on the line y = 0 the monomials with a factor y vanish exactly, so
+        # the largest kernel singular value is 0 and the gap has no value
+        line = [[t, 0.0] for t in np.linspace(-1.0, 1.0, 40).tolist()]
+        cloud = tmp_path / "line.json"
+        cloud.write_text(json.dumps(
+            {"ambient_dim": 2, "points": line, "directions": line, "values": [1.0] * 40}
+        ))
+        code, data = run_json(capsys, "fit-degree", "--cloud", str(cloud))
+        assert code == 0
+        report = data["report"]
+        assert report["fitted_degree"] == 1
+        # degree 5 needs 42 points: the search stops after degree 4
+        assert [(f["kernel_dim"], f["gap"]) for f in report["per_degree"]] == [
+            (1, None), (3, None), (6, None), (10, None)
+        ]
 
     def test_sample_csv(self, capsys, tmp_path):
         disk = tmp_path / "disk.json"
@@ -332,6 +370,7 @@ class TestSamplingCommands:
             ({"ambient_dim": 1, "points": [[1.0]], "directions": [[1.0]]}, "has no 'values'"),
             (segment_fixture().to_dict(), "has no 'ambient_dim'"),
             ([[1.0, 0.0]], "must be an object, got list"),
+            ({"ambient_dim": 1, "points": [{}], "directions": [[1.0]], "values": [1.0]}, "wrong type"),
         ],
     )
     def test_malformed_cloud_exit_2(self, capsys, tmp_path, doc, message):
@@ -402,6 +441,25 @@ class TestExperimentCommands:
         assert data["tightness"]["delta"] == "8"
         assert_golden_schema("tightness", data)
 
+    def test_tightness_without_solved_trial(self, capsys):
+        # all three (6, 7) trials at seed 2 end numerical_failure
+        code, data = run_json(capsys, "tightness", "--m", "6", "--trials", "3", "--seed", "2")
+        assert code == 0
+        table = data["tightness"]["frequency"]
+        assert (table["skipped"], table["in_range_fraction"]) == (3, None)
+
+    def test_rank_freq_csv(self, capsys):
+        argv = ["rank-freq", "--m", "2", "--n", "1", "--trials", "30", "--seed", "5"]
+        _, data = run_json(capsys, *argv)
+        code, out = run_cli(capsys, *argv, "--format", "csv")
+        assert code == 0
+        table = data["table"]
+        assert out.splitlines() == [
+            "rank,count",
+            *(f"{rank},{count}" for rank, count in table["counts"].items()),
+            f"skipped,{table['skipped']}",
+        ]
+
     def test_tightness_negative_trials_exit_2(self, capsys):
         assert run_cli(capsys, "tightness", "--m", "4", "--trials", "-3") == (2, "")
 
@@ -421,6 +479,12 @@ class TestPentagon:
         assert data["pipeline"]["psd_bound_ceil"] == 2
         assert_golden_schema("pentagon", data)
 
+    def test_no_kernel_up_to_max_degree_exit_1(self, capsys):
+        code, data = run_json(capsys, "pentagon", "--num-dirs", "150", "--max-degree", "4")
+        assert code == 1
+        assert (data["pipeline"]["d_est"], data["pipeline"]["conclusive"]) == (None, False)
+        assert data["error"] == "expected boundary degree 5, fitted None"
+
 
 class TestManifest:
     def test_embedded_everywhere(self, capsys):
@@ -438,3 +502,26 @@ class TestManifest:
         with pytest.raises(SystemExit) as err:
             main(["not-a-command"])
         assert err.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "argv, code, message",
+    [
+        (["psi", "--interval", "3", "1"], 2, "need 0 <= p <= q"),
+        (["degree", "--n", "7", "--m", "3", "--all-ranks"], 2, "need 1 <= n <= t_m"),
+        (["degree", "--n", "3", "--m", "3"], 2, "provide --r or --all-ranks"),
+        (["kkt-export", "--pencil", "segment.json", "--variant", "rank"], 2, "needs --rank"),
+        (["sample-polar", "--pencil", "segment.json", "--num-dirs", "0"], 2, "at least one direction"),
+        (["fit-degree", "--cloud", "empty.json"], 3, "empty cloud"),
+        (["fit-degree", "--cloud", "empty.json", "--max-degree", "0"], 2, "need max_degree >= 1"),
+    ],
+)
+def test_refused_input(capsys, tmp_path, monkeypatch, argv, code, message):
+    monkeypatch.chdir(tmp_path)
+    save_pencil(segment_fixture(), "segment.json")
+    Path("empty.json").write_text(
+        json.dumps({"ambient_dim": 2, "points": [], "directions": [], "values": []})
+    )
+    assert main(argv) == code
+    out, err = capsys.readouterr()
+    assert out == "" and message in err

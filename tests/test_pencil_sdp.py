@@ -298,6 +298,30 @@ def pentagon_objectives(count, seed):
     return p, [p.lift_direction(y / np.linalg.norm(y)) for y in raw]
 
 
+# Faults planted in one row of the stack on the solver's first pass, each
+# through the helper that pass calls.  On that pass every row is in the
+# stack, so x is the solver's own array and row FAULTY is problem FAULTY.
+FAULTY = 2
+
+
+def nan_iterate(real, a0, a_flat, cv, x, X, Z):
+    x[FAULTY] = np.nan  # leaves the stack before any LAPACK call
+    return real(a0, a_flat, cv, x, X, Z)
+
+
+def singular_schur(real, a_flat, f_mat):
+    schur = real(a_flat, f_mat)
+    schur[FAULTY] = -1e-14 * np.eye(len(a_flat))  # the ridge of 1e-14 I makes it 0
+    return schur
+
+
+def false_ray(real, a0, a_flat, cv, x, X, Z):
+    # ||x|| past DIVERGE_NORM with c^T x > 0 ends the path phase as unbounded,
+    # but the pentagon's body is bounded, so A(x / ||x||) is not psd
+    x[FAULTY] = 1e9 * cv[FAULTY] / np.linalg.norm(cv[FAULTY])
+    return real(a0, a_flat, cv, x, X, Z)
+
+
 class TestSolveSdpMany:
     def test_batch_equals_solo_solves(self):
         p, cs = pentagon_objectives(40, 7000)
@@ -326,6 +350,26 @@ class TestSolveSdpMany:
         # chunks of 5: the Jacobian of the finish is the larger per-row stack
         monkeypatch.setattr(sdp, "CHUNK_BYTES", 8 * (p.n + p.m * (p.m + 1) // 2) ** 2 * 5)
         for got, want in zip(solve_sdp_many(p, cs), whole):
+            assert_same_solution(got, want)
+
+    @pytest.mark.parametrize(
+        "helper, fault",
+        [("_residuals", nan_iterate), ("_schur_gram", singular_schur), ("_residuals", false_ray)],
+    )
+    def test_fault_in_one_row_ends_only_its_solve(self, monkeypatch, helper, fault):
+        p, cs = pentagon_objectives(6, 12)
+        solo = [solve_sdp(p, c) for c in cs]
+        real, calls = getattr(sdp, helper), []
+
+        def first_pass(*args):
+            calls.append(None)
+            return fault(real, *args) if len(calls) == 1 else real(*args)
+
+        monkeypatch.setattr(sdp, helper, first_pass)
+        batch = solve_sdp_many(p, cs)
+        broken = batch.pop(FAULTY)
+        assert (broken.status, broken.iterations, broken.ray) == ("numerical_failure", 1, None)
+        for got, want in zip(batch, solo[:FAULTY] + solo[FAULTY + 1 :]):
             assert_same_solution(got, want)
 
     def test_mixed_statuses_on_half_line(self):

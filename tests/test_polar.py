@@ -1,5 +1,7 @@
 """Polar boundary sampling, vanishing-degree fits, and the pipeline."""
 
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 
@@ -108,6 +110,14 @@ class TestSampling:
         assert all(rec["reason"] == "unbounded" for rec in cloud.skipped)
         assert np.allclose(cloud.points, -1.0, atol=1e-6)
 
+    def test_near_zero_values_skipped(self):
+        # S = [-1, 1e-10]: the support value at +1 is 1e-10, below EPS_VALUE
+        short = Pencil(mats=(np.diag([1e-10, 1.0]), np.diag([-1.0, 1.0])))
+        cloud = sample_polar_boundary(short, 20, seed=5)
+        assert len(cloud.skipped) > 0
+        assert all(rec["reason"] == "near_zero_value" for rec in cloud.skipped)
+        assert np.allclose(cloud.points, -1.0)
+
     def test_all_skipped(self):
         # S = R (whole line): every support value is +infinity
         whole_line = Pencil(mats=(np.eye(1), np.zeros((1, 1))))
@@ -115,7 +125,7 @@ class TestSampling:
             sample_polar_boundary(whole_line, 10, seed=1)
 
     def test_json_round_trip(self, pentagon_cloud):
-        back = BoundaryCloud.from_dict(pentagon_cloud.to_dict())
+        back = BoundaryCloud.from_dict(asdict(pentagon_cloud))
         assert np.array_equal(back.points, pentagon_cloud.points)
         assert back.seed == pentagon_cloud.seed
 
@@ -251,7 +261,7 @@ class TestFit:
 
     def test_report_round_trip_dict(self, pentagon_cloud):
         report = fit_min_vanishing_degree(pentagon_cloud, 5)
-        data = report.to_dict()
+        data = asdict(report)
         assert data["fitted_degree"] == 5
         assert len(data["per_degree"]) == len(report.per_degree)
 
