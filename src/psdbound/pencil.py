@@ -27,8 +27,9 @@ import numpy as np
 SYMMETRY_TOL = 1e-12
 
 
-def symmetrize(mat: np.ndarray, tol: float = SYMMETRY_TOL) -> np.ndarray:
-    """Validate near-symmetry and return the exactly symmetric part."""
+def symmetrize(mat: np.ndarray) -> np.ndarray:
+    """Validate symmetry within ``SYMMETRY_TOL`` and return the exactly
+    symmetric part."""
     a = np.asarray(mat, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
@@ -37,7 +38,7 @@ def symmetrize(mat: np.ndarray, tol: float = SYMMETRY_TOL) -> np.ndarray:
     if not np.all(np.isfinite(a)):
         raise ValueError("matrix has a non-finite entry")
     scale = max(1.0, float(np.abs(a).max()))
-    if float(np.abs(a - a.T).max()) > tol * scale:
+    if float(np.abs(a - a.T).max()) > SYMMETRY_TOL * scale:
         raise ValueError("matrix is not symmetric within tolerance")
     return (a + a.T) / 2.0
 

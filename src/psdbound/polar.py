@@ -62,7 +62,9 @@ class BoundaryCloud:
     A NaN or infinite entry in the points, directions or values is
     rejected, and so are arrays of different lengths and a point that is
     not its direction over its value (relative error above 1e-12), as a
-    truncated or hand-edited cloud file would give.
+    truncated or hand-edited cloud file would give.  A loaded cloud's
+    ``skipped`` must be a list of objects with an integer ``index`` and a
+    string ``reason``, and its ``seed`` a JSON integer or null.
     """
 
     ambient_dim: int
@@ -99,10 +101,18 @@ class BoundaryCloud:
         try:
             points, directions = (np.asarray(v, dtype=float).reshape(-1, dim) for v in fields[:2])
             values = np.asarray(fields[2], dtype=float)
-            skipped = list(data.get("skipped", []))
         except TypeError as exc:  # a number where a list belongs, or the reverse
             raise ValueError(f"cloud JSON has a value of the wrong type: {exc}") from None
-        return cls(dim, points, directions, values, skipped, data.get("seed"))
+        skipped, seed = data.get("skipped", []), data.get("seed")
+        if not isinstance(skipped, list):
+            raise ValueError(f"cloud JSON 'skipped' must be a list, got {skipped!r}")
+        for entry in skipped:
+            _, reason = json_fields(entry, "cloud skipped entry", "index", "reason", ints=("index",))
+            if not isinstance(reason, str):
+                raise ValueError(f"cloud skipped entry 'reason' must be a string, got {reason!r}")
+        if seed is not None:
+            json_fields(data, "cloud JSON", "seed", ints=("seed",))
+        return cls(dim, points, directions, values, skipped, seed)
 
     def points_csv(self) -> str:
         buf = io.StringIO()
@@ -270,7 +280,7 @@ def fit_min_vanishing_degree(cloud: BoundaryCloud, max_degree: int) -> DegreeFit
             )
         mat = _eval_monomials(scaled, monos)
         u, svals, vt = np.linalg.svd(mat, full_matrices=False)
-        sigma_max = float(svals[0])
+        sigma_max = float(svals[0]) + 0.0  # + 0.0 writes a -0.0 as 0.0
         kernel_dim = int(np.sum(svals <= EPS_KERNEL * sigma_max))
         gap = None
         if 1 <= kernel_dim < len(svals) and svals[-1] > 0:
@@ -282,7 +292,7 @@ def fit_min_vanishing_degree(cloud: BoundaryCloud, max_degree: int) -> DegreeFit
                 monomial_count=len(monos),
                 sample_count=npts,
                 sigma_max=sigma_max,
-                singular_tail=[float(s) for s in svals[-min(6, len(svals)) :]],
+                singular_tail=[float(s) + 0.0 for s in svals[-min(6, len(svals)) :]],
                 kernel_dim=kernel_dim,
                 gap=gap,
             )

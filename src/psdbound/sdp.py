@@ -31,12 +31,11 @@ problem's result is bitwise identical to solving it alone, whatever batch
 it sits in and in whatever order; :func:`solve_sdp` is the one-objective
 case.
 
-A problem whose solve has ended stops taking steps.  Its row leaves the
-stack once half the stack's rows have ended, or at once if its iterate is
-not finite, so the stack changes shape only a few times per run.  The
-step lengths come from the eigenpairs of X and Z that the NT scaling
-already computes, so no slice needs a factorization of its own.  A
-singular Schur system halves the stack until the singular slices stand
+The stack is the set of live problems.  A problem whose solve ends leaves
+it before the next stacked call, and its last iterate is kept for the
+finish.  The step lengths come from the eigenpairs of X and Z that the NT
+scaling already computes, so no slice needs a factorization of its own.
+A singular Schur system halves the stack until the singular slices stand
 alone, and ends only its own problem, as in a lone solve.  A step goes
 0.9 of the way to the boundary, 0.98 once the path error is below 1e-4.
 The path phase ends when its path error reaches ``TOL`` or stops falling.
@@ -336,23 +335,19 @@ def _finish(
     return x, X, Z, moved
 
 
-def _pick(rows: list[int], *stacks: np.ndarray) -> tuple[np.ndarray, ...]:
-    """The given rows of each stack; the stacks themselves, uncopied, when
-    the rows are all of them (the common case)."""
-    if len(rows) == len(stacks[0]):
-        return stacks
-    index = np.array(rows, dtype=int)
-    return tuple(stack[index] for stack in stacks)
-
-
 def _solve_stack(
     pencil: Pencil, a_flat: np.ndarray, lam0: float, cs: np.ndarray
 ) -> list[SdpSolution]:
     """The interior-point loop over one stack of objectives, then each
-    problem's finish and solution.  Matrix work runs as stacked calls over
-    the rows in ``work``; the scalar decisions run row by row in Python for
-    the live problems, the same arithmetic as a lone solve.  A row keeps
-    its place in the stacks x, X, Z when its problem's solve ends."""
+    problem's finish and solution.
+
+    The stack holds exactly the problems still iterating: row j of the
+    stacked iterates ``xs``, ``Xs``, ``Zs`` is problem ``rows[j]``.  Matrix
+    work runs as stacked calls over the whole stack; the scalar decisions
+    run row by row in Python, the same arithmetic as a lone solve.  When a
+    problem's solve ends, its last iterate goes to its row of x, X, Z,
+    which the finish starts from, and it leaves the stack before the next
+    stacked call."""
     m, n = pencil.m, pencil.n
     mats = pencil.mats
     a0 = mats[0]
@@ -362,31 +357,38 @@ def _solve_stack(
     norm_c = np.sqrt(_dot(cs, cs)).tolist()
     # a primal-feasible start when A0 is interior: the residual stays zero
     start = a0 if lam0 > 0.0 else scale0 * np.eye(m)
-    x = np.zeros((count, n))
-    X = np.repeat(start[None], count, axis=0)
-    Z = np.array([max(1.0, c) for c in norm_c])[:, None, None] * np.eye(m)
+    xs = np.zeros((count, n))
+    Xs = np.repeat(start[None], count, axis=0)
+    Zs = np.array([max(1.0, c) for c in norm_c])[:, None, None] * np.eye(m)
+    rows, cl = list(range(count)), cs  # the stack's problems and their objectives
+    x, X, Z = np.empty_like(xs), np.empty_like(Xs), np.empty_like(Zs)  # each one's last iterate
     best_path = [math.inf] * count  # smallest path error seen
     stall = [0] * count  # passes since best_path last fell
-    live = list(range(count))  # problems still iterating
-    # rows the stacked calls run on: the live ones, plus ended ones until
-    # half the rows have ended, so that the stack keeps its shape across
-    # passes (shapes that shrink by a row or two every pass fragment the heap)
-    work = live
     # a solve that ends short of unbounded or infeasible is judged after the finish
     final = [STATUS_FAILURE] * count
     iterations = [MAX_ITER] * count
 
+    def end(ended: dict[int, str], it: int, *stacks: np.ndarray | list) -> list:
+        """Record the status and last iterate of each problem whose stack row
+        is in ``ended``; the stack, then ``stacks``, without those rows."""
+        stack = [rows, cl, xs, Xs, Zs, *stacks]
+        if not ended:
+            return stack
+        for j, status in ended.items():
+            k = rows[j]
+            final[k], iterations[k] = status, it
+            x[k], X[k], Z[k] = xs[j], Xs[j], Zs[j]
+        keep = [j for j in range(len(rows)) if j not in ended]
+        return [[s[j] for j in keep] if isinstance(s, list) else s[keep] for s in stack]
+
     for it in range(1, MAX_ITER + 1):
-        rd, rp, dots = _residuals(a0, a_flat, *_pick(work, cs, x, X, Z))
-        is_live = set(live)
-        status: dict[int, str] = {}  # problems whose solve ends in this pass
-        go, broken, head = [], [], {}
-        for k, row in zip(work, dots):
-            if k not in is_live:
-                continue
+        rd, rp, dots = _residuals(a0, a_flat, cl, xs, Xs, Zs)
+        ended: dict[int, str] = {}  # stack rows whose solve ends in this pass
+        head = []
+        for j, (k, row) in enumerate(zip(rows, dots)):
             feas_p, feas_d, rel_gap, _ = _errors(row, norm_a0, norm_c[k])
             path_err = max(feas_p, feas_d, rel_gap)
-            head[k] = (feas_p, feas_d, rel_gap, path_err, row[1])
+            head.append((feas_p, feas_d, rel_gap, path_err, row[1]))
             xnorm, znorm = math.sqrt(row[7]), math.sqrt(row[4])
             if path_err < best_path[k] * 0.9999:
                 best_path[k] = path_err
@@ -394,101 +396,70 @@ def _solve_stack(
             else:
                 stall[k] += 1
 
-            if not math.isfinite(xnorm) or not math.isfinite(znorm):
-                status[k] = STATUS_FAILURE
-                broken.append(k)
-            elif path_err <= TOL or stall[k] > 12:
-                # the path phase has converged or bottomed out: the finish takes over
-                status[k] = STATUS_FAILURE
+            finite = math.isfinite(xnorm) and math.isfinite(znorm)
+            if not finite or path_err <= TOL or stall[k] > 12:
+                # a non-finite iterate (it leaves before any LAPACK call), or the
+                # path phase has converged or bottomed out: the finish takes over
+                ended[j] = STATUS_FAILURE
             elif xnorm > DIVERGE_NORM:
-                status[k] = STATUS_UNBOUNDED if row[6] > 0 else STATUS_FAILURE
+                ended[j] = STATUS_UNBOUNDED if row[6] > 0 else STATUS_FAILURE
             elif znorm > DIVERGE_NORM * max(1.0, norm_c[k]):
-                status[k] = STATUS_INFEASIBLE
-            else:
-                go.append(k)
-        if broken:  # a non-finite iterate leaves the stack before any LAPACK call
-            keep = [j for j, k in enumerate(work) if k not in broken]
-            work = [work[j] for j in keep]
-            rd, rp = _pick(keep, rd, rp)
-
-        step = []
-        if go:
-            f_mat, zinv, half, scaled = _nt_scaling(*_pick(work, X, Z))
-            going = set(go)
-            for j, k in enumerate(work):
-                if k in going:
-                    if scaled[j]:
-                        step.append(j)
-                    else:  # X or Z reached the float floor: the finish takes over
-                        status[k] = STATUS_FAILURE
-
-        # the step runs on every row of the stack; only the rows in ``step``
-        # (positions in ``work``) take theirs
-        if step:
-            xw, Xw, Zw = _pick(work, x, X, Z)
-            winv = f_mat @ f_mat.mT
-            schur = _schur_gram(a_flat, f_mat)
-            # tiny ridge keeps borderline-dependent pencils solvable
-            trace = np.trace(schur, axis1=1, axis2=2)
-            ridge = 1e-14 * np.fmax(1.0, trace / max(n, 1))
-            schur.reshape(len(work), n * n)[:, :: n + 1] += ridge[:, None]
-            wrw = winv @ rd @ winv
-
-            # predictor: sigma = 0 target in  Delta_X + W Delta_Z W = -X
-            _, dX_a, dZ_a, solved = _newton(a_flat, schur, winv, wrw, rd, rp, -Xw)
-            alpha = _max_step(half, np.concatenate([dX_a, dZ_a]))
-            ap_a, ad_a = alpha[: len(work), None, None], alpha[len(work) :, None, None]
-            gaps_aff = _dot(Xw + ap_a * dX_a, Zw + ad_a * dZ_a).tolist()
-            target_mu = [0.0] * len(work)
-            for j in step:
-                feas_p, feas_d, rel_gap, _, gap = head[work[j]]
-                mu = max(gap / m, 1e-300)
-                sigma = min(1.0, max((max(0.0, gaps_aff[j] / m) / mu) ** 3, 1e-12))
-                # keep the gap from outrunning infeasibility: residuals
-                # shrink by (1 - alpha) per step, so hold the path back
-                # while they lag
-                if max(feas_p, feas_d) > max(0.1 * rel_gap, TOL):
-                    sigma = max(sigma, 0.5)
-                target_mu[j] = sigma * mu
-
-            target = np.array(target_mu)[:, None, None] * zinv - Xw
-            dx, dX, dZ, solved_c = _newton(a_flat, schur, winv, wrw, rd, rp, target)
-            steps = _max_step(half, np.concatenate([dX, dZ])).tolist()
-            moving = [False] * len(work)
-            alpha_p, alpha_d = [0.0] * len(work), [0.0] * len(work)
-            for j in step:
-                if not (solved[j] and solved_c[j]):
-                    status[work[j]] = STATUS_FAILURE  # a singular Schur system ends the solve
-                    continue
-                moving[j] = True
-                tau = 0.9 if head[work[j]][3] > 1e-4 else 0.98  # of the way to the boundary
-                alpha_p[j] = min(1.0, tau * steps[j])
-                alpha_d[j] = min(1.0, tau * steps[len(work) + j])
-            ap, ad = np.array(alpha_p), np.array(alpha_d)
-            moved = (
-                xw + ap[:, None] * dx,
-                _sym(Xw + ap[:, None, None] * dX),
-                _sym(Zw + ad[:, None, None] * dZ),
-            )
-            if not all(moving):  # the other rows keep their iterate
-                mask = np.array(moving)
-                moved = tuple(
-                    np.where(mask.reshape(-1, *[1] * (new.ndim - 1)), new, old)
-                    for new, old in zip(moved, (xw, Xw, Zw))
-                )
-            if len(work) == count:
-                x, X, Z = moved
-            else:
-                x[work], X[work], Z[work] = moved
-
-        for k, result in status.items():
-            final[k], iterations[k] = result, it
-        live = [k for k in live if k not in status]
-        if not live:
+                ended[j] = STATUS_INFEASIBLE
+        rows, cl, xs, Xs, Zs, rd, rp, head = end(ended, it, rd, rp, head)
+        if not rows:
             break
-        if 2 * len(live) <= len(work):
-            work = live
 
+        f_mat, zinv, half, scaled = _nt_scaling(Xs, Zs)
+        # X or Z reached the float floor: the finish takes over
+        ended = {j: STATUS_FAILURE for j, ok in enumerate(scaled) if not ok}
+        rows, cl, xs, Xs, Zs, rd, rp, head, f_mat, zinv, half = end(
+            ended, it, rd, rp, head, f_mat, zinv, half
+        )
+        if not rows:
+            break
+
+        b = len(rows)
+        winv = f_mat @ f_mat.mT
+        schur = _schur_gram(a_flat, f_mat)
+        # tiny ridge keeps borderline-dependent pencils solvable
+        trace = np.trace(schur, axis1=1, axis2=2)
+        ridge = 1e-14 * np.fmax(1.0, trace / max(n, 1))
+        schur.reshape(b, n * n)[:, :: n + 1] += ridge[:, None]
+        wrw = winv @ rd @ winv
+
+        # predictor: sigma = 0 target in  Delta_X + W Delta_Z W = -X
+        _, dX_a, dZ_a, solved = _newton(a_flat, schur, winv, wrw, rd, rp, -Xs)
+        alpha = _max_step(half, np.concatenate([dX_a, dZ_a]))
+        ap_a, ad_a = alpha[:b, None, None], alpha[b:, None, None]
+        gaps_aff = _dot(Xs + ap_a * dX_a, Zs + ad_a * dZ_a).tolist()
+        target_mu = []
+        for (feas_p, feas_d, rel_gap, _, gap), gap_aff in zip(head, gaps_aff):
+            mu = max(gap / m, 1e-300)
+            sigma = min(1.0, max((max(0.0, gap_aff / m) / mu) ** 3, 1e-12))
+            # keep the gap from outrunning infeasibility: residuals
+            # shrink by (1 - alpha) per step, so hold the path back
+            # while they lag
+            if max(feas_p, feas_d) > max(0.1 * rel_gap, TOL):
+                sigma = max(sigma, 0.5)
+            target_mu.append(sigma * mu)
+
+        target = np.array(target_mu)[:, None, None] * zinv - Xs
+        dx, dX, dZ, solved_c = _newton(a_flat, schur, winv, wrw, rd, rp, target)
+        steps = _max_step(half, np.concatenate([dX, dZ])).tolist()
+        tau = [0.9 if h[3] > 1e-4 else 0.98 for h in head]  # of the way to the boundary
+        alpha_p = [min(1.0, t * s) for t, s in zip(tau, steps[:b])]
+        alpha_d = [min(1.0, t * s) for t, s in zip(tau, steps[b:])]
+        # a singular Schur system ends the solve at its pre-step iterate
+        ended = {j: STATUS_FAILURE for j in range(b) if not (solved[j] and solved_c[j])}
+        rows, cl, xs, Xs, Zs, dx, dX, dZ, alpha_p, alpha_d = end(
+            ended, it, dx, dX, dZ, alpha_p, alpha_d
+        )
+        ap, ad = np.array(alpha_p), np.array(alpha_d)
+        xs = xs + ap[:, None] * dx
+        Xs = _sym(Xs + ap[:, None, None] * dX)
+        Zs = _sym(Zs + ad[:, None, None] * dZ)
+
+    x[rows], X[rows], Z[rows] = xs, Xs, Zs  # the problems still iterating at MAX_ITER
     return _assemble(pencil, a_flat, norm_a0, scale0, cs, norm_c, final, iterations, x, X, Z)
 
 

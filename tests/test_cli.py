@@ -270,9 +270,11 @@ class TestSamplingCommands:
         cloud.write_text(json.dumps(
             {"ambient_dim": 2, "points": line, "directions": line, "values": [1.0] * 40}
         ))
-        code, data = run_json(capsys, "fit-degree", "--cloud", str(cloud))
+        code, out = run_cli(capsys, "fit-degree", "--cloud", str(cloud))
         assert code == 0
-        report = data["report"]
+        # a singular value of exactly 0 is printed 0.0, never -0.0
+        assert "-0.0" not in out
+        report = loads(out)["report"]
         assert report["fitted_degree"] == 1
         # degree 5 needs 42 points: the search stops after degree 4
         assert [(f["kernel_dim"], f["gap"]) for f in report["per_degree"]] == [
@@ -404,6 +406,43 @@ class TestSamplingCommands:
         assert main(["fit-degree", "--cloud", str(bad)]) == 2
         out, err = capsys.readouterr()
         assert out == "" and "'ambient_dim' must be an integer" in err
+
+    @pytest.mark.parametrize(
+        "extra, message",
+        [
+            ({"skipped": "ab"}, "'skipped' must be a list, got 'ab'"),
+            ({"skipped": {"index": 0, "reason": "x"}}, "'skipped' must be a list"),
+            ({"skipped": [1]}, "skipped entry must be an object, got int"),
+            ({"skipped": [{"index": 1}]}, "skipped entry has no 'reason'"),
+            ({"skipped": [{"index": 1.0, "reason": "x"}]}, "'index' must be an integer, got 1.0"),
+            ({"skipped": [{"index": True, "reason": "x"}]}, "'index' must be an integer, got True"),
+            ({"skipped": [{"index": 1, "reason": 7}]}, "'reason' must be a string, got 7"),
+            ({"seed": "x"}, "'seed' must be an integer, got 'x'"),
+            ({"seed": 1.5}, "'seed' must be an integer, got 1.5"),
+            ({"seed": False}, "'seed' must be an integer, got False"),
+        ],
+    )
+    def test_malformed_cloud_skipped_or_seed_exit_2(self, capsys, tmp_path, extra, message):
+        bad = tmp_path / "cloud.json"
+        circle = [[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]]
+        cloud = {"ambient_dim": 2, "points": circle, "directions": circle, "values": [1.0] * 4}
+        bad.write_text(json.dumps({**cloud, **extra}))
+        assert main(["fit-degree", "--cloud", str(bad)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and message in err
+
+    @pytest.mark.parametrize("seed", [None, 0, 7])
+    def test_cloud_skipped_and_seed_accepted(self, capsys, tmp_path, seed):
+        ang = np.linspace(0.0, 2.0 * np.pi, 12, endpoint=False)
+        circle = np.column_stack([np.cos(ang), np.sin(ang)]).tolist()
+        cloud = tmp_path / "cloud.json"
+        cloud.write_text(json.dumps({
+            "ambient_dim": 2, "points": circle, "directions": circle, "values": [1.0] * 12,
+            "skipped": [{"index": 12, "reason": "unbounded"}], "seed": seed,
+        }))
+        code, data = run_json(capsys, "fit-degree", "--cloud", str(cloud), "--max-degree", "2")
+        assert code == 0
+        assert (data["report"]["fitted_degree"], data["report"]["seed"]) == (2, seed)
 
     def test_degenerate_input_exit_3(self, capsys, tmp_path):
         bad = tmp_path / "bad.json"

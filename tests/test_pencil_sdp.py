@@ -292,6 +292,19 @@ def assert_same_solution(got, want):
             assert u == v, f.name
 
 
+def assert_batch_equals_solo(p, cs):
+    """Each solution of a stacked run, in forward, reversed and shuffled
+    order, equals its solo solve bitwise; returns the solo solutions."""
+    solo = [solve_sdp(p, c) for c in cs]
+    shuffled = np.random.default_rng(3).permutation(len(cs)).tolist()
+    for order in (list(range(len(cs))), list(reversed(range(len(cs)))), shuffled):
+        batch = solve_sdp_many(p, [cs[i] for i in order])
+        assert len(batch) == len(cs)
+        for i, sol in zip(order, batch):
+            assert_same_solution(sol, solo[i])
+    return solo
+
+
 def pentagon_objectives(count, seed):
     p = pentagon_fixture()
     raw = np.random.default_rng(seed).standard_normal((count, 2))
@@ -324,14 +337,19 @@ def false_ray(real, a0, a_flat, cv, x, X, Z):
 
 class TestSolveSdpMany:
     def test_batch_equals_solo_solves(self):
-        p, cs = pentagon_objectives(40, 7000)
-        solo = [solve_sdp(p, c) for c in cs]
-        shuffled = np.random.default_rng(3).permutation(len(cs)).tolist()
-        for order in (list(range(len(cs))), list(reversed(range(len(cs)))), shuffled):
-            batch = solve_sdp_many(p, [cs[i] for i in order])
-            assert len(batch) == len(cs)
-            for i, sol in zip(order, batch):
-                assert_same_solution(sol, solo[i])
+        assert_batch_equals_solo(*pentagon_objectives(40, 7000))
+
+    def test_rows_leaving_on_different_passes(self):
+        # an unbounded planar body: rows end optimal, unbounded or failed on
+        # 14 different passes from 9 to MAX_ITER, so they leave one by one
+        p = shift_to_interior(random_pencil(3, 2, 3), 0.5)[0]
+        raw = np.random.default_rng(0).standard_normal((40, 2))
+        solo = assert_batch_equals_solo(p, [y / np.linalg.norm(y) for y in raw])
+        statuses = [s.status for s in solo]
+        counts = [statuses.count(s) for s in ("optimal", "unbounded", "numerical_failure")]
+        assert counts == [16, 12, 12]
+        passes = {s.iterations for s in solo}
+        assert (min(passes), max(passes), len(passes)) == (9, sdp.MAX_ITER, 14)
 
     def test_reported_fields_match_their_definitions(self):
         # residuals and ranks come from the stack's own products and spectra
