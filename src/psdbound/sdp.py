@@ -370,7 +370,8 @@ def _solve_stack(
 
     def end(ended: dict[int, str], it: int, *stacks: np.ndarray | list) -> list:
         """Record the status and last iterate of each problem whose stack row
-        is in ``ended``; the stack, then ``stacks``, without those rows."""
+        is in ``ended``; the stack, then ``stacks`` (more per-row state, one
+        entry per stack row), without those rows."""
         stack = [rows, cl, xs, Xs, Zs, *stacks]
         if not ended:
             return stack
@@ -410,13 +411,14 @@ def _solve_stack(
             break
 
         f_mat, zinv, half, scaled = _nt_scaling(Xs, Zs)
-        # X or Z reached the float floor: the finish takes over
-        ended = {j: STATUS_FAILURE for j, ok in enumerate(scaled) if not ok}
-        rows, cl, xs, Xs, Zs, rd, rp, head, f_mat, zinv, half = end(
-            ended, it, rd, rp, head, f_mat, zinv, half
-        )
-        if not rows:
-            break
+        if not all(scaled):
+            # X or Z reached the float floor: the finish takes over, and the
+            # rest scale again on their own stack (each row as before)
+            ended = {j: STATUS_FAILURE for j, ok in enumerate(scaled) if not ok}
+            rows, cl, xs, Xs, Zs, rd, rp, head = end(ended, it, rd, rp, head)
+            if not rows:
+                break
+            f_mat, zinv, half, _ = _nt_scaling(Xs, Zs)
 
         b = len(rows)
         winv = f_mat @ f_mat.mT

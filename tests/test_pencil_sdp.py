@@ -328,6 +328,12 @@ def singular_schur(real, a_flat, f_mat):
     return schur
 
 
+def no_scaling(real, X, Z):
+    f_mat, zinv, half, scaled = real(X, Z)
+    scaled[FAULTY] = False  # as when X or Z of the row reaches the float floor
+    return f_mat, zinv, half, scaled
+
+
 def false_ray(real, a0, a_flat, cv, x, X, Z):
     # ||x|| past DIVERGE_NORM with c^T x > 0 ends the path phase as unbounded,
     # but the pentagon's body is bounded, so A(x / ||x||) is not psd
@@ -340,16 +346,14 @@ class TestSolveSdpMany:
         assert_batch_equals_solo(*pentagon_objectives(40, 7000))
 
     def test_rows_leaving_on_different_passes(self):
-        # an unbounded planar body: rows end optimal, unbounded or failed on
-        # 14 different passes from 9 to MAX_ITER, so they leave one by one
+        # an unbounded planar body: rows end with different statuses on many
+        # different passes up to MAX_ITER, so they leave the stack one by one
         p = shift_to_interior(random_pencil(3, 2, 3), 0.5)[0]
         raw = np.random.default_rng(0).standard_normal((40, 2))
         solo = assert_batch_equals_solo(p, [y / np.linalg.norm(y) for y in raw])
-        statuses = [s.status for s in solo]
-        counts = [statuses.count(s) for s in ("optimal", "unbounded", "numerical_failure")]
-        assert counts == [16, 12, 12]
+        assert len({s.status for s in solo}) >= 3
         passes = {s.iterations for s in solo}
-        assert (min(passes), max(passes), len(passes)) == (9, sdp.MAX_ITER, 14)
+        assert len(passes) >= 10 and sdp.MAX_ITER in passes
 
     def test_reported_fields_match_their_definitions(self):
         # residuals and ranks come from the stack's own products and spectra
@@ -372,7 +376,12 @@ class TestSolveSdpMany:
 
     @pytest.mark.parametrize(
         "helper, fault",
-        [("_residuals", nan_iterate), ("_schur_gram", singular_schur), ("_residuals", false_ray)],
+        [
+            ("_residuals", nan_iterate),
+            ("_nt_scaling", no_scaling),
+            ("_schur_gram", singular_schur),
+            ("_residuals", false_ray),
+        ],
     )
     def test_fault_in_one_row_ends_only_its_solve(self, monkeypatch, helper, fault):
         p, cs = pentagon_objectives(6, 12)
