@@ -1,20 +1,25 @@
 """Command-line front end.
 
 Every subcommand prints a single document (to stdout or ``--out``).  The
-JSON ones embed a run manifest (subcommand, flags, seeds, version,
+result modules hold data only; this module writes every view of it.  The
+JSON documents embed a run manifest (subcommand, flags, seeds, version,
 timestamp) and go through one strict encoder: a report dataclass is written
 field by field, an ndarray as a list, and a NaN or infinite float raises
-instead of printing invalid JSON (RFC 8259).  Big integers are serialized
-as decimal strings since JSON numbers cannot hold them.  Exit codes: 0 ok,
+instead of printing invalid JSON (RFC 8259).  Exact degrees and manifest
+integers above 2**53 are written as decimal strings, since JSON numbers
+cannot hold them.  The two CSV exports (``rank-freq`` and ``sample-polar``
+with ``--format csv``) go through one writer.  Exit codes: 0 ok,
 1 numerical failure, 2 usage error, 3 infeasible or degenerate input.
 """
 
 from __future__ import annotations
 
 import argparse
+import csv
+import io
 import json
 import sys
-from dataclasses import asdict, fields
+from dataclasses import fields
 from datetime import datetime, timezone
 
 import numpy as np
@@ -61,13 +66,13 @@ EXIT_DEGENERATE = 3
 
 def _manifest(args: argparse.Namespace) -> dict:
     flags = {
-        k: v
+        k: (str(v) if isinstance(v, int) and abs(v) > 2**53 else v)
         for k, v in vars(args).items()
         if k not in ("func", "subcommand") and v is not None
     }
     return {
         "subcommand": args.subcommand,
-        "args": {k: (str(v) if isinstance(v, int) and abs(v) > 2**53 else v) for k, v in flags.items()},
+        "args": flags,
         "seed": flags.get("seed"),
         "version": __version__,
         "timestamp": datetime.now(timezone.utc).isoformat(),
@@ -86,6 +91,13 @@ def _fields(obj):
 def _json(obj, indent: int | None = None) -> str:
     """Every JSON document the CLI writes; a NaN or infinity raises ValueError."""
     return json.dumps(obj, indent=indent, default=_fields, allow_nan=False)
+
+
+def _csv(rows) -> str:
+    """Every CSV export the CLI writes, in ``csv``'s default dialect (CRLF line ends)."""
+    buf = io.StringIO()
+    csv.writer(buf).writerows(rows)
+    return buf.getvalue()
 
 
 def _emit(args: argparse.Namespace, payload: dict, *, text: str | None = None) -> None:
@@ -180,7 +192,7 @@ def cmd_degree(args) -> int:
 
 
 def cmd_pataki(args) -> int:
-    _emit(args, asdict(pataki_range(args.m, args.n)))
+    _emit(args, _fields(pataki_range(args.m, args.n)))
     return EXIT_OK
 
 
@@ -229,7 +241,8 @@ def cmd_sample_polar(args) -> int:
     pencil = load_pencil(args.pencil)
     cloud = sample_polar_boundary(pencil, args.num_dirs, args.seed)
     if args.format == "csv":
-        _emit(args, {}, text=cloud.points_csv())
+        header = [f"x{i + 1}" for i in range(cloud.ambient_dim)]
+        _emit(args, {}, text=_csv([header, *cloud.points.tolist()]))
     else:
         _emit(args, {"cloud": cloud})
     return EXIT_OK
@@ -254,15 +267,16 @@ def cmd_pipeline(args) -> int:
 def cmd_rank_freq(args) -> int:
     table = rank_frequency(args.m, args.n, args.trials, args.seed)
     if args.format == "csv":
-        _emit(args, {}, text=table.to_csv())
+        rows = [["rank", "count"], *table.counts.items(), ["skipped", table.skipped]]
+        _emit(args, {}, text=_csv(rows))
     else:
-        _emit(args, {"table": table.to_dict()})
+        _emit(args, {"table": table})
     return EXIT_OK
 
 
 def cmd_tightness(args) -> int:
     report = tightness_report(args.m, args.trials, args.seed)
-    _emit(args, {"tightness": report.to_dict()})
+    _emit(args, {"tightness": {**_fields(report), "delta": str(report.delta)}})
     return EXIT_OK
 
 

@@ -13,19 +13,21 @@ the target rank.
 
 Reproducibility: per-trial generators are spawned as default_rng((seed,
 trial)), so tables are independent of execution order.
+
+The reports (:class:`RankFrequencyTable`, :class:`TightnessReport`) are
+plain data: their fields are the printed keys, in the printed order, and
+the CLI writes every JSON and CSV view of them.
 """
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import PatakiRange, pataki_range, triangular
+from .bounds import pataki_range, triangular
 from .combinatorics import check_delta_exponent_bound
 from .pencil import Pencil
 from .sdp import STATUS_OPTIMAL, solve_sdp
@@ -70,7 +72,13 @@ def shift_to_interior(pencil: Pencil, margin: float = 0.1) -> tuple[Pencil, floa
 
 @dataclass
 class RankFrequencyTable:
-    """Optimal-rank histogram over random instances of one shape."""
+    """Optimal-rank histogram over random instances of one shape.
+
+    ``counts`` maps each optimal rank to its trials, in rank order;
+    ``statuses`` counts every solver status, in name order.
+    ``in_range_fraction`` is the share of optimal trials whose rank lies in
+    the Pataki range, None when no trial ended optimal.
+    """
 
     m: int
     n: int
@@ -78,44 +86,10 @@ class RankFrequencyTable:
     counts: dict[int, int]
     skipped: int
     seed: int
-    pataki: PatakiRange
-    statuses: dict[str, int] = field(default_factory=dict)
-
-    @property
-    def solved(self) -> int:
-        return self.trials - self.skipped
-
-    def in_range_fraction(self) -> float | None:
-        """Fraction of solved trials whose rank lies in the Pataki range,
-        None when no trial was solved."""
-        solved = self.solved
-        if solved == 0:
-            return None
-        good = sum(cnt for rank, cnt in self.counts.items() if rank in self.pataki.ranks)
-        return good / solved
-
-    def to_dict(self) -> dict:
-        return {
-            "m": self.m,
-            "n": self.n,
-            "trials": self.trials,
-            "counts": {str(k): v for k, v in sorted(self.counts.items())},
-            "skipped": self.skipped,
-            "seed": self.seed,
-            "pataki_ranks": list(self.pataki.ranks),
-            "pataki_strict_ranks": list(self.pataki.strict_ranks),
-            "statuses": dict(sorted(self.statuses.items())),
-            "in_range_fraction": self.in_range_fraction(),
-        }
-
-    def to_csv(self) -> str:
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(["rank", "count"])
-        for rank in sorted(self.counts):
-            writer.writerow([rank, self.counts[rank]])
-        writer.writerow(["skipped", self.skipped])
-        return buf.getvalue()
+    pataki_ranks: tuple[int, ...]
+    pataki_strict_ranks: tuple[int, ...]
+    statuses: dict[str, int]
+    in_range_fraction: float | None
 
 
 def rank_frequency(m: int, n: int, trials: int, seed: int) -> RankFrequencyTable:
@@ -127,7 +101,7 @@ def rank_frequency(m: int, n: int, trials: int, seed: int) -> RankFrequencyTable
     """
     if trials < 1:
         raise ValueError(f"need trials >= 1, got {trials}")
-    rng_check = pataki_range(m, n)  # validates the shape
+    pataki = pataki_range(m, n)  # validates the shape
     counts: Counter[int] = Counter()
     statuses: Counter[str] = Counter()
     skipped = 0
@@ -141,15 +115,19 @@ def rank_frequency(m: int, n: int, trials: int, seed: int) -> RankFrequencyTable
             skipped += 1
             continue
         counts[sol.rank_X] += 1
+    solved = trials - skipped
+    in_range = sum(cnt for rank, cnt in counts.items() if rank in pataki.ranks)
     return RankFrequencyTable(
         m=m,
         n=n,
         trials=trials,
-        counts=dict(counts),
+        counts=dict(sorted(counts.items())),
         skipped=skipped,
         seed=seed,
-        pataki=rng_check,
-        statuses=dict(statuses),
+        pataki_ranks=pataki.ranks,
+        pataki_strict_ranks=pataki.strict_ranks,
+        statuses=dict(sorted(statuses.items())),
+        in_range_fraction=in_range / solved if solved else None,
     )
 
 
@@ -160,7 +138,8 @@ class TightnessReport:
     ``bound_holds`` is the exact comparison delta**20 >= 2**(m*m),
     equivalently m <= sqrt(20 log2 delta): the pencil size m (a trivial
     upper bound on the representation size of its own spectrahedron)
-    is within a constant factor of the degree-based lower bound.
+    is within a constant factor of the degree-based lower bound.  ``delta``
+    is exact; the CLI prints it as a decimal string.
     """
 
     m: int
@@ -176,23 +155,6 @@ class TightnessReport:
     seed: int
     frequency: RankFrequencyTable | None
     target_rank_count: int | None
-
-    def to_dict(self) -> dict:
-        return {
-            "m": self.m,
-            "n": self.n,
-            "r": self.r,
-            "delta": str(self.delta),
-            "log2_delta": self.log2_delta,
-            "threshold": self.threshold,
-            "bound_holds": self.bound_holds,
-            "sqrt20_bound": self.sqrt20_bound,
-            "rank_bound": self.rank_bound,
-            "trials": self.trials,
-            "seed": self.seed,
-            "frequency": None if self.frequency is None else self.frequency.to_dict(),
-            "target_rank_count": self.target_rank_count,
-        }
 
 
 SDP_SIZE_LIMIT = 12  # above this only the exact-degree part runs

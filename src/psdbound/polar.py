@@ -18,15 +18,13 @@ have extra components, and those must not inflate the answer.
 The result dataclasses (:class:`BoundaryCloud`, :class:`DegreeFitReport`,
 :class:`PipelineResult`) carry no serializer of their own: the CLI's JSON
 encoder writes each report dataclass field by field, in field order, and
-each array as a list.  Every float they hold is finite; a quantity with no
-finite value, such as the gap of a kernel whose largest singular value is
-exactly 0, is None.
+each array as a list; the CLI writes a cloud's CSV export too.  Every
+float they hold is finite; a quantity with no finite value, such as the
+gap of a kernel whose largest singular value is exactly 0, is None.
 """
 
 from __future__ import annotations
 
-import csv
-import io
 from dataclasses import dataclass, field
 from itertools import combinations_with_replacement
 from typing import Sequence
@@ -113,14 +111,6 @@ class BoundaryCloud:
         if seed is not None:
             json_fields(data, "cloud JSON", "seed", ints=("seed",))
         return cls(dim, points, directions, values, skipped, seed)
-
-    def points_csv(self) -> str:
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow([f"x{i+1}" for i in range(self.ambient_dim)])
-        for p in self.points:
-            writer.writerow([repr(float(v)) for v in p])
-        return buf.getvalue()
 
 
 def sample_polar_boundary(pencil: Pencil, num_dirs: int, seed: int) -> BoundaryCloud:

@@ -197,12 +197,12 @@ def test_criterion_09_rank_frequencies():
     ok = True
     for m, n in [(3, 3), (4, 6)]:
         table = rank_frequency(m, n, 200, seed=1)
-        every_rank = all(table.counts.get(r, 0) >= 5 for r in table.pataki.ranks)
-        in_range = table.in_range_fraction() >= 0.98
+        every_rank = all(table.counts.get(r, 0) >= 5 for r in table.pataki_ranks)
+        in_range = table.in_range_fraction >= 0.98
         ok = ok and every_rank and in_range
         results.append(
             f"({m},{n}) counts {dict(sorted(table.counts.items()))} "
-            f"skip {table.skipped} in-range {table.in_range_fraction():.2f}"
+            f"skip {table.skipped} in-range {table.in_range_fraction:.2f}"
         )
     elapsed = time.time() - t0
     ok = ok and elapsed < 180.0

@@ -1,5 +1,7 @@
 """CLI contract: flags, exit codes, JSON schemas, determinism."""
 
+import csv
+import io
 import json
 from pathlib import Path
 
@@ -284,12 +286,15 @@ class TestSamplingCommands:
     def test_sample_csv(self, capsys, tmp_path):
         disk = tmp_path / "disk.json"
         save_pencil(disk_fixture(), disk)
-        code, out = run_cli(
-            capsys, "sample-polar", "--pencil", str(disk), "--num-dirs", "10",
-            "--seed", "3", "--format", "csv",
-        )
+        argv = ["sample-polar", "--pencil", str(disk), "--num-dirs", "10", "--seed", "3"]
+        _, data = run_json(capsys, *argv)
+        code, out = run_cli(capsys, *argv, "--format", "csv")
         assert code == 0
-        assert out.splitlines()[0] == "x1,x2"
+        header, *rows = csv.reader(io.StringIO(out, newline=""))
+        assert header == ["x1", "x2"]
+        # every row parses back exactly to the JSON cloud's point
+        assert [[float(v) for v in row] for row in rows] == data["cloud"]["points"]
+        assert out.count("\r\n") == len(rows) + 1
 
     def test_pipeline(self, capsys, pentagon_file):
         code, data = run_json(
@@ -487,6 +492,13 @@ class TestExperimentCommands:
         table = data["tightness"]["frequency"]
         assert (table["skipped"], table["in_range_fraction"]) == (3, None)
 
+    def test_tightness_without_trials(self, capsys):
+        code, data = run_json(capsys, "tightness", "--m", "4", "--trials", "0")
+        assert code == 0
+        report = data["tightness"]
+        assert (report["delta"], report["trials"]) == ("8", 0)
+        assert report["frequency"] is None and report["target_rank_count"] is None
+
     def test_rank_freq_csv(self, capsys):
         argv = ["rank-freq", "--m", "2", "--n", "1", "--trials", "30", "--seed", "5"]
         _, data = run_json(capsys, *argv)
@@ -533,6 +545,40 @@ class TestManifest:
         assert manifest["version"]
         assert "timestamp" in manifest
         assert manifest["args"]["m"] == 2
+
+    def test_big_seed_written_one_way(self, capsys):
+        seed = 2**60
+        argv = ["rank-freq", "--m", "2", "--n", "1", "--trials", "2", "--seed", str(seed)]
+        _, data = run_json(capsys, *argv)
+        manifest = data["manifest"]
+        assert manifest["seed"] == manifest["args"]["seed"] == str(seed)
+        # a report's seed stays a JSON integer
+        assert data["table"]["seed"] == seed
+
+    def test_key_order(self, capsys, pentagon_file):
+        # extract_schema sorts keys; the printed order is the report's field order
+        _, table = run_json(
+            capsys, "rank-freq", "--m", "2", "--n", "1", "--trials", "5", "--seed", "4"
+        )
+        _, tight = run_json(capsys, "tightness", "--m", "4", "--trials", "5", "--seed", "3")
+        _, pipe = run_json(
+            capsys, "pipeline", "--pencil", pentagon_file, "--num-dirs", "150",
+            "--max-degree", "5", "--seed", "7",
+        )
+        table_keys = [
+            "m", "n", "trials", "counts", "skipped", "seed", "pataki_ranks",
+            "pataki_strict_ranks", "statuses", "in_range_fraction",
+        ]
+        assert list(table["table"]) == table_keys
+        assert list(tight["tightness"]) == [
+            "m", "n", "r", "delta", "log2_delta", "threshold", "bound_holds", "sqrt20_bound",
+            "rank_bound", "trials", "seed", "frequency", "target_rank_count",
+        ]
+        assert list(tight["tightness"]["frequency"]) == table_keys
+        assert list(pipe["pipeline"]) == [
+            "d_est", "conclusive", "d_used", "psd_bound", "psd_bound_ceil", "cloud_size",
+            "skipped", "report",
+        ]
 
     def test_usage_errors_exit_2(self, capsys):
         with pytest.raises(SystemExit) as err:

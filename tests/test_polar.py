@@ -158,12 +158,6 @@ class TestSampling:
         data["values"] = [2.0] * 60
         assert len(BoundaryCloud.from_dict(data)) == 60
 
-    def test_csv_export(self, pentagon_cloud):
-        text = pentagon_cloud.points_csv()
-        lines = text.strip().splitlines()
-        assert lines[0] == "x1,x2"
-        assert len(lines) == len(pentagon_cloud) + 1
-
 
 class TestMonomials:
     def test_counts(self):
