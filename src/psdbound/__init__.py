@@ -14,8 +14,10 @@ __version__ = "0.1.0"
 
 from .bounds import (
     PatakiRange,
+    PatakiViolationError,
     RankBound,
     bezout_kkt_count,
+    check_pataki_rank,
     log2_big,
     lp_extension_lower_bound,
     pataki_range,
@@ -40,7 +42,6 @@ from .experiments import (
     tightness_report,
 )
 from .kkt import (
-    PatakiViolationError,
     PolySystem,
     SystemInfo,
     assignment_from_solution,
@@ -93,6 +94,7 @@ __all__ = [
     "build_kkt_normalized",
     "build_kkt_rank",
     "check_delta_exponent_bound",
+    "check_pataki_rank",
     "check_psi_interval_lower_bound",
     "delta",
     "disk_fixture",

@@ -1,9 +1,9 @@
 """Bound arithmetic for semidefinite lifts.
 
 Collects the small exact formulas that the rest of the package feeds into:
-triangular numbers, the Pataki rank range of generic SDP optima, the
-Bezout count 2**(m*m) of the KKT equations, and the conversions from a
-boundary degree d to lower bounds on representation size
+triangular numbers, the Pataki rank range of generic SDP optima and its
+check, the Bezout count 2**(m*m) of the KKT equations, and the conversions
+from a boundary degree d to lower bounds on representation size
 (sqrt(log2 d) for semidefinite lifts, log2 d for polyhedral lifts).
 
 All integer quantities are exact Python ints; degrees routinely exceed
@@ -56,6 +56,20 @@ def pataki_range(m: int, n: int) -> PatakiRange:
             if n > triangular(m - r):
                 strict.append(r)
     return PatakiRange(m=m, n=n, ranks=tuple(ranks), strict_ranks=tuple(strict))
+
+
+class PatakiViolationError(ValueError):
+    """Requested rank lies outside the Pataki range for this shape."""
+
+
+def check_pataki_rank(m: int, n: int, r: int) -> None:
+    """Raise :class:`PatakiViolationError` unless r is in ``pataki_range(m, n)``,
+    which raises ValueError for a shape outside m >= 1, 1 <= n <= t_m."""
+    ranks = pataki_range(m, n).ranks
+    if r not in ranks:
+        raise PatakiViolationError(
+            f"rank {r} outside the Pataki range {list(ranks)} for (m, n) = ({m}, {n})"
+        )
 
 
 def bezout_kkt_count(m: int) -> int:

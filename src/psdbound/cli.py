@@ -8,7 +8,9 @@ field by field, an ndarray as a list, and a NaN or infinite float raises
 instead of printing invalid JSON (RFC 8259).  Exact degrees and manifest
 integers above 2**53 are written as decimal strings, since JSON numbers
 cannot hold them.  The two CSV exports (``rank-freq`` and ``sample-polar``
-with ``--format csv``) go through one writer.  Exit codes: 0 ok,
+with ``--format csv``) go through one writer.  Argparse refuses flag
+combinations, the library function that uses a value refuses a bad one, and
+:func:`main` alone prints errors and picks the exit code: 0 ok,
 1 numerical failure, 2 usage error, 3 infeasible or degenerate input.
 """
 
@@ -26,11 +28,11 @@ import numpy as np
 
 from . import __version__
 from .bounds import (
+    check_pataki_rank,
     log2_big,
     lp_extension_lower_bound,
     pataki_range,
     psd_rank_lower_bound,
-    triangular,
 )
 from .combinatorics import (
     check_delta_exponent_bound,
@@ -112,28 +114,15 @@ def _emit(args: argparse.Namespace, payload: dict, *, text: str | None = None) -
         sys.stdout.write(data)
 
 
-def _parse_int_list(text: str) -> list[int]:
-    text = text.strip()
-    if not text:
-        return []
-    return [int(tok) for tok in text.replace(",", " ").split()]
-
-
 def cmd_psi(args) -> int:
-    if (args.set is None) == (args.interval is None):
-        print("psi: provide exactly one of --set or --interval", file=sys.stderr)
-        return EXIT_USAGE
     if args.set is not None:
-        elements = _parse_int_list(args.set)
+        elements = [int(tok) for tok in args.set.replace(",", " ").split()]
         value = psi(elements)
         _emit(args, {"set": elements, "psi": str(value)})
         return EXIT_OK
     p, q = args.interval
-    if not 0 <= p <= q:
-        print(f"psi: need 0 <= p <= q, got {p}, {q}", file=sys.stderr)
-        return EXIT_USAGE
-    minor_sum = psi(range(p + 1, q + 1))
     product = psi_interval_product(p, q)
+    minor_sum = psi(range(p + 1, q + 1))
     harris = psi_interval_harris_tu(q, q - p) if q > p else product
     agree = minor_sum == product == harris
     _emit(
@@ -150,33 +139,15 @@ def cmd_psi(args) -> int:
 
 
 def cmd_degree(args) -> int:
-    in_shape = args.m >= 1 and 1 <= args.n <= triangular(args.m)
-    rng = pataki_range(args.m, args.n) if in_shape else None
     if args.all_ranks:
-        if rng is None:
-            print("degree: need 1 <= n <= t_m for --all-ranks", file=sys.stderr)
-            return EXIT_USAGE
-        rows = []
-        total = 0
-        for r in rng.ranks:
-            if r == 0:
-                continue
-            d = delta(args.n, args.m, r)
-            total += d
-            rows.append({"r": r, "delta": str(d)})
-        _emit(args, {"n": args.n, "m": args.m, "ranks": rows, "sum_over_range": str(total)})
+        # rank 0 adds no degree
+        degrees = {r: delta(args.n, args.m, r) for r in pataki_range(args.m, args.n).ranks if r}
+        rows = [{"r": r, "delta": str(d)} for r, d in degrees.items()]
+        total = str(sum(degrees.values()))
+        _emit(args, {"n": args.n, "m": args.m, "ranks": rows, "sum_over_range": total})
         return EXIT_OK
-    if args.r is None:
-        print("degree: provide --r or --all-ranks", file=sys.stderr)
-        return EXIT_USAGE
-    if (rng is None or args.r not in rng.ranks) and not args.force:
-        ranks = list(rng.ranks) if rng is not None else []
-        print(
-            f"degree: rank {args.r} outside the Pataki range {ranks}"
-            " (use --force to compute anyway)",
-            file=sys.stderr,
-        )
-        return EXIT_USAGE
+    if not args.force:
+        check_pataki_rank(args.m, args.n, args.r)
     d = delta(args.n, args.m, args.r)
     _emit(
         args,
@@ -198,9 +169,6 @@ def cmd_pataki(args) -> int:
 
 def cmd_bound(args) -> int:
     d = int(args.d)
-    if d < 1:
-        print("bound: --d must be a positive integer", file=sys.stderr)
-        return EXIT_USAGE
     rank = psd_rank_lower_bound(d)
     _emit(
         args,
@@ -218,16 +186,14 @@ def cmd_kkt_export(args) -> int:
     pencil = load_pencil(args.pencil)
     if args.variant == "plain":
         if args.c is None:
-            print("kkt-export: --variant plain needs --c", file=sys.stderr)
-            return EXIT_USAGE
+            raise ValueError("--variant plain needs --c")
         c = [float(v) for v in args.c.split(",")]
         system = build_kkt(pencil, c)
     elif args.variant == "normalized":
         system = build_kkt_normalized(pencil)
     else:
         if args.rank is None:
-            print("kkt-export: --variant rank needs --rank", file=sys.stderr)
-            return EXIT_USAGE
+            raise ValueError("--variant rank needs --rank")
         system = build_kkt_rank(pencil, args.rank, force=args.force)
     text = export_system(system, args.format)
     if args.format == "plain_text":
@@ -292,10 +258,8 @@ def cmd_pentagon(args) -> int:
     payload = {"pipeline": result}
     if result.d_est != 5:
         payload["error"] = f"expected boundary degree 5, fitted {result.d_est}"
-        _emit(args, payload)
-        return EXIT_NUMERICAL
     _emit(args, payload)
-    return EXIT_OK
+    return EXIT_OK if result.d_est == 5 else EXIT_NUMERICAL
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -311,16 +275,18 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
     p = sub.add_parser("psi", help="Pascal-minor sums psi over index sets or intervals")
-    p.add_argument("--set", nargs="?", const="", help="comma-separated indices, e.g. 2,3,4")
-    p.add_argument("--interval", nargs=2, type=int, metavar=("P", "Q"), help="interval {P+1..Q}")
+    mode = p.add_mutually_exclusive_group(required=True)
+    mode.add_argument("--set", nargs="?", const="", help="comma-separated indices, e.g. 2,3,4")
+    mode.add_argument("--interval", nargs=2, type=int, metavar=("P", "Q"), help="interval {P+1..Q}")
     p.add_argument("--out")
     p.set_defaults(func=cmd_psi)
 
     p = sub.add_parser("degree", help="algebraic degree delta(n, m, r) of SDP")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--m", type=int, required=True)
-    p.add_argument("--r", type=int)
-    p.add_argument("--all-ranks", action="store_true", help="sweep the Pataki range and sum")
+    mode = p.add_mutually_exclusive_group(required=True)
+    mode.add_argument("--r", type=int)
+    mode.add_argument("--all-ranks", action="store_true", help="sweep the Pataki range and sum")
     p.add_argument("--force", action="store_true", help="compute outside the Pataki range")
     p.add_argument("--out")
     p.set_defaults(func=cmd_degree)

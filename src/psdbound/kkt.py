@@ -52,7 +52,7 @@ from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .bounds import pataki_range
+from .bounds import PatakiViolationError, check_pataki_rank  # noqa: F401 (build_kkt_rank's error)
 from .pencil import Pencil, json_fields
 from .sdp import SdpSolution
 
@@ -64,10 +64,6 @@ Polynomial = dict[Monomial, Fraction]
 VARIANT_PLAIN = "plain"
 VARIANT_NORMALIZED = "normalized"
 VARIANT_RANK = "rank"
-
-
-class PatakiViolationError(ValueError):
-    """Requested rank lies outside the Pataki range for this shape."""
 
 
 def to_fraction(value) -> Fraction:
@@ -270,19 +266,15 @@ def build_kkt_rank(pencil: Pencil, r: int, *, force: bool = False) -> PolySystem
     equals minor(C, R) and each minor appears once per unordered pair of
     row and column sets: ``minor_counts`` is (t(C(m, r+1)), t(C(m, m-r+1)))
     with t the triangular number.  Ranks outside [0, m] raise ValueError;
-    ranks outside the Pataki range raise :class:`PatakiViolationError`
-    unless ``force`` is set (the system is still well defined, it just cuts
-    out an atypical locus).
+    unless ``force`` is set, so does a rank outside the Pataki range
+    (:class:`PatakiViolationError`, from :func:`~psdbound.bounds.check_pataki_rank`),
+    though the system is well defined, it just cuts out an atypical locus.
     """
     m, n = pencil.m, pencil.n
     if not 0 <= r <= m:
         raise ValueError(f"rank {r} outside [0, {m}]")
-    if not force:  # the Pataki range is defined only for n <= t(m)
-        ranks = pataki_range(m, n).ranks
-        if r not in ranks:
-            raise PatakiViolationError(
-                f"rank {r} outside the Pataki range {list(ranks)} for (m, n) = ({m}, {n})"
-            )
+    if not force:
+        check_pataki_rank(m, n, r)
     base = build_kkt_normalized(pencil)
     _, big_x, big_z = _layout(m, n, True)
     exact = _Memo(Fraction)  # one Fraction per distinct minor coefficient

@@ -25,6 +25,7 @@ gap of a kernel whose largest singular value is exactly 0, is None.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from itertools import combinations_with_replacement
 from typing import Sequence
@@ -58,11 +59,12 @@ class BoundaryCloud:
     ``points[i] = directions[i] / values[i]``; ``skipped`` records the
     directions that produced no point (solver status or near-zero value).
     A NaN or infinite entry in the points, directions or values is
-    rejected, and so are arrays of different lengths and a point that is
-    not its direction over its value (relative error above 1e-12), as a
-    truncated or hand-edited cloud file would give.  A loaded cloud's
-    ``skipped`` must be a list of objects with an integer ``index`` and a
-    string ``reason``, and its ``seed`` a JSON integer or null.
+    rejected, and so are points whose width is not ``ambient_dim``, arrays
+    of different lengths and a point that is not its direction over its
+    value (relative error above 1e-12), as a truncated or hand-edited cloud
+    file would give.  A loaded cloud's ``skipped`` must be a list of objects
+    with an integer ``index`` and a string ``reason``, and its ``seed`` a
+    JSON integer or null.
     """
 
     ambient_dim: int
@@ -76,10 +78,11 @@ class BoundaryCloud:
         for name in ("points", "directions", "values"):
             if not np.all(np.isfinite(getattr(self, name))):
                 raise ValueError(f"cloud {name} have a non-finite entry")
-        if self.points.shape != self.directions.shape or self.values.shape != (len(self.points),):
+        shape = (len(self.points), self.ambient_dim)
+        if not self.points.shape == self.directions.shape == shape or self.values.shape != shape[:1]:
             raise ValueError(
-                f"cloud points, directions and values have shapes {self.points.shape}, "
-                f"{self.directions.shape} and {self.values.shape}"
+                f"cloud of ambient_dim {self.ambient_dim}: points, directions and values have "
+                f"shapes {self.points.shape}, {self.directions.shape} and {self.values.shape}"
             )
         # points[i] * values[i] = directions[i]: the relative error of
         # points[i] against directions[i] / values[i], without the division
@@ -232,10 +235,10 @@ def evaluate_fit(report: DegreeFitReport, points: np.ndarray) -> np.ndarray:
 def fit_min_vanishing_degree(cloud: BoundaryCloud, max_degree: int) -> DegreeFitReport:
     """Smallest degree D <= max_degree of a polynomial vanishing on the cloud.
 
-    For each degree the monomial evaluation matrix is assembled on points
-    rescaled to unit RMS radius (Vandermonde conditioning) and a kernel is
-    declared when the smallest singular value is at most ``EPS_KERNEL``
-    times the largest.  Needs at least 2 monomial_count points per tested
+    The monomial evaluation matrix is assembled once, on points rescaled to
+    unit RMS radius (Vandermonde conditioning); each degree's kernel test
+    takes the SVD of its leading columns and declares a kernel when the
+    smallest singular value is at most ``EPS_KERNEL`` times the largest.  Needs at least 2 monomial_count points per tested
     degree and fits on every point of the cloud: a row subsample could miss
     a whole boundary component and show a kernel the cloud does not have.
     Every degree up to ``max_degree`` that the cloud can test is tested, so
@@ -253,33 +256,26 @@ def fit_min_vanishing_degree(cloud: BoundaryCloud, max_degree: int) -> DegreeFit
     scale = rms if rms > 0 else 1.0
     scaled = pts / scale
 
-    degrees_tested: list[int] = []
+    # monomials come in graded order, so degree D's matrix is the leading
+    # comb(dim + D, D) columns of the matrix at the highest testable degree,
+    # and the testable degrees are 1..top
+    counts = [math.comb(dim + degree, degree) for degree in range(1, max_degree + 1)]
+    top = sum(2 * k <= npts for k in counts)
+    monos = monomial_exponents(dim, top)
+    mat = _eval_monomials(scaled, monos)
     per_degree: list[DegreeFit] = []
-    fitted_degree: int | None = None
-    fitted_monos: list[tuple[int, ...]] | None = None
-    fitted_coeffs: np.ndarray | None = None
-
-    for degree in range(1, max_degree + 1):
-        monos = monomial_exponents(dim, degree)
-        need = 2 * len(monos)
-        if npts < need:
-            if fitted_degree is not None:
-                break
-            raise InsufficientSamplesError(
-                f"degree {degree} needs {need} points, cloud has {npts}"
-            )
-        mat = _eval_monomials(scaled, monos)
-        u, svals, vt = np.linalg.svd(mat, full_matrices=False)
+    fitted_degree = fitted_monos = fitted_coeffs = max_abs_eval = None
+    for degree, k in enumerate(counts[:top], 1):
+        _, svals, vt = np.linalg.svd(mat[:, :k], full_matrices=False)
         sigma_max = float(svals[0]) + 0.0  # + 0.0 writes a -0.0 as 0.0
         kernel_dim = int(np.sum(svals <= EPS_KERNEL * sigma_max))
         gap = None
         if 1 <= kernel_dim < len(svals) and svals[-1] > 0:
             gap = float(svals[-kernel_dim - 1]) / float(svals[-1])
-        degrees_tested.append(degree)
         per_degree.append(
             DegreeFit(
                 degree=degree,
-                monomial_count=len(monos),
+                monomial_count=k,
                 sample_count=npts,
                 sigma_max=sigma_max,
                 singular_tail=[float(s) + 0.0 for s in svals[-min(6, len(svals)) :]],
@@ -288,22 +284,20 @@ def fit_min_vanishing_degree(cloud: BoundaryCloud, max_degree: int) -> DegreeFit
             )
         )
         if kernel_dim >= 1 and fitted_degree is None:
-            fitted_degree = degree
-            raw_coeffs = vt[-1]
+            fitted_degree, fitted_monos = degree, monos[:k]
             # map back to original coordinates and renormalize
-            back = np.array([c / scale ** sum(e) for c, e in zip(raw_coeffs, monos)])
-            back /= float(np.linalg.norm(back))
-            fitted_monos = monos
-            fitted_coeffs = back
-
-    max_abs_eval = None
-    if fitted_degree is not None:
-        evals = _eval_monomials(pts, fitted_monos) @ fitted_coeffs
-        max_abs_eval = float(np.max(np.abs(evals)))
+            back = np.array([c / scale ** sum(e) for c, e in zip(vt[-1], fitted_monos)])
+            fitted_coeffs = back / float(np.linalg.norm(back))
+            evals = _eval_monomials(pts, fitted_monos) @ fitted_coeffs
+            max_abs_eval = float(np.max(np.abs(evals)))
+    if fitted_degree is None and top < max_degree:
+        raise InsufficientSamplesError(
+            f"degree {top + 1} needs {2 * counts[top]} points, cloud has {npts}"
+        )
 
     return DegreeFitReport(
         ambient_dim=dim,
-        degrees_tested=degrees_tested,
+        degrees_tested=list(range(1, top + 1)),
         per_degree=per_degree,
         fitted_degree=fitted_degree,
         fitted_monomials=fitted_monos,

@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from psdbound.bounds import PatakiViolationError
 from psdbound.cli import main
 from psdbound.kkt import build_kkt_normalized, build_kkt_rank, parse_system
 from psdbound.pencil import Pencil, load_pencil, save_pencil
@@ -90,9 +91,12 @@ class TestPsi:
         assert data["all_formulas_agree"] is True
         assert_golden_schema("psi_interval", data)
 
-    def test_requires_one_mode(self, capsys):
-        assert run_cli(capsys, "psi")[0] == 2
-        assert run_cli(capsys, "psi", "--set", "3", "--interval", "1", "2")[0] == 2
+    def test_requires_one_mode(self):
+        # argparse refuses the flag combination
+        for argv in (["psi"], ["psi", "--set", "3", "--interval", "1", "2"]):
+            with pytest.raises(SystemExit) as err:
+                main(argv)
+            assert err.value.code == 2
 
     @pytest.mark.parametrize("elements", ["0,1", "2,2"])
     def test_invalid_set_exit_2(self, capsys, elements):
@@ -109,6 +113,19 @@ class TestDegree:
     def test_pataki_violation_exit_2(self, capsys):
         code, _ = run_cli(capsys, "degree", "--n", "3", "--m", "3", "--r", "3")
         assert code == 2
+
+    def test_pataki_message_shared_with_kkt(self, capsys, tmp_path):
+        # one check refuses rank 3 on (m, n) = (3, 3) for degree and kkt-export
+        pencil = Pencil(mats=tuple(np.eye(3) for _ in range(4)))
+        save_pencil(pencil, tmp_path / "pencil.json")
+        with pytest.raises(PatakiViolationError) as err:
+            build_kkt_rank(pencil, 3)
+        want = f"psdbound: {err.value}\n"
+        assert main(["degree", "--n", "3", "--m", "3", "--r", "3"]) == 2
+        assert capsys.readouterr() == ("", want)
+        pencil_file = str(tmp_path / "pencil.json")
+        assert main(["kkt-export", "--pencil", pencil_file, "--variant", "rank", "--rank", "3"]) == 2
+        assert capsys.readouterr() == ("", want)
 
     def test_force_overrides(self, capsys):
         code, data = run_json(capsys, "degree", "--n", "3", "--m", "3", "--r", "3", "--force")
@@ -592,13 +609,15 @@ class TestManifest:
 @pytest.mark.parametrize(
     "argv, code, message",
     [
-        (["psi", "--interval", "3", "1"], 2, "need 0 <= p <= q"),
+        (["psi", "--interval", "3", "1"], 2, "need p <= q"),
         (["degree", "--n", "7", "--m", "3", "--all-ranks"], 2, "need 1 <= n <= t_m"),
-        (["degree", "--n", "3", "--m", "3"], 2, "provide --r or --all-ranks"),
+        (["degree", "--n", "3", "--m", "3"], 2, "one of the arguments --r --all-ranks"),
         (["kkt-export", "--pencil", "segment.json", "--variant", "rank"], 2, "needs --rank"),
         (["sample-polar", "--pencil", "segment.json", "--num-dirs", "0"], 2, "at least one direction"),
         (["fit-degree", "--cloud", "empty.json"], 3, "empty cloud"),
         (["fit-degree", "--cloud", "empty.json", "--max-degree", "0"], 2, "need max_degree >= 1"),
+        (["degree", "--n", "3", "--m", "3", "--r", "1", "--all-ranks"], 2, "not allowed with"),
+        (["psi", "--interval", "-1", "3"], 2, "need p >= 0"),
     ],
 )
 def test_refused_input(capsys, tmp_path, monkeypatch, argv, code, message):
@@ -607,6 +626,10 @@ def test_refused_input(capsys, tmp_path, monkeypatch, argv, code, message):
     Path("empty.json").write_text(
         json.dumps({"ambient_dim": 2, "points": [], "directions": [], "values": []})
     )
-    assert main(argv) == code
+    try:
+        got = main(argv)
+    except SystemExit as exc:  # argparse refuses a flag combination
+        got = exc.code
+    assert got == code
     out, err = capsys.readouterr()
     assert out == "" and message in err

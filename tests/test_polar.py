@@ -146,6 +146,12 @@ class TestSampling:
         with pytest.raises(ValueError, match="shapes"):
             BoundaryCloud.from_dict(data)
 
+    @pytest.mark.parametrize("dim", [1, 3])
+    def test_points_not_ambient_dim_wide_rejected(self, dim):
+        circle = unit_circle(40)
+        with pytest.raises(ValueError, match=f"cloud of ambient_dim {dim}"):
+            BoundaryCloud(ambient_dim=dim, points=circle, directions=circle, values=np.ones(40))
+
     def test_point_off_its_direction_rejected(self):
         circle = unit_circle(60)
         points = circle.copy()
