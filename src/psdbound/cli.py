@@ -8,8 +8,9 @@ field by field, an ndarray as a list, and a NaN or infinite float raises
 instead of printing invalid JSON (RFC 8259).  Exact degrees and manifest
 integers above 2**53 are written as decimal strings, since JSON numbers
 cannot hold them.  The two CSV exports (``rank-freq`` and ``sample-polar``
-with ``--format csv``) go through one writer.  Argparse refuses flag
-combinations, the library function that uses a value refuses a bad one, and
+with ``--format csv``) go through one writer.  Argparse refuses the flag
+combinations it can express, a subcommand refuses a flag its chosen mode
+would ignore, the library function that uses a value refuses a bad one, and
 :func:`main` alone prints errors and picks the exit code: 0 ok,
 1 numerical failure, 2 usage error, 3 infeasible or degenerate input.
 """
@@ -140,6 +141,8 @@ def cmd_psi(args) -> int:
 
 def cmd_degree(args) -> int:
     if args.all_ranks:
+        if args.force:
+            raise ValueError("--all-ranks does not take --force")
         # rank 0 adds no degree
         degrees = {r: delta(args.n, args.m, r) for r in pataki_range(args.m, args.n).ranks if r}
         rows = [{"r": r, "delta": str(d)} for r, d in degrees.items()]
@@ -182,7 +185,15 @@ def cmd_bound(args) -> int:
     return EXIT_OK
 
 
+# the optional flags each kkt-export variant reads; any other given one is refused
+_KKT_FLAGS = {"plain": ("--c",), "normalized": (), "rank": ("--rank", "--force")}
+
+
 def cmd_kkt_export(args) -> int:
+    given = {"--c": args.c is not None, "--rank": args.rank is not None, "--force": args.force}
+    ignored = [flag for flag, on in given.items() if on and flag not in _KKT_FLAGS[args.variant]]
+    if ignored:
+        raise ValueError(f"--variant {args.variant} does not take {' '.join(ignored)}")
     pencil = load_pencil(args.pencil)
     if args.variant == "plain":
         if args.c is None:

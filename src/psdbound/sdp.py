@@ -40,6 +40,15 @@ alone, and ends only its own problem, as in a lone solve.  A step goes
 0.9 of the way to the boundary, 0.98 once the path error is below 1e-4.
 The path phase ends when its path error reaches ``TOL`` or stops falling.
 
+The corrector depends on the start.  On a primal-feasible start (A0
+positive definite, so the x-problem cannot be infeasible) it is Mehrotra's:
+its target sigma*mu*Z^-1 - X also subtracts the predictor's second-order
+term sym(dX_a dZ_a Z^-1) of XZ (Mehrotra, SIAM J. Optim. 2, 1992; Todd, Toh
+and Tutuncu, SIAM J. Optim. 8, 1998), which takes about 30 % fewer passes.
+From an infeasible start it keeps the first-order target: there the
+second-order term stops Z from diverging on infeasible problems, so the
+``infeasible`` verdict, which rests on that divergence, would be lost.
+
 Every solve that does not end unbounded or infeasible is then finished by
 up to three stacked Gauss-Newton steps on the symmetrized KKT system
 F(x, Z) = (A*(Z) + c, (XZ + ZX)/2) with X = A0 + A(x), which is square in
@@ -446,6 +455,9 @@ def _solve_stack(
             target_mu.append(sigma * mu)
 
         target = np.array(target_mu)[:, None, None] * zinv - Xs
+        if lam0 > 0.0:
+            # Mehrotra's corrector: also cancel the predictor's second-order term of XZ
+            target = target - _sym(dX_a @ dZ_a @ zinv)
         dx, dX, dZ, solved_c = _newton(a_flat, schur, winv, wrw, rd, rp, target)
         steps = _max_step(half, np.concatenate([dX, dZ])).tolist()
         tau = [0.9 if h[3] > 1e-4 else 0.98 for h in head]  # of the way to the boundary

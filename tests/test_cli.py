@@ -618,6 +618,17 @@ class TestManifest:
         (["fit-degree", "--cloud", "empty.json", "--max-degree", "0"], 2, "need max_degree >= 1"),
         (["degree", "--n", "3", "--m", "3", "--r", "1", "--all-ranks"], 2, "not allowed with"),
         (["psi", "--interval", "-1", "3"], 2, "need p >= 0"),
+        # a flag the chosen mode would ignore
+        (["degree", "--n", "3", "--m", "3", "--all-ranks", "--force"], 2,
+         "--all-ranks does not take --force"),
+        (["kkt-export", "--pencil", "segment.json", "--variant", "normalized", "--rank", "2",
+          "--c", "1", "--force"], 2, "--variant normalized does not take --c --rank --force"),
+        (["kkt-export", "--pencil", "segment.json", "--variant", "plain", "--rank", "1"], 2,
+         "--variant plain does not take --rank"),
+        (["kkt-export", "--pencil", "segment.json", "--c", "1", "--force"], 2,
+         "--variant plain does not take --force"),
+        (["kkt-export", "--pencil", "segment.json", "--variant", "rank", "--rank", "1",
+          "--c", "1,2"], 2, "--variant rank does not take --c"),
     ],
 )
 def test_refused_input(capsys, tmp_path, monkeypatch, argv, code, message):

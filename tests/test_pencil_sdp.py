@@ -217,8 +217,9 @@ class TestSolveSdp:
         sol = solve_sdp(p, c)
         assert sol.status == "optimal"
         assert_certified(p, c, sol)
-        # handed over at TOL, above the path phase's float floor: no 13-pass stall tail
-        assert sol.iterations <= 30
+        # handed over at TOL, above the path phase's float floor, and with
+        # Mehrotra's corrector on this feasible start
+        assert sol.iterations <= 16
 
     @pytest.mark.parametrize("i", [0, 16, 53, 83, 178, 189, 192])
     def test_strictly_feasible_pairs_end_optimal(self, i):
@@ -228,8 +229,9 @@ class TestSolveSdp:
         sol = solve_sdp(p, c)
         assert sol.status == "optimal"
         assert_certified(p, c, sol)
-        # handed over at TOL, above the path phase's float floor: no 13-pass stall tail
-        assert sol.iterations <= 30
+        # handed over at TOL, above the path phase's float floor, and with
+        # Mehrotra's corrector on this feasible start
+        assert sol.iterations <= 16
 
     def test_schur_gram_matches_pairwise_products(self):
         rng = np.random.default_rng(5)
@@ -346,14 +348,28 @@ class TestSolveSdpMany:
         assert_batch_equals_solo(*pentagon_objectives(40, 7000))
 
     def test_rows_leaving_on_different_passes(self):
-        # an unbounded planar body: rows end with different statuses on many
-        # different passes up to MAX_ITER, so they leave the stack one by one
-        p = shift_to_interior(random_pencil(3, 2, 3), 0.5)[0]
+        # a raw planar pencil (A0 not positive definite, so the infeasible
+        # start): rows end with different statuses on many different passes
+        # up to MAX_ITER, so they leave the stack one by one
+        p = random_pencil(3, 2, 3)
         raw = np.random.default_rng(0).standard_normal((40, 2))
         solo = assert_batch_equals_solo(p, [y / np.linalg.norm(y) for y in raw])
         assert len({s.status for s in solo}) >= 3
         passes = {s.iterations for s in solo}
         assert len(passes) >= 10 and sdp.MAX_ITER in passes
+
+    def test_unbounded_planar_rows_end_with_rays(self):
+        # the same directions on the shifted pencil, an unbounded body with 0
+        # interior: every row ends optimal or unbounded with a checked ray
+        p = shift_to_interior(random_pencil(3, 2, 3), 0.5)[0]
+        raw = np.random.default_rng(0).standard_normal((40, 2))
+        cs = [y / np.linalg.norm(y) for y in raw]
+        solo = assert_batch_equals_solo(p, cs)
+        assert {s.status for s in solo} == {"optimal", "unbounded"}
+        for c, sol in zip(cs, solo):
+            if sol.status == "unbounded":
+                assert np.linalg.eigvalsh(eval_pencil(p, sol.ray) - p.mats[0])[0] >= -1e-6
+                assert float(c @ sol.ray) > 0
 
     def test_reported_fields_match_their_definitions(self):
         # residuals and ranks come from the stack's own products and spectra
