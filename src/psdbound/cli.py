@@ -185,26 +185,25 @@ def cmd_bound(args) -> int:
     return EXIT_OK
 
 
-# the optional flags each kkt-export variant reads; any other given one is refused
+# the optional flags each kkt-export variant reads, the one it needs first;
+# any other given one is refused
 _KKT_FLAGS = {"plain": ("--c",), "normalized": (), "rank": ("--rank", "--force")}
 
 
 def cmd_kkt_export(args) -> int:
+    flags = _KKT_FLAGS[args.variant]
     given = {"--c": args.c is not None, "--rank": args.rank is not None, "--force": args.force}
-    ignored = [flag for flag, on in given.items() if on and flag not in _KKT_FLAGS[args.variant]]
+    ignored = [flag for flag, on in given.items() if on and flag not in flags]
     if ignored:
         raise ValueError(f"--variant {args.variant} does not take {' '.join(ignored)}")
+    if flags and not given[flags[0]]:
+        raise ValueError(f"--variant {args.variant} needs {flags[0]}")
     pencil = load_pencil(args.pencil)
     if args.variant == "plain":
-        if args.c is None:
-            raise ValueError("--variant plain needs --c")
-        c = [float(v) for v in args.c.split(",")]
-        system = build_kkt(pencil, c)
+        system = build_kkt(pencil, [float(v) for v in args.c.split(",")])
     elif args.variant == "normalized":
         system = build_kkt_normalized(pencil)
     else:
-        if args.rank is None:
-            raise ValueError("--variant rank needs --rank")
         system = build_kkt_rank(pencil, args.rank, force=args.force)
     text = export_system(system, args.format)
     if args.format == "plain_text":

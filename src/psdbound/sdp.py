@@ -55,10 +55,12 @@ F(x, Z) = (A*(Z) + c, (XZ + ZX)/2) with X = A0 + A(x), which is square in
 x and the upper triangle of Z (Alizadeh-Haeberly-Overton, SIAM J. Optim.
 8, 1998).  Near a strictly complementary optimum they converge
 quadratically, so the path phase hands over at ``TOL`` = 1e-8, above the
-float floor where it stalls (a path error of 3e-10 to 1e-9 at m = 24);
-the finished pair is judged by the acceptance rule.  Objectives run in
-chunks whose largest per-row stack, the finish's Jacobian or the scaled
-coefficients (B, n, m, m), stays under ``CHUNK_BYTES``.
+float floor where it stalls (a path error of 3e-10 to 1e-9 at m = 24).
+A step that lowers the KKT residual but leaves the cone is halved, since
+a path phase that hands over off-centre can put the full step just
+outside; the finished pair is judged by the acceptance rule.  Objectives
+run in chunks whose largest per-row stack, the finish's Jacobian or the
+scaled coefficients (B, n, m, m), stays under ``CHUNK_BYTES``.
 
 The numerics are fixed module constants, not options: the path phase
 hands over at relative feasibility and gap ``TOL``, a finished solve is
@@ -279,8 +281,10 @@ def _finish(
     with X = A0 + A(x) (Alizadeh-Haeberly-Overton, SIAM J. Optim. 8, 1998);
     its unknowns are x and the upper triangle of Z, so it is square.  A row
     takes a step only while the step is finite, ||F|| falls, and X and Z
-    stay psd to ``-ACCEPT * max(1, lambda_max)``; a row whose step is
-    refused stops.  ``a_flat`` holds A1..An as rows of length m*m.
+    stay psd to ``-ACCEPT * max(1, lambda_max)``.  A step that lowers ||F||
+    but leaves the cone is halved, up to three times: from a path phase that
+    hands over off-centre the full step can end just outside.  A row whose
+    step is refused stops.  ``a_flat`` holds A1..An as rows of length m*m.
     """
     count, m = Z.shape[:2]
     n = a_flat.shape[0]
@@ -328,18 +332,26 @@ def _finish(
         cand, d = live[ok], d[ok]
         if not cand.size:
             break
-        x_new = x[cand] + d[:, :n]
-        dz = np.zeros((len(cand), m, m))
-        dz[:, iu, ju] = dz[:, ju, iu] = d[:, n:]
-        Z_new = Z[cand] + dz
-        X_new = pencil_at(x_new)
-        f_new, norm2_new = residual(cs[cand], X_new, Z_new)
-        w = np.linalg.eigvalsh(np.concatenate([X_new, Z_new]))
-        psd = w[:, 0] >= -ACCEPT * np.maximum(1.0, w[:, -1])
-        take = (norm2_new < norm2[cand]) & psd[: len(cand)] & psd[len(cand) :]
-        live = cand[take]
-        x[live], X[live], Z[live] = x_new[take], X_new[take], Z_new[take]
-        f[live], norm2[live] = f_new[take], norm2_new[take]
+        stepped = []
+        for length in (1.0, 0.5, 0.25, 0.125):
+            x_new = x[cand] + length * d[:, :n]
+            dz = np.zeros((len(cand), m, m))
+            dz[:, iu, ju] = dz[:, ju, iu] = length * d[:, n:]
+            Z_new = Z[cand] + dz
+            X_new = pencil_at(x_new)
+            f_new, norm2_new = residual(cs[cand], X_new, Z_new)
+            w = np.linalg.eigvalsh(np.concatenate([X_new, Z_new]))
+            psd = w[:, 0] >= -ACCEPT * np.maximum(1.0, w[:, -1])
+            falls = norm2_new < norm2[cand]
+            take = falls & psd[: len(cand)] & psd[len(cand) :]
+            done = cand[take]
+            x[done], X[done], Z[done] = x_new[take], X_new[take], Z_new[take]
+            f[done], norm2[done] = f_new[take], norm2_new[take]
+            stepped.append(done)
+            cand, d = cand[falls & ~take], d[falls & ~take]
+            if not cand.size:
+                break
+        live = np.sort(np.concatenate(stepped))
         moved[live] = True
     return x, X, Z, moved
 

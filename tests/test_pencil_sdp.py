@@ -371,6 +371,16 @@ class TestSolveSdpMany:
                 assert np.linalg.eigvalsh(eval_pencil(p, sol.ray) - p.mats[0])[0] >= -1e-6
                 assert float(c @ sol.ray) > 0
 
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_bounded_planar_cloud_all_optimal(self, seed):
+        # a bounded body with 0 interior: every support SDP ends optimal, also
+        # where the path phase hands over off-centre and the finish's full
+        # Gauss-Newton step leaves the cone (one direction at each seed)
+        p = shift_to_interior(random_pencil(4, 2, 0), 0.5)[0]
+        raw = np.random.default_rng(seed).standard_normal((600, 2))
+        sols = solve_sdp_many(p, [y / np.linalg.norm(y) for y in raw])
+        assert {s.status for s in sols} == {"optimal"}
+
     def test_reported_fields_match_their_definitions(self):
         # residuals and ranks come from the stack's own products and spectra
         p, cs = pentagon_objectives(30, 8)
