@@ -30,7 +30,7 @@ import numpy as np
 from .bounds import pataki_range, triangular
 from .combinatorics import check_delta_exponent_bound
 from .pencil import Pencil
-from .sdp import STATUS_OPTIMAL, solve_sdp
+from .sdp import STATUS_FAILURE, STATUS_INFEASIBLE, STATUS_OPTIMAL, STATUS_UNBOUNDED, solve_sdp
 
 
 def random_symmetric(rng: np.random.Generator, m: int) -> np.ndarray:
@@ -75,7 +75,8 @@ class RankFrequencyTable:
     """Optimal-rank histogram over random instances of one shape.
 
     ``counts`` maps each optimal rank to its trials, in rank order;
-    ``statuses`` counts every solver status, in name order.
+    ``statuses`` counts the trials of each of the four solver statuses,
+    in name order, zeros included.
     ``in_range_fraction`` is the share of optimal trials whose rank lies in
     the Pataki range, None when no trial ended optimal.
     """
@@ -103,7 +104,8 @@ def rank_frequency(m: int, n: int, trials: int, seed: int) -> RankFrequencyTable
         raise ValueError(f"need trials >= 1, got {trials}")
     pataki = pataki_range(m, n)  # validates the shape
     counts: Counter[int] = Counter()
-    statuses: Counter[str] = Counter()
+    names = (STATUS_FAILURE, STATUS_INFEASIBLE, STATUS_OPTIMAL, STATUS_UNBOUNDED)
+    statuses = dict.fromkeys(sorted(names), 0)
     skipped = 0
     for trial in range(trials):
         rng = np.random.default_rng((seed, trial))
@@ -126,7 +128,7 @@ def rank_frequency(m: int, n: int, trials: int, seed: int) -> RankFrequencyTable
         seed=seed,
         pataki_ranks=pataki.ranks,
         pataki_strict_ranks=pataki.strict_ranks,
-        statuses=dict(sorted(statuses.items())),
+        statuses=statuses,
         in_range_fraction=in_range / solved if solved else None,
     )
 

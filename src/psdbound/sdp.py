@@ -5,68 +5,51 @@ returns the optimizer together with the dual multiplier Z satisfying
 
     X = A0 + A(x),   A*(Z) + c = 0,   X Z = 0,   X psd,  Z psd
 
-at the reported tolerances.  The implementation is a Nesterov-Todd scaled
-predictor/centering path-following method on the equivalent standard-form
-pair
+at the reported tolerances, or a certificate that no such pair exists.
+Every pencil, whatever A0, is solved through one homogeneous self-dual
+embedding (Ye, Todd and Mizuno, Math. Oper. Res. 19, 1994; de Klerk, Roos
+and Terlaky, 1997) of the pair  min <A0, Z> s.t. <A_i, Z> = -c_i, Z psd
+and  max c^T x s.t. A0 + A(x) psd,  with two more scalars tau, kappa >= 0:
 
-    min <A0, Z>  s.t.  <A_i, Z> = -c_i,  Z psd      (primal)
-    max  c^T x   s.t.  A0 + A(x) psd                (dual)
+    A*(Z) + c tau = 0,   X = A0 tau + A(x),   c^T x - <A0, Z> = kappa.
 
-with fixed deterministic step rules: identical inputs give identical
-outputs on a given platform.  Any pencil is taken: the solve starts at
-X = A0 when A0 is positive definite and from an infeasible start
-otherwise.  The Schur complement is the Gram matrix of the NT-scaled
-coefficient matrices F^T A_i F, where F F^T = W^{-1}.  Everything is
-dense; intended scale is m <= 24, n <= 80.
+Its solutions have <X, Z> + tau kappa = 0: tau > 0 gives the optimal pair
+(x, X, Z) / tau, and kappa > 0 a ray x (c^T x > 0, A(x) psd) or a Farkas
+Z (<A0, Z> < 0, A*(Z) = 0).  The iteration starts at x = 0, X = Z = I,
+tau = kappa = 1.  Each pass takes a Nesterov-Todd scaled Mehrotra step:
+the corrector scales every residual by 1 - sigma, aims at sigma*mu, mu =
+(<X, Z> + tau kappa) / (m + 1), and subtracts the predictor's
+second-order terms sym(dX_a dZ_a Z^-1) and dtau_a dkappa_a (Mehrotra,
+SIAM J. Optim. 2, 1992; Todd, Toh and Tutuncu, SIAM J. Optim. 8, 1998),
+so residuals and mu fall at one rate.  The Schur complement is the Gram
+matrix of the NT-scaled coefficients F^T A_i F, F F^T = W^{-1}.  One step
+length moves x, X, Z, tau and kappa: 0.9 of the way to the boundary,
+0.98 once the path error of (x, X, Z) / tau is below 1e-4.  Everything is
+dense and deterministic; intended scale is m <= 24, n <= 80.
 
-One pencil, many objectives: :func:`solve_sdp_many` runs a single
-iteration loop over a stack of problems.  Matrices are stacks with one
-row per problem (``x`` is (B, n), ``X`` and ``Z`` are (B, m, m)) and go
-through numpy's stacked linear algebra, which does the same arithmetic on
-each slice as on a lone matrix; inner products are one BLAS dot per row
-(``np.vecdot``), never a GEMM across rows.  Scalar decisions (statuses,
-centering) run row by row in Python, and the step-length and Schur-ridge
-rules elementwise, with the same expressions as a lone solve.  So each
-problem's result is bitwise identical to solving it alone, whatever batch
-it sits in and in whatever order; :func:`solve_sdp` is the one-objective
-case.
+:func:`solve_sdp_many` runs one iteration loop over a stack of problems
+on one pencil; a problem whose solve ends leaves the stack before the
+next stacked call.  numpy's stacked linear algebra does the same
+arithmetic on each slice as on a lone matrix, inner products are one BLAS
+dot per row (``np.vecdot``), statuses are decided row by row in Python,
+and the centering, step and Schur-ridge rules run elementwise.  So each result is
+bitwise identical to solving it alone, whatever the batch and its order;
+:func:`solve_sdp` is the one-objective case.  A singular Schur system
+halves the stack until the singular slices stand alone, and ends only its
+own problem.
 
-The stack is the set of live problems.  A problem whose solve ends leaves
-it before the next stacked call, and its last iterate is kept for the
-finish.  The step lengths come from the eigenpairs of X and Z that the NT
-scaling already computes, so no slice needs a factorization of its own.
-A singular Schur system halves the stack until the singular slices stand
-alone, and ends only its own problem, as in a lone solve.  A step goes
-0.9 of the way to the boundary, 0.98 once the path error is below 1e-4.
-The path phase ends when its path error reaches ``TOL`` or stops falling.
-
-The corrector depends on the start.  On a primal-feasible start (A0
-positive definite, so the x-problem cannot be infeasible) it is Mehrotra's:
-its target sigma*mu*Z^-1 - X also subtracts the predictor's second-order
-term sym(dX_a dZ_a Z^-1) of XZ (Mehrotra, SIAM J. Optim. 2, 1992; Todd, Toh
-and Tutuncu, SIAM J. Optim. 8, 1998), which takes about 30 % fewer passes.
-From an infeasible start it keeps the first-order target: there the
-second-order term stops Z from diverging on infeasible problems, so the
-``infeasible`` verdict, which rests on that divergence, would be lost.
-
-Every solve that does not end unbounded or infeasible is then finished by
-up to three stacked Gauss-Newton steps on the symmetrized KKT system
-F(x, Z) = (A*(Z) + c, (XZ + ZX)/2) with X = A0 + A(x), which is square in
-x and the upper triangle of Z (Alizadeh-Haeberly-Overton, SIAM J. Optim.
-8, 1998).  Near a strictly complementary optimum they converge
-quadratically, so the path phase hands over at ``TOL`` = 1e-8, above the
-float floor where it stalls (a path error of 3e-10 to 1e-9 at m = 24).
-A step that lowers the KKT residual but leaves the cone is halved, since
-a path phase that hands over off-centre can put the full step just
-outside; the finished pair is judged by the acceptance rule.  Objectives
-run in chunks whose largest per-row stack, the finish's Jacobian or the
-scaled coefficients (B, n, m, m), stays under ``CHUNK_BYTES``.
-
-The numerics are fixed module constants, not options: the path phase
-hands over at relative feasibility and gap ``TOL``, a finished solve is
-accepted at ``ACCEPT``, a solve runs at most ``MAX_ITER`` iterations, and
-an x (or Z) whose norm passes ``DIVERGE_NORM`` ends it as unbounded (or
-infeasible).  Numerical ranks use ``RANK_EPS``.
+A solve ends when the path error reaches ``TOL``, and (x, X, Z) / tau goes
+to the finish; or, while tau is below kappa, when a certificate of its
+iterate passes its check (:func:`_certificate`), as ``infeasible`` or
+``unbounded``.  A solve that does neither within ``MAX_ITER`` passes, or
+whose iterate reaches the float floor, goes to the finish as it is.  The
+finish's Gauss-Newton steps (:func:`_finish`) converge quadratically near
+a strictly complementary optimum, so the path phase hands over at
+``TOL`` = 1e-8, above the float floor (a path error of 3e-10 to 1e-9 at
+m = 24); the finished pair is judged by ``ACCEPT``.  Objectives run in
+chunks whose largest per-row stack stays under ``CHUNK_BYTES``.  These
+numerics and the rank threshold ``RANK_EPS`` are module constants, not
+options.
 """
 
 from __future__ import annotations
@@ -84,7 +67,6 @@ RANK_EPS = 1e-6
 TOL = 1e-8  # path error handed to the finish: above the float floor, in Newton's quadratic reach
 ACCEPT = 1e-7  # relative feasibility and gap a finished solve must reach
 MAX_ITER = 100
-DIVERGE_NORM = 1e8  # ||x|| (or ||Z|| / max(1, ||c||)) past this ends the solve
 CHUNK_BYTES = 1 << 24  # bytes of one chunk's largest per-row stack
 
 STATUS_OPTIMAL = "optimal"
@@ -110,9 +92,12 @@ class SdpSolution:
 
     ``residuals`` is (primal feasibility ||A0 + A(x) - X||_F,
     dual feasibility ||A*(Z) + c||_2, complementarity trace(X Z)).
-    ``ray`` is populated for unbounded problems: a unit direction with
-    A(ray) psd (within tolerance) and c^T ray > 0.  The descending spectra
-    ride along for auditing the rank decisions.
+    ``ray`` is set for unbounded problems: a unit direction with A(ray) psd
+    (within tolerance) and c^T ray > 0; ``farkas`` for infeasible ones: a
+    unit-trace positive definite Z with ||A*(Z)|| <= TOL and <A0, Z> < 0
+    (see :func:`_certificate`).  With a certificate, ``x``, ``X``, ``Z`` and
+    ``value`` = c^T x are the last iterate over tau, not an optimum.  The
+    descending spectra ride along for auditing the rank decisions.
     """
 
     x: np.ndarray
@@ -127,11 +112,13 @@ class SdpSolution:
     spectrum_Z: np.ndarray
     iterations: int
     ray: np.ndarray | None = None
+    farkas: np.ndarray | None = None
 
 
 def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Row-wise <a_k, b_k> over two stacks: one BLAS dot per row, the same
-    arithmetic as np.vdot(a_k, b_k) (and as np.linalg.norm's square)."""
+    """Row-wise <a_k, b_k> over two stacks (or against b's one row): one BLAS
+    dot per row, the same arithmetic as np.vdot(a_k, b_k) (and as
+    np.linalg.norm's square)."""
     return np.vecdot(a.reshape(len(a), -1), b.reshape(len(b), -1))
 
 
@@ -167,15 +154,16 @@ def _residuals(
 ) -> tuple[np.ndarray, np.ndarray, list[list[float]]]:
     """Residuals rd = A0 + A(x) - X and rp = -(A*(Z) + c) over a stack, and
     per row the inner products the solver's errors and norms are made of:
-    (<rd, rd>, <X, Z>, <XZ, XZ>, <X, X>, <Z, Z>, <rp, rp>, <c, x>, <x, x>),
-    each one BLAS dot.  ``a_flat`` holds A1..An as rows of length m*m."""
+    (<rd, rd>, <X, Z>, <XZ, XZ>, <X, X>, <Z, Z>, <A0, Z>, <rp, rp>, <c, x>,
+    <x, x>), each one BLAS dot.  ``a0`` holds A0 once per row, and
+    ``a_flat`` holds A1..An as rows of length m*m."""
     count, m = X.shape[:2]
     rd = a0 + (x[:, None, :] @ a_flat).reshape(count, m, m) - X
     rp = -(cv + (a_flat @ Z.reshape(count, m * m, 1))[..., 0])
     xz = X @ Z
     mats = np.vecdot(
-        np.concatenate([rd, X, xz, X, Z]).reshape(5, count, m * m),
-        np.concatenate([rd, Z, xz, X, Z]).reshape(5, count, m * m),
+        np.concatenate([rd, X, xz, X, Z, a0]).reshape(6, count, m * m),
+        np.concatenate([rd, Z, xz, X, Z, Z]).reshape(6, count, m * m),
     )
     n = x.shape[1]
     vecs = np.vecdot(
@@ -185,15 +173,16 @@ def _residuals(
     return rd, rp, np.concatenate([mats, vecs]).T.tolist()
 
 
-def _errors(dots: list[float], norm_a0: float, norm_c: float) -> tuple[float, float, float, float]:
-    """Relative errors (primal, dual, gap, complementarity) the solver
-    steers and accepts by, from one row of :func:`_residuals`' products."""
-    rd_rd, x_z, xz_xz, x_x, z_z, rp_rp, c_x, _ = dots
+def _errors(dots: list[float], norm_a0: float, norm_c: float, tau: float) -> tuple[float, ...]:
+    """Relative errors (primal, dual, gap, complementarity) of the point
+    (x, X, Z) / tau that the solver steers and accepts by, from one row of
+    :func:`_residuals`' products taken with A0 tau and c tau."""
+    rd_rd, x_z, xz_xz, x_x, z_z, _, rp_rp, c_x, _ = dots
     return (
-        math.sqrt(rd_rd) / (1.0 + norm_a0),
-        math.sqrt(rp_rp) / (1.0 + norm_c),
-        abs(x_z) / (1.0 + abs(c_x)),
-        math.sqrt(xz_xz) / (1.0 + math.sqrt(x_x) * math.sqrt(z_z)),
+        math.sqrt(rd_rd) / (tau * (1.0 + norm_a0)),
+        math.sqrt(rp_rp) / (tau * (1.0 + norm_c)),
+        abs(x_z) / (tau * tau + abs(c_x)),
+        math.sqrt(xz_xz) / (tau * tau + math.sqrt(x_x) * math.sqrt(z_z)),
     )
 
 
@@ -250,25 +239,65 @@ def _solve_each(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, list[bool]]:
 
 
 def _newton(
-    a_flat: np.ndarray,
-    schur: np.ndarray,
-    winv: np.ndarray,
-    wrw: np.ndarray,
-    rd: np.ndarray,
-    rp: np.ndarray,
-    target: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[bool]]:
-    """Directions for  Delta_X + W Delta_Z W = target  plus the two linear
-    groups, reduced to the Schur system in Delta_x (``wrw`` = W^-1 rd W^-1),
-    over a stack, and per slice whether its Schur system was solved (a
-    zero Delta_x where not, which keeps the other directions finite)."""
+    a0: np.ndarray, a_flat: np.ndarray, schur: np.ndarray, winv: np.ndarray, rd: np.ndarray,
+    rp: np.ndarray, cv: np.ndarray, gap_row: np.ndarray, tau: np.ndarray, kappa: np.ndarray,
+    eta: np.ndarray, target: np.ndarray, t_tk: np.ndarray,
+) -> tuple[np.ndarray, ...]:
+    """Directions (dx, dX, dZ, dtau, dkappa) of the embedding's Newton
+    system over a stack, and per slice whether its Schur system was solved.
+
+    The system is the linear groups with residuals (rd, rp and the gap row)
+    scaled by ``eta``, dX + W dZ W = ``target`` and kappa dtau + tau dkappa
+    = ``t_tk``.  With g = sym(W^-1 target W^-1) - eta W^-1 rd W^-1 and
+    h = A*(W^-1 A0 W^-1), it reduces to S dx = A*(g) - eta rp + dtau (c - h):
+    dx = dx1 + dtau dx2 from one stacked solve with two right-hand sides,
+    and dtau from the gap row, one scalar equation.
+    """
     count, m = winv.shape[:2]
-    g_mat = _sym(winv @ target @ winv) - wrw
-    rhs = (a_flat @ g_mat.reshape(count, m * m, 1))[..., 0] - rp
-    dx, solved = _solve_each(schur, rhs[..., None])
-    dx = dx[..., 0]
+    wa0w = _sym(winv @ a0 @ winv)
+    h = (a_flat @ wa0w.reshape(count, m * m, 1))[..., 0]
+    g_mat = _sym(winv @ target @ winv) - eta[:, None, None] * (winv @ rd @ winv)
+    rhs = (a_flat @ g_mat.reshape(count, m * m, 1))[..., 0] - eta[:, None] * rp
+    d, solved = _solve_each(schur, np.stack([rhs, cv - h], axis=2))
+    dx1, dx2 = d[..., 0], d[..., 1]
+    ch = cv + h
+    dtau = (t_tk / tau - eta * gap_row - _dot(ch, dx1) + _dot(g_mat, a0[None])) / (
+        _dot(ch, dx2) + _dot(wa0w, a0[None]) + kappa / tau
+    )
+    dx = dx1 + dtau[:, None] * dx2
     adx = (dx[:, None, :] @ a_flat).reshape(count, m, m)
-    return dx, adx + rd, g_mat - _sym(winv @ adx @ winv), solved
+    dX = adx + dtau[:, None, None] * a0 + eta[:, None, None] * rd
+    dZ = g_mat - _sym(winv @ adx @ winv) - dtau[:, None, None] * wa0w
+    return dx, dX, dZ, dtau, (t_tk - kappa * dtau) / tau, solved
+
+
+def _step(half: np.ndarray, dX: np.ndarray, dZ: np.ndarray, tau: np.ndarray, dtau: np.ndarray,
+          kappa: np.ndarray, dkappa: np.ndarray) -> np.ndarray:
+    """Per row, the largest alpha <= 1 that keeps X, Z, tau and kappa
+    positive along a direction: tau and kappa are 1 x 1 blocks of the cone."""
+    cone = _max_step(half, np.concatenate([dX, dZ]))
+    v = np.concatenate([tau, kappa])[:, None, None]
+    scalar = _max_step(1.0 / np.sqrt(v), np.concatenate([dtau, dkappa])[:, None, None])
+    return np.concatenate([cone, scalar]).reshape(4, len(tau)).min(axis=0)
+
+
+def _certificate(a0: np.ndarray, a_flat: np.ndarray, scale0: float, c: np.ndarray,
+                 x: np.ndarray, Z: np.ndarray) -> tuple[str, np.ndarray] | None:
+    """The verdict an iterate of the embedding certifies, and its certificate.
+
+    ``infeasible``: Z (positive definite) has ||A*(Z)|| <= TOL tr Z and
+    <A0, Z> <= -||A*(Z)|| / TOL, so <A0 + A(x), Z> < 0 for every x of norm
+    below 1 / TOL; the certificate is Z / tr Z.  ``unbounded``: the ray
+    d = x / ||x|| has c^T d > 0 and A(d) psd to -1e-6 scale0.
+    """
+    a0_z = float(np.vdot(a0, Z))
+    if float(np.linalg.norm(a_flat @ Z.ravel())) <= TOL * min(float(np.trace(Z)), -a0_z):
+        return STATUS_INFEASIBLE, Z / np.trace(Z)
+    if float(c @ x) > 0:
+        ray = x / float(np.linalg.norm(x))
+        if np.linalg.eigvalsh((ray @ a_flat).reshape(Z.shape))[0] >= -1e-6 * scale0:
+            return STATUS_UNBOUNDED, ray
+    return None
 
 
 def _finish(
@@ -356,78 +385,64 @@ def _finish(
     return x, X, Z, moved
 
 
-def _solve_stack(
-    pencil: Pencil, a_flat: np.ndarray, lam0: float, cs: np.ndarray
-) -> list[SdpSolution]:
-    """The interior-point loop over one stack of objectives, then each
-    problem's finish and solution.
+def _solve_stack(pencil: Pencil, a_flat: np.ndarray, cs: np.ndarray) -> list[SdpSolution]:
+    """The embedding's interior-point loop over one stack of objectives,
+    then each problem's finish and solution.
 
-    The stack holds exactly the problems still iterating: row j of the
-    stacked iterates ``xs``, ``Xs``, ``Zs`` is problem ``rows[j]``.  Matrix
-    work runs as stacked calls over the whole stack; the scalar decisions
-    run row by row in Python, the same arithmetic as a lone solve.  When a
-    problem's solve ends, its last iterate goes to its row of x, X, Z,
-    which the finish starts from, and it leaves the stack before the next
-    stacked call."""
+    Row j of the stacked iterates ``xs``, ``Xs``, ``Zs``, ``taus``,
+    ``kappas`` is problem ``rows[j]``.  When a problem's solve ends, its
+    last iterate over tau goes to its row of x, X, Z, which the finish
+    starts from, and it leaves the stack."""
     m, n = pencil.m, pencil.n
-    mats = pencil.mats
-    a0 = mats[0]
+    a0 = pencil.mats[0]
     count = len(cs)
     norm_a0 = float(np.linalg.norm(a0))
-    scale0 = max(1.0, norm_a0, max(float(np.linalg.norm(a)) for a in mats))
+    scale0 = max(1.0, norm_a0, max(float(np.linalg.norm(a)) for a in pencil.mats))
     norm_c = np.sqrt(_dot(cs, cs)).tolist()
-    # a primal-feasible start when A0 is interior: the residual stays zero
-    start = a0 if lam0 > 0.0 else scale0 * np.eye(m)
+    # the embedding's start: x = 0, X = Z = I and tau = kappa = 1
     xs = np.zeros((count, n))
-    Xs = np.repeat(start[None], count, axis=0)
-    Zs = np.array([max(1.0, c) for c in norm_c])[:, None, None] * np.eye(m)
+    Xs = np.repeat(np.eye(m)[None], count, axis=0)
+    Zs, taus, kappas = Xs.copy(), np.ones(count), np.ones(count)
     rows, cl = list(range(count)), cs  # the stack's problems and their objectives
-    x, X, Z = np.empty_like(xs), np.empty_like(Xs), np.empty_like(Zs)  # each one's last iterate
-    best_path = [math.inf] * count  # smallest path error seen
-    stall = [0] * count  # passes since best_path last fell
-    # a solve that ends short of unbounded or infeasible is judged after the finish
+    x, X, Z = np.empty_like(xs), np.empty_like(Xs), np.empty_like(Zs)  # last iterates / tau
+    # a solve that ends without a certificate is judged after the finish
     final = [STATUS_FAILURE] * count
     iterations = [MAX_ITER] * count
+    certificates: list[np.ndarray | None] = [None] * count
 
     def end(ended: dict[int, str], it: int, *stacks: np.ndarray | list) -> list:
         """Record the status and last iterate of each problem whose stack row
         is in ``ended``; the stack, then ``stacks`` (more per-row state, one
         entry per stack row), without those rows."""
-        stack = [rows, cl, xs, Xs, Zs, *stacks]
+        stack = [rows, cl, xs, Xs, Zs, taus, kappas, *stacks]
         if not ended:
             return stack
         for j, status in ended.items():
             k = rows[j]
             final[k], iterations[k] = status, it
-            x[k], X[k], Z[k] = xs[j], Xs[j], Zs[j]
+            x[k], X[k], Z[k] = xs[j] / taus[j], Xs[j] / taus[j], Zs[j] / taus[j]
         keep = [j for j in range(len(rows)) if j not in ended]
         return [[s[j] for j in keep] if isinstance(s, list) else s[keep] for s in stack]
 
     for it in range(1, MAX_ITER + 1):
-        rd, rp, dots = _residuals(a0, a_flat, cl, xs, Xs, Zs)
+        # the embedding's residuals rd = A0 tau + A(x) - X and rp = -(A*(Z) + c tau)
+        rd, rp, dots = _residuals(a0 * taus[:, None, None], a_flat, cl * taus[:, None], xs, Xs, Zs)
         ended: dict[int, str] = {}  # stack rows whose solve ends in this pass
-        head = []
-        for j, (k, row) in enumerate(zip(rows, dots)):
-            feas_p, feas_d, rel_gap, _ = _errors(row, norm_a0, norm_c[k])
-            path_err = max(feas_p, feas_d, rel_gap)
-            head.append((feas_p, feas_d, rel_gap, path_err, row[1]))
-            xnorm, znorm = math.sqrt(row[7]), math.sqrt(row[4])
-            if path_err < best_path[k] * 0.9999:
-                best_path[k] = path_err
-                stall[k] = 0
-            else:
-                stall[k] += 1
-
-            finite = math.isfinite(xnorm) and math.isfinite(znorm)
-            if not finite or path_err <= TOL or stall[k] > 12:
-                # a non-finite iterate (it leaves before any LAPACK call), or the
-                # path phase has converged or bottomed out: the finish takes over
+        head = []  # per row: path error, <X, Z> + tau kappa and the gap row
+        for j, (k, row, tau, kappa) in enumerate(zip(rows, dots, taus.tolist(), kappas.tolist())):
+            path_err = max(_errors(row, norm_a0, norm_c[k], tau)[:3])
+            # c^T x - <A0, Z> - kappa, from the products tau c^T x and tau <A0, Z>
+            head.append((path_err, row[1] + tau * kappa, (row[7] - row[5]) / tau - kappa))
+            if not all(map(math.isfinite, (row[4], row[8], tau, kappa))) or path_err <= TOL:
+                # a non-finite iterate (it leaves before any LAPACK call), or
+                # (x, Z) / tau has converged: the finish takes over
                 ended[j] = STATUS_FAILURE
-            elif xnorm > DIVERGE_NORM:
-                ended[j] = STATUS_UNBOUNDED if row[6] > 0 else STATUS_FAILURE
-            elif znorm > DIVERGE_NORM * max(1.0, norm_c[k]):
-                ended[j] = STATUS_INFEASIBLE
-        rows, cl, xs, Xs, Zs, rd, rp, head = end(ended, it, rd, rp, head)
+            elif tau < kappa:
+                # tau falls against kappa: the row ends once its iterate certifies
+                verdict = _certificate(a0, a_flat, scale0, cl[j], xs[j], Zs[j])
+                if verdict:
+                    ended[j], certificates[k] = verdict
+        rows, cl, xs, Xs, Zs, taus, kappas, rd, rp, head = end(ended, it, rd, rp, head)
         if not rows:
             break
 
@@ -436,7 +451,7 @@ def _solve_stack(
             # X or Z reached the float floor: the finish takes over, and the
             # rest scale again on their own stack (each row as before)
             ended = {j: STATUS_FAILURE for j, ok in enumerate(scaled) if not ok}
-            rows, cl, xs, Xs, Zs, rd, rp, head = end(ended, it, rd, rp, head)
+            rows, cl, xs, Xs, Zs, taus, kappas, rd, rp, head = end(ended, it, rd, rp, head)
             if not rows:
                 break
             f_mat, zinv, half, _ = _nt_scaling(Xs, Zs)
@@ -448,82 +463,65 @@ def _solve_stack(
         trace = np.trace(schur, axis1=1, axis2=2)
         ridge = 1e-14 * np.fmax(1.0, trace / max(n, 1))
         schur.reshape(b, n * n)[:, :: n + 1] += ridge[:, None]
-        wrw = winv @ rd @ winv
+        path_err, gap, gap_row = (np.array(v) for v in zip(*head))
+        pass_system = (a0, a_flat, schur, winv, rd, rp, cl, gap_row, taus, kappas)
 
-        # predictor: sigma = 0 target in  Delta_X + W Delta_Z W = -X
-        _, dX_a, dZ_a, solved = _newton(a_flat, schur, winv, wrw, rd, rp, -Xs)
-        alpha = _max_step(half, np.concatenate([dX_a, dZ_a]))
-        ap_a, ad_a = alpha[:b, None, None], alpha[b:, None, None]
-        gaps_aff = _dot(Xs + ap_a * dX_a, Zs + ad_a * dZ_a).tolist()
-        target_mu = []
-        for (feas_p, feas_d, rel_gap, _, gap), gap_aff in zip(head, gaps_aff):
-            mu = max(gap / m, 1e-300)
-            sigma = min(1.0, max((max(0.0, gap_aff / m) / mu) ** 3, 1e-12))
-            # keep the gap from outrunning infeasibility: residuals
-            # shrink by (1 - alpha) per step, so hold the path back
-            # while they lag
-            if max(feas_p, feas_d) > max(0.1 * rel_gap, TOL):
-                sigma = max(sigma, 0.5)
-            target_mu.append(sigma * mu)
+        # predictor: sigma = 0 and every residual in full
+        dx_a, dX_a, dZ_a, dtau_a, dkappa_a, solved = _newton(
+            *pass_system, np.ones(b), -Xs, -taus * kappas
+        )
+        a = _step(half, dX_a, dZ_a, taus, dtau_a, kappas, dkappa_a)
+        gaps_aff = _dot(Xs + a[:, None, None] * dX_a, Zs + a[:, None, None] * dZ_a)
+        gaps_aff = gaps_aff + (taus + a * dtau_a) * (kappas + a * dkappa_a)
+        mus = np.maximum(gap / (m + 1), 1e-300)
+        ratio = np.maximum(0.0, gaps_aff / (m + 1)) / mus
+        sigma = np.clip(ratio * ratio * ratio, 1e-12, 1.0)
 
-        target = np.array(target_mu)[:, None, None] * zinv - Xs
-        if lam0 > 0.0:
-            # Mehrotra's corrector: also cancel the predictor's second-order term of XZ
-            target = target - _sym(dX_a @ dZ_a @ zinv)
-        dx, dX, dZ, solved_c = _newton(a_flat, schur, winv, wrw, rd, rp, target)
-        steps = _max_step(half, np.concatenate([dX, dZ])).tolist()
-        tau = [0.9 if h[3] > 1e-4 else 0.98 for h in head]  # of the way to the boundary
-        alpha_p = [min(1.0, t * s) for t, s in zip(tau, steps[:b])]
-        alpha_d = [min(1.0, t * s) for t, s in zip(tau, steps[b:])]
+        # Mehrotra's corrector: residuals scaled by 1 - sigma, the target
+        # sigma mu, less the predictor's second-order terms of XZ and tau kappa
+        smu = sigma * mus
+        target = smu[:, None, None] * zinv - Xs - _sym(dX_a @ dZ_a @ zinv)
+        t_tk = smu - taus * kappas - dtau_a * dkappa_a
+        dx, dX, dZ, dtau, dkappa, solved_c = _newton(*pass_system, 1.0 - sigma, target, t_tk)
+        frac = np.where(path_err > 1e-4, 0.9, 0.98)  # of the way to the boundary
+        alpha = frac * _step(half, dX, dZ, taus, dtau, kappas, dkappa)
         # a singular Schur system ends the solve at its pre-step iterate
         ended = {j: STATUS_FAILURE for j in range(b) if not (solved[j] and solved_c[j])}
-        rows, cl, xs, Xs, Zs, dx, dX, dZ, alpha_p, alpha_d = end(
-            ended, it, dx, dX, dZ, alpha_p, alpha_d
+        rows, cl, xs, Xs, Zs, taus, kappas, dx, dX, dZ, dtau, dkappa, alpha = end(
+            ended, it, dx, dX, dZ, dtau, dkappa, alpha
         )
-        ap, ad = np.array(alpha_p), np.array(alpha_d)
-        xs = xs + ap[:, None] * dx
-        Xs = _sym(Xs + ap[:, None, None] * dX)
-        Zs = _sym(Zs + ad[:, None, None] * dZ)
+        xs = xs + alpha[:, None] * dx
+        Xs = _sym(Xs + alpha[:, None, None] * dX)
+        Zs = _sym(Zs + alpha[:, None, None] * dZ)
+        taus, kappas = taus + alpha * dtau, kappas + alpha * dkappa
 
-    x[rows], X[rows], Z[rows] = xs, Xs, Zs  # the problems still iterating at MAX_ITER
-    return _assemble(pencil, a_flat, norm_a0, scale0, cs, norm_c, final, iterations, x, X, Z)
+    end(dict.fromkeys(range(len(rows)), STATUS_FAILURE), MAX_ITER)  # still iterating at MAX_ITER
+    return _assemble(pencil, a_flat, norm_a0, cs, norm_c, final, iterations, certificates, x, X, Z)
 
 
 def _assemble(
-    pencil: Pencil, a_flat: np.ndarray, norm_a0: float, scale0: float, cs: np.ndarray,
-    norm_c: list[float], final: list[str], iterations: list[int],
-    x: np.ndarray, X: np.ndarray, Z: np.ndarray,
-) -> list[SdpSolution]:
+    pencil: Pencil, a_flat: np.ndarray, norm_a0: float, cs: np.ndarray, norm_c: list[float],
+    final: list[str], iterations: list[int], certificates: list, x: np.ndarray, X: np.ndarray,
+    Z: np.ndarray) -> list[SdpSolution]:
     """Finish the stack's final iterates, judge them and assemble each solution."""
-    m = pencil.m
     a0 = pencil.mats[0]
     count = len(cs)
-    todo = [k for k in range(count) if final[k] not in (STATUS_UNBOUNDED, STATUS_INFEASIBLE)]
+    todo = [k for k in range(count) if final[k] == STATUS_FAILURE]
     if todo:
         fx, fX, fZ, moved = _finish(a0, a_flat, cs[todo], x[todo], Z[todo])
         for j in moved.nonzero()[0].tolist():
             x[todo[j]], X[todo[j]], Z[todo[j]] = fx[j], fX[j], fZ[j]
-    _, _, dots = _residuals(a0, a_flat, cs, x, X, Z)
+    _, _, dots = _residuals(np.broadcast_to(a0, Z.shape), a_flat, cs, x, X, Z)
     w = np.linalg.eigvalsh(np.concatenate([X, Z]))  # spectra and ranks
     ranks = _ranks(w)
 
     solutions = []
     for k in range(count):
         status = final[k]
-        if status not in (STATUS_UNBOUNDED, STATUS_INFEASIBLE):
-            feas_p, feas_d, rel_gap, rel_comp = _errors(dots[k], norm_a0, norm_c[k])
+        if status == STATUS_FAILURE:
+            feas_p, feas_d, rel_gap, rel_comp = _errors(dots[k], norm_a0, norm_c[k], 1.0)
             if feas_p <= ACCEPT and feas_d <= ACCEPT and rel_gap <= ACCEPT and rel_comp <= 1e-6:
                 status = STATUS_OPTIMAL
-            else:
-                status = STATUS_FAILURE
-        ray = None
-        if status == STATUS_UNBOUNDED:  # ||x|| > DIVERGE_NORM
-            cand = x[k] / float(np.linalg.norm(x[k]))
-            lam = float(np.linalg.eigvalsh((cand @ a_flat).reshape(m, m))[0])
-            if lam >= -1e-6 * scale0 and float(cs[k] @ cand) > 0:
-                ray = cand
-            else:
-                status = STATUS_FAILURE
         # the reported residual goes through the pencil's own adjoint, a route
         # apart from the stacked copy the iteration used
         rp = -(cs[k] + adjoint(pencil, Z[k]))
@@ -540,7 +538,8 @@ def _assemble(
                 spectrum_X=w[k, ::-1].copy(),
                 spectrum_Z=w[count + k, ::-1].copy(),
                 iterations=iterations[k],
-                ray=ray,
+                ray=certificates[k] if status == STATUS_UNBOUNDED else None,
+                farkas=certificates[k] if status == STATUS_INFEASIBLE else None,
             )
         )
     return solutions
@@ -551,13 +550,13 @@ def solve_sdp_many(pencil: Pencil, objectives: Sequence[Sequence[float]]) -> lis
     ``objectives`` (shape (B, n)), in one stacked interior-point run.
 
     Each solution is bitwise identical to the one :func:`solve_sdp` returns
-    for its objective alone, whatever the batch and its order, and any
-    pencil is taken.  A solve that does not end ``unbounded`` or
-    ``infeasible`` is finished by Gauss-Newton steps on the KKT system, and
-    returns ``optimal`` if the finished pair clears ``ACCEPT`` on
-    feasibility and relative gap and 1e-6 on the relative Frobenius norm of
-    X Z, ``numerical_failure`` otherwise.  An objective with a NaN or
-    infinite entry raises ValueError.
+    for its objective alone, and any pencil is taken.  A solve ends
+    ``infeasible`` or ``unbounded`` only with a checked certificate
+    (``farkas`` or ``ray``).  Any other solve is finished by Gauss-Newton
+    steps, and is ``optimal`` if the finished pair clears ``ACCEPT`` on
+    feasibility and relative gap and 1e-6 on the relative norm of X Z,
+    ``numerical_failure`` otherwise.  A NaN or infinite objective entry
+    raises ValueError.
     """
     m, n = pencil.m, pencil.n
     cs = np.asarray(objectives, dtype=float)
@@ -568,14 +567,13 @@ def solve_sdp_many(pencil: Pencil, objectives: Sequence[Sequence[float]]) -> lis
     bad = (~np.isfinite(cs)).any(axis=1).nonzero()[0]
     if bad.size:
         raise ValueError(f"objective {bad[0]} is not finite: {cs[bad[0]].tolist()}")
-    lam0 = float(np.linalg.eigvalsh(pencil.mats[0])[0])
     a_flat = np.array(pencil.mats[1:]).reshape(n, m * m)  # row i is A_{i+1}, raveled
     # the larger per-row array: the finish's Jacobian or the scaled coefficients
     size = max(1, CHUNK_BYTES // (8 * max(n * m * m, (n + m * (m + 1) // 2) ** 2)))
     return [
         sol
         for k in range(0, len(cs), size)
-        for sol in _solve_stack(pencil, a_flat, lam0, cs[k : k + size])
+        for sol in _solve_stack(pencil, a_flat, cs[k : k + size])
     ]
 
 

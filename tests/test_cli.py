@@ -503,7 +503,8 @@ class TestExperimentCommands:
         assert_golden_schema("tightness", data)
 
     def test_tightness_without_solved_trial(self, capsys):
-        # all three (6, 7) trials at seed 2 end numerical_failure
+        # all three (6, 7) trials at seed 2 end infeasible, each with a checked
+        # Farkas certificate (they once ended numerical_failure)
         code, data = run_json(capsys, "tightness", "--m", "6", "--trials", "3", "--seed", "2")
         assert code == 0
         table = data["tightness"]["frequency"]

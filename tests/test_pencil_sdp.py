@@ -9,7 +9,7 @@ import pytest
 from psdbound.bounds import pataki_range
 from psdbound.pencil import Pencil, adjoint, eval_pencil, load_pencil, save_pencil, symmetrize
 from psdbound.polar import disk_fixture, pentagon_fixture, pentagon_vertices, segment_fixture
-from psdbound.experiments import random_pencil, shift_to_interior
+from psdbound.experiments import random_pencil, rank_frequency, shift_to_interior
 from psdbound import sdp
 from psdbound.sdp import (
     SdpSolution,
@@ -137,7 +137,7 @@ class TestSolveSdp:
 
     def test_not_interior(self):
         # A0 is indefinite, so the origin is outside the body {x >= 1}: the
-        # solve starts infeasible and still finds max -x = -1
+        # embedding needs no feasible start and finds max -x = -1
         p = Pencil(mats=(np.diag([1.0, -1.0]), np.eye(2)))
         sol = solve_sdp(p, [-1.0])
         assert sol.status == "optimal"
@@ -160,8 +160,7 @@ class TestSolveSdp:
         # -1 + x >= 0 and -1 - x >= 0 have no common solution
         p = Pencil(mats=(-np.eye(2), np.diag([1.0, -1.0])))
         sol = solve_sdp(p, [1.0])
-        assert sol.status == "infeasible"
-        assert sol.ray is None
+        assert_farkas(p, sol)
 
     def test_disk_support_is_norm(self):
         p = disk_fixture()
@@ -218,7 +217,7 @@ class TestSolveSdp:
         assert sol.status == "optimal"
         assert_certified(p, c, sol)
         # handed over at TOL, above the path phase's float floor, and with
-        # Mehrotra's corrector on this feasible start
+        # Mehrotra's corrector
         assert sol.iterations <= 16
 
     @pytest.mark.parametrize("i", [0, 16, 53, 83, 178, 189, 192])
@@ -230,8 +229,29 @@ class TestSolveSdp:
         assert sol.status == "optimal"
         assert_certified(p, c, sol)
         # handed over at TOL, above the path phase's float floor, and with
-        # Mehrotra's corrector on this feasible start
+        # Mehrotra's corrector
         assert sol.iterations <= 16
+
+    @pytest.mark.parametrize("seed", [7, 8, 9])
+    def test_raw_tightness_trials_end_certified(self, seed):
+        # the raw (6, 7) draws of rank_frequency(6, 7, 10, seed), which once
+        # ended numerical_failure 9, 8 and 10 times: each ends with a verdict,
+        # and each infeasible one with a Farkas certificate
+        sols = []
+        for trial in range(10):
+            rng = np.random.default_rng((seed, trial))
+            p = random_pencil(6, 7, rng)
+            c = rng.standard_normal(7)
+            sols.append(solve_sdp(p, c))
+            if sols[-1].status == "infeasible":
+                assert_farkas(p, sols[-1])
+            elif sols[-1].status == "unbounded":
+                assert_ray(p, c, sols[-1])
+            else:
+                assert sols[-1].status == "optimal"
+                assert_certified(p, c, sols[-1])
+        statuses = rank_frequency(6, 7, 10, seed).statuses
+        assert statuses == {s: sum(sol.status == s for sol in sols) for s in statuses}
 
     def test_schur_gram_matches_pairwise_products(self):
         rng = np.random.default_rng(5)
@@ -282,6 +302,33 @@ def assert_certified(p, c, sol):
     assert np.linalg.eigvalsh(sol.Z)[0] >= -1e-7 * scale
     dual_value = float(np.vdot(p.mats[0], sol.Z))
     assert abs(sol.value - dual_value) <= 1e-6 * (1 + abs(sol.value))
+
+
+def assert_farkas(p, sol):
+    """An infeasible solve's certificate checked through the pencil's own
+    adjoint: Z psd, ||A*(Z)|| <= 1e-8 tr Z and <A0, Z> < 0."""
+    z = sol.farkas
+    assert sol.status == "infeasible" and sol.ray is None and z is not None
+    assert np.linalg.eigvalsh(z)[0] >= -1e-12 * np.trace(z)
+    assert np.linalg.norm(adjoint(p, z)) <= 1e-8 * np.trace(z)
+    assert float(np.vdot(p.mats[0], z)) < 0
+
+
+def assert_ray(p, c, sol):
+    """An unbounded solve's ray checked through the pencil itself: A(ray)
+    psd to 1e-6 and c^T ray > 0."""
+    assert sol.status == "unbounded" and sol.farkas is None
+    assert np.linalg.eigvalsh(eval_pencil(p, sol.ray) - p.mats[0])[0] >= -1e-6
+    assert float(c @ sol.ray) > 0
+
+
+def duality_gap_pencil():
+    """X = [[0, x1, 0], [x1, x2, 0], [0, 0, x1 + 1]] (Vandenberghe and Boyd,
+    SIAM Rev. 38, 1996): the body is the half-line x1 = 0, x2 >= 0.  Along
+    c = (a, 0), a != 0, the support value is 0 and no certificate exists,
+    but the dual is infeasible (a > 0) or has optimum -a (a < 0)."""
+    a1 = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
+    return Pencil(mats=(np.diag([0.0, 0.0, 1.0]), a1, np.diag([0.0, 1.0, 0.0])))
 
 
 def assert_same_solution(got, want):
@@ -336,40 +383,49 @@ def no_scaling(real, X, Z):
     return f_mat, zinv, half, scaled
 
 
-def false_ray(real, a0, a_flat, cv, x, X, Z):
-    # ||x|| past DIVERGE_NORM with c^T x > 0 ends the path phase as unbounded,
-    # but the pentagon's body is bounded, so A(x / ||x||) is not psd
-    x[FAULTY] = 1e9 * cv[FAULTY] / np.linalg.norm(cv[FAULTY])
-    return real(a0, a_flat, cv, x, X, Z)
-
-
 class TestSolveSdpMany:
     def test_batch_equals_solo_solves(self):
         assert_batch_equals_solo(*pentagon_objectives(40, 7000))
 
     def test_rows_leaving_on_different_passes(self):
-        # a raw planar pencil (A0 not positive definite, so the infeasible
-        # start): rows end with different statuses on many different passes
-        # up to MAX_ITER, so they leave the stack one by one
-        p = random_pencil(3, 2, 3)
-        raw = np.random.default_rng(0).standard_normal((40, 2))
-        solo = assert_batch_equals_solo(p, [y / np.linalg.norm(y) for y in raw])
-        assert len({s.status for s in solo}) >= 3
-        passes = {s.iterations for s in solo}
-        assert len(passes) >= 10 and sdp.MAX_ITER in passes
+        # objectives of norms 1e-3 to 1e3 on the duality-gap pencil: rows end
+        # optimal (c2 < 0), unbounded (c2 > 0) and numerical_failure (c2 = 0)
+        # on many different passes, so they leave the stack one by one
+        rng = np.random.default_rng(0)
+        cs = rng.standard_normal((40, 2)) * 10.0 ** rng.uniform(-3, 3, (40, 1))
+        cs[::3, 1] = 0.0
+        solo = assert_batch_equals_solo(duality_gap_pencil(), list(cs))
+        assert {s.status for s in solo} == {"optimal", "unbounded", "numerical_failure"}
+        assert len({s.iterations for s in solo}) >= 10
 
-    def test_unbounded_planar_rows_end_with_rays(self):
-        # the same directions on the shifted pencil, an unbounded body with 0
-        # interior: every row ends optimal or unbounded with a checked ray
-        p = shift_to_interior(random_pencil(3, 2, 3), 0.5)[0]
-        raw = np.random.default_rng(0).standard_normal((40, 2))
+    @pytest.mark.parametrize("m, n, seed, dirs_seed, count", [(3, 2, 3, 0, 40), (4, 4, 2, 2, 200)])
+    def test_unbounded_rows_end_with_rays(self, monkeypatch, m, n, seed, dirs_seed, count):
+        # unbounded bodies with 0 interior: every row ends optimal or
+        # unbounded with a checked ray.  On the (4, 4, 2) body, directions
+        # 46, 68, 126 and 184 once stalled and ended numerical_failure
+        p = shift_to_interior(random_pencil(m, n, seed), 0.5)[0]
+        raw = np.random.default_rng(dirs_seed).standard_normal((count, n))
         cs = [y / np.linalg.norm(y) for y in raw]
         solo = assert_batch_equals_solo(p, cs)
         assert {s.status for s in solo} == {"optimal", "unbounded"}
         for c, sol in zip(cs, solo):
             if sol.status == "unbounded":
-                assert np.linalg.eigvalsh(eval_pencil(p, sol.ray) - p.mats[0])[0] >= -1e-6
-                assert float(c @ sol.ray) > 0
+                assert_ray(p, c, sol)
+        # a false ray: every candidate of row FAULTY is flipped, so c^T d > 0
+        # but A(d) is not psd; no check passes, and only that row's solve fails
+        assert solo[FAULTY].status == "unbounded"
+        real = sdp._certificate
+
+        def false_ray(a0, a_flat, scale0, c, x, Z):
+            flip = -1.0 if np.array_equal(c, cs[FAULTY]) else 1.0
+            return real(a0, a_flat, scale0, flip * c, flip * x, Z)
+
+        monkeypatch.setattr(sdp, "_certificate", false_ray)
+        batch = solve_sdp_many(p, cs)
+        broken = batch.pop(FAULTY)
+        assert (broken.status, broken.ray, broken.farkas) == ("numerical_failure", None, None)
+        for got, want in zip(batch, solo[:FAULTY] + solo[FAULTY + 1 :]):
+            assert_same_solution(got, want)
 
     @pytest.mark.parametrize("seed", [0, 1])
     def test_bounded_planar_cloud_all_optimal(self, seed):
@@ -406,7 +462,6 @@ class TestSolveSdpMany:
             ("_residuals", nan_iterate),
             ("_nt_scaling", no_scaling),
             ("_schur_gram", singular_schur),
-            ("_residuals", false_ray),
         ],
     )
     def test_fault_in_one_row_ends_only_its_solve(self, monkeypatch, helper, fault):
