@@ -354,6 +354,18 @@ def assert_batch_equals_solo(p, cs):
     return solo
 
 
+def assert_unbounded_rows_end_with_rays(p, cs):
+    """On an unbounded body with 0 interior, every row ends optimal or
+    unbounded with a checked ray, batch equal to solo; returns the solo
+    solutions."""
+    solo = assert_batch_equals_solo(p, cs)
+    assert {s.status for s in solo} == {"optimal", "unbounded"}
+    for c, sol in zip(cs, solo):
+        if sol.status == "unbounded":
+            assert_ray(p, c, sol)
+    return solo
+
+
 def pentagon_objectives(count, seed):
     p = pentagon_fixture()
     raw = np.random.default_rng(seed).standard_normal((count, 2))
@@ -383,6 +395,15 @@ def no_scaling(real, X, Z):
     return f_mat, zinv, half, scaled
 
 
+def false_ray(real, a0, a_flat, cv, x, X, Z):
+    # the products of the row report an iterate run off along c (c^T x and
+    # <x, x> infinite), which a divergence rule would read as unbounded; with
+    # no checked ray the row leaves for the finish and reports none
+    rd, rp, dots = real(a0, a_flat, cv, x, X, Z)
+    dots[FAULTY][7] = dots[FAULTY][8] = np.inf
+    return rd, rp, dots
+
+
 class TestSolveSdpMany:
     def test_batch_equals_solo_solves(self):
         assert_batch_equals_solo(*pentagon_objectives(40, 7000))
@@ -398,19 +419,13 @@ class TestSolveSdpMany:
         assert {s.status for s in solo} == {"optimal", "unbounded", "numerical_failure"}
         assert len({s.iterations for s in solo}) >= 10
 
-    @pytest.mark.parametrize("m, n, seed, dirs_seed, count", [(3, 2, 3, 0, 40), (4, 4, 2, 2, 200)])
-    def test_unbounded_rows_end_with_rays(self, monkeypatch, m, n, seed, dirs_seed, count):
-        # unbounded bodies with 0 interior: every row ends optimal or
-        # unbounded with a checked ray.  On the (4, 4, 2) body, directions
-        # 46, 68, 126 and 184 once stalled and ended numerical_failure
-        p = shift_to_interior(random_pencil(m, n, seed), 0.5)[0]
-        raw = np.random.default_rng(dirs_seed).standard_normal((count, n))
+    def test_unbounded_planar_rows_end_with_rays(self, monkeypatch):
+        # the planar body's rows end optimal or unbounded with checked rays,
+        # and a ray that fails the check ends only its own row
+        p = shift_to_interior(random_pencil(3, 2, 3), 0.5)[0]
+        raw = np.random.default_rng(0).standard_normal((40, 2))
         cs = [y / np.linalg.norm(y) for y in raw]
-        solo = assert_batch_equals_solo(p, cs)
-        assert {s.status for s in solo} == {"optimal", "unbounded"}
-        for c, sol in zip(cs, solo):
-            if sol.status == "unbounded":
-                assert_ray(p, c, sol)
+        solo = assert_unbounded_rows_end_with_rays(p, cs)
         # a false ray: every candidate of row FAULTY is flipped, so c^T d > 0
         # but A(d) is not psd; no check passes, and only that row's solve fails
         assert solo[FAULTY].status == "unbounded"
@@ -426,6 +441,13 @@ class TestSolveSdpMany:
         assert (broken.status, broken.ray, broken.farkas) == ("numerical_failure", None, None)
         for got, want in zip(batch, solo[:FAULTY] + solo[FAULTY + 1 :]):
             assert_same_solution(got, want)
+
+    def test_unbounded_body_in_four_dimensions_rows_end_with_rays(self):
+        # directions 46, 68, 126 and 184 of this (4, 4, 2) body once stalled
+        # and ended numerical_failure
+        p = shift_to_interior(random_pencil(4, 4, 2), 0.5)[0]
+        raw = np.random.default_rng(2).standard_normal((200, 4))
+        assert_unbounded_rows_end_with_rays(p, [y / np.linalg.norm(y) for y in raw])
 
     @pytest.mark.parametrize("seed", [0, 1])
     def test_bounded_planar_cloud_all_optimal(self, seed):
@@ -462,6 +484,7 @@ class TestSolveSdpMany:
             ("_residuals", nan_iterate),
             ("_nt_scaling", no_scaling),
             ("_schur_gram", singular_schur),
+            ("_residuals", false_ray),
         ],
     )
     def test_fault_in_one_row_ends_only_its_solve(self, monkeypatch, helper, fault):
