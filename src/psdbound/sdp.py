@@ -15,7 +15,10 @@ and  max c^T x s.t. A0 + A(x) psd,  with two more scalars tau, kappa >= 0:
 
 Its solutions have <X, Z> + tau kappa = 0: tau > 0 gives the optimal pair
 (x, X, Z) / tau, and kappa > 0 a ray x (c^T x > 0, A(x) psd) or a Farkas
-Z (<A0, Z> < 0, A*(Z) = 0).  The iteration starts at x = 0, X = Z = I,
+Z (<A0, Z> < 0, A*(Z) = 0).  The Farkas matrix is read off as Z projected
+onto the null space of A*, in one solve with the Gram matrix <A_i, A_j>
+(Permenter, Friberg and Andersen, SIAM J. Optim. 27, 2017), and checked
+against ``TOL``.  The iteration starts at x = 0, X = Z = I,
 tau = kappa = 1.  Each pass takes a Nesterov-Todd scaled Mehrotra step:
 the corrector scales every residual by 1 - sigma, aims at sigma*mu, mu =
 (<X, Z> + tau kappa) / (m + 1), and subtracts the predictor's
@@ -93,11 +96,13 @@ class SdpSolution:
     ``residuals`` is (primal feasibility ||A0 + A(x) - X||_F,
     dual feasibility ||A*(Z) + c||_2, complementarity trace(X Z)).
     ``ray`` is set for unbounded problems: a unit direction with A(ray) psd
-    (within tolerance) and c^T ray > 0; ``farkas`` for infeasible ones: a
-    unit-trace positive definite Z with ||A*(Z)|| <= TOL and <A0, Z> < 0
-    (see :func:`_certificate`).  With a certificate, ``x``, ``X``, ``Z`` and
-    ``value`` = c^T x are the last iterate over tau, not an optimum.  The
-    descending spectra ride along for auditing the rank decisions.
+    (within tolerance) and c^T ray > 0; ``farkas`` for infeasible ones: the
+    iterate's Z projected onto the null space of A*, scaled to unit trace,
+    and checked to be positive definite with ||A*(Z)|| <= TOL and
+    <A0, Z> < 0 (see :func:`_certificate`).  With a certificate, ``x``,
+    ``X``, ``Z`` and ``value`` = c^T x are the last iterate over tau, not an
+    optimum.  The descending spectra ride along for auditing the rank
+    decisions.
     """
 
     x: np.ndarray
@@ -118,8 +123,10 @@ class SdpSolution:
 def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Row-wise <a_k, b_k> over two stacks (or against b's one row): one BLAS
     dot per row, the same arithmetic as np.vdot(a_k, b_k) (and as
-    np.linalg.norm's square)."""
-    return np.vecdot(a.reshape(len(a), -1), b.reshape(len(b), -1))
+    np.linalg.norm's square).  A product past the float range is inf, with no
+    warning: a row that has one ends on the solver's non-finite rule."""
+    with np.errstate(over="ignore"):
+        return np.vecdot(a.reshape(len(a), -1), b.reshape(len(b), -1))
 
 
 def _sym(mat: np.ndarray) -> np.ndarray:
@@ -155,21 +162,15 @@ def _residuals(
     """Residuals rd = A0 + A(x) - X and rp = -(A*(Z) + c) over a stack, and
     per row the inner products the solver's errors and norms are made of:
     (<rd, rd>, <X, Z>, <XZ, XZ>, <X, X>, <Z, Z>, <A0, Z>, <rp, rp>, <c, x>,
-    <x, x>), each one BLAS dot.  ``a0`` holds A0 once per row, and
-    ``a_flat`` holds A1..An as rows of length m*m."""
+    <x, x>), each one BLAS dot (:func:`_dot`).  ``a0`` holds A0 once per
+    row, and ``a_flat`` holds A1..An as rows of length m*m."""
     count, m = X.shape[:2]
     rd = a0 + (x[:, None, :] @ a_flat).reshape(count, m, m) - X
     rp = -(cv + (a_flat @ Z.reshape(count, m * m, 1))[..., 0])
     xz = X @ Z
-    mats = np.vecdot(
-        np.concatenate([rd, X, xz, X, Z, a0]).reshape(6, count, m * m),
-        np.concatenate([rd, Z, xz, X, Z, Z]).reshape(6, count, m * m),
-    )
-    n = x.shape[1]
-    vecs = np.vecdot(
-        np.concatenate([rp, cv, x]).reshape(3, count, n),
-        np.concatenate([rp, x, x]).reshape(3, count, n),
-    )
+    mats = _dot(np.concatenate([rd, X, xz, X, Z, a0]), np.concatenate([rd, Z, xz, X, Z, Z]))
+    mats = mats.reshape(6, count)
+    vecs = _dot(np.concatenate([rp, cv, x]), np.concatenate([rp, x, x])).reshape(3, count)
     return rd, rp, np.concatenate([mats, vecs]).T.tolist()
 
 
@@ -281,18 +282,37 @@ def _step(half: np.ndarray, dX: np.ndarray, dZ: np.ndarray, tau: np.ndarray, dta
     return np.concatenate([cone, scalar]).reshape(4, len(tau)).min(axis=0)
 
 
-def _certificate(a0: np.ndarray, a_flat: np.ndarray, scale0: float, c: np.ndarray,
-                 x: np.ndarray, Z: np.ndarray) -> tuple[str, np.ndarray] | None:
+def _gram_inverse(a_flat: np.ndarray) -> np.ndarray:
+    """G^-1 for the Gram matrix G_ij = <A_i, A_j> of the coefficient
+    matrices, or its pseudo-inverse where the A_i are linearly dependent."""
+    gram = a_flat @ a_flat.T
+    try:
+        return np.linalg.inv(gram)
+    except np.linalg.LinAlgError:
+        return np.linalg.pinv(gram, hermitian=True)
+
+
+def _certificate(a0: np.ndarray, a_flat: np.ndarray, gram_inv: np.ndarray, h0: np.ndarray,
+                 scale0: float, c: np.ndarray, x: np.ndarray,
+                 Z: np.ndarray) -> tuple[str, np.ndarray] | None:
     """The verdict an iterate of the embedding certifies, and its certificate.
 
-    ``infeasible``: Z (positive definite) has ||A*(Z)|| <= TOL tr Z and
-    <A0, Z> <= -||A*(Z)|| / TOL, so <A0 + A(x), Z> < 0 for every x of norm
-    below 1 / TOL; the certificate is Z / tr Z.  ``unbounded``: the ray
+    ``infeasible``: the candidate is Z projected onto the null space of A*,
+    Z' = Z - A(y) with G y = A*(Z) (``gram_inv`` from :func:`_gram_inverse`,
+    ``h0`` = G^-1 A*(A0)); it must be positive definite and, with A*(Z')
+    computed afresh, have ||A*(Z')|| <= TOL tr Z' and <A0, Z'> <=
+    -||A*(Z')|| / TOL, so <A0 + A(x), Z'> < 0 for every x of norm below
+    1 / TOL.  <A0, Z'> = <A0, Z> - A*(Z) . h0 rejects most candidates before
+    Z' is formed.  The certificate is Z' / tr Z'.  ``unbounded``: the ray
     d = x / ||x|| has c^T d > 0 and A(d) psd to -1e-6 scale0.
     """
-    a0_z = float(np.vdot(a0, Z))
-    if float(np.linalg.norm(a_flat @ Z.ravel())) <= TOL * min(float(np.trace(Z)), -a0_z):
-        return STATUS_INFEASIBLE, Z / np.trace(Z)
+    az = a_flat @ Z.ravel()
+    if float(np.vdot(a0, Z)) - float(az @ h0) < 0:
+        zp = Z - ((gram_inv @ az) @ a_flat).reshape(Z.shape)
+        tr, a0_z = float(np.trace(zp)), float(np.vdot(a0, zp))
+        if (a0_z < 0 and np.linalg.eigvalsh(zp)[0] > 0
+                and float(np.linalg.norm(a_flat @ zp.ravel())) <= TOL * min(tr, -a0_z)):
+            return STATUS_INFEASIBLE, zp / tr
     if float(c @ x) > 0:
         ray = x / float(np.linalg.norm(x))
         if np.linalg.eigvalsh((ray @ a_flat).reshape(Z.shape))[0] >= -1e-6 * scale0:
@@ -398,6 +418,8 @@ def _solve_stack(pencil: Pencil, a_flat: np.ndarray, cs: np.ndarray) -> list[Sdp
     count = len(cs)
     norm_a0 = float(np.linalg.norm(a0))
     scale0 = max(1.0, norm_a0, max(float(np.linalg.norm(a)) for a in pencil.mats))
+    gram_inv = _gram_inverse(a_flat)  # the Farkas candidate's projection
+    h0 = gram_inv @ (a_flat @ a0.ravel())
     norm_c = np.sqrt(_dot(cs, cs)).tolist()
     # the embedding's start: x = 0, X = Z = I and tau = kappa = 1
     xs = np.zeros((count, n))
@@ -433,13 +455,13 @@ def _solve_stack(pencil: Pencil, a_flat: np.ndarray, cs: np.ndarray) -> list[Sdp
             path_err = max(_errors(row, norm_a0, norm_c[k], tau)[:3])
             # c^T x - <A0, Z> - kappa, from the products tau c^T x and tau <A0, Z>
             head.append((path_err, row[1] + tau * kappa, (row[7] - row[5]) / tau - kappa))
-            if not all(map(math.isfinite, (row[4], row[8], tau, kappa))) or path_err <= TOL:
-                # a non-finite iterate (it leaves before any LAPACK call), or
-                # (x, Z) / tau has converged: the finish takes over
+            if not all(map(math.isfinite, (*row, tau, kappa))) or path_err <= TOL:
+                # a non-finite iterate or product (the row leaves before any
+                # LAPACK call), or (x, Z) / tau has converged: the finish takes over
                 ended[j] = STATUS_FAILURE
             elif tau < kappa:
                 # tau falls against kappa: the row ends once its iterate certifies
-                verdict = _certificate(a0, a_flat, scale0, cl[j], xs[j], Zs[j])
+                verdict = _certificate(a0, a_flat, gram_inv, h0, scale0, cl[j], xs[j], Zs[j])
                 if verdict:
                     ended[j], certificates[k] = verdict
         rows, cl, xs, Xs, Zs, taus, kappas, rd, rp, head = end(ended, it, rd, rp, head)

@@ -161,6 +161,11 @@ class TestSolveSdp:
         p = Pencil(mats=(-np.eye(2), np.diag([1.0, -1.0])))
         sol = solve_sdp(p, [1.0])
         assert_farkas(p, sol)
+        # the same body with A2 = 2 A1: the Gram matrix of A1, A2 is exactly
+        # singular, and the Farkas candidate's projection must not raise
+        p = Pencil(mats=(-np.eye(2), np.diag([1.0, -1.0]), np.diag([2.0, -2.0])))
+        sol = solve_sdp(p, [1.0, 1.0])
+        assert_farkas(p, sol)
 
     def test_disk_support_is_norm(self):
         p = disk_fixture()
@@ -245,6 +250,9 @@ class TestSolveSdp:
             sols.append(solve_sdp(p, c))
             if sols[-1].status == "infeasible":
                 assert_farkas(p, sols[-1])
+                # Z projected onto the null space of A* certifies early (10
+                # to 15 passes when the raw iterate Z had to)
+                assert sols[-1].iterations <= 8
             elif sols[-1].status == "unbounded":
                 assert_ray(p, c, sols[-1])
             else:
@@ -306,11 +314,11 @@ def assert_certified(p, c, sol):
 
 def assert_farkas(p, sol):
     """An infeasible solve's certificate checked through the pencil's own
-    adjoint: Z psd, ||A*(Z)|| <= 1e-8 tr Z and <A0, Z> < 0."""
+    adjoint: Z psd, ||A*(Z)|| <= 1e-12 tr Z and <A0, Z> < 0."""
     z = sol.farkas
     assert sol.status == "infeasible" and sol.ray is None and z is not None
     assert np.linalg.eigvalsh(z)[0] >= -1e-12 * np.trace(z)
-    assert np.linalg.norm(adjoint(p, z)) <= 1e-8 * np.trace(z)
+    assert np.linalg.norm(adjoint(p, z)) <= 1e-12 * np.trace(z)
     assert float(np.vdot(p.mats[0], z)) < 0
 
 
@@ -395,6 +403,13 @@ def no_scaling(real, X, Z):
     return f_mat, zinv, half, scaled
 
 
+def far_iterate(real, a0, a_flat, cv, x, X, Z):
+    # x pushed to 1e154 along c: <x, x> is finite, but <rd, rd> overflows;
+    # the row ends on the non-finite rule, with no overflow warning
+    x[FAULTY] = 1e154 * cv[FAULTY] / np.linalg.norm(cv[FAULTY])
+    return real(a0, a_flat, cv, x, X, Z)
+
+
 def false_ray(real, a0, a_flat, cv, x, X, Z):
     # the products of the row report an iterate run off along c (c^T x and
     # <x, x> infinite), which a divergence rule would read as unbounded; with
@@ -407,6 +422,15 @@ def false_ray(real, a0, a_flat, cv, x, X, Z):
 class TestSolveSdpMany:
     def test_batch_equals_solo_solves(self):
         assert_batch_equals_solo(*pentagon_objectives(40, 7000))
+
+    def test_infeasible_rows_batch_equals_solo(self):
+        # a raw (6, 7) pencil with no feasible point: every row ends
+        # infeasible, with the same certificate in a batch as alone
+        rng = np.random.default_rng((7, 0))
+        p = random_pencil(6, 7, rng)
+        cs = list(rng.standard_normal((20, 7)))
+        for sol in assert_batch_equals_solo(p, cs):
+            assert_farkas(p, sol)
 
     def test_rows_leaving_on_different_passes(self):
         # objectives of norms 1e-3 to 1e3 on the duality-gap pencil: rows end
@@ -431,9 +455,9 @@ class TestSolveSdpMany:
         assert solo[FAULTY].status == "unbounded"
         real = sdp._certificate
 
-        def false_ray(a0, a_flat, scale0, c, x, Z):
+        def false_ray(a0, a_flat, gram_inv, h0, scale0, c, x, Z):
             flip = -1.0 if np.array_equal(c, cs[FAULTY]) else 1.0
-            return real(a0, a_flat, scale0, flip * c, flip * x, Z)
+            return real(a0, a_flat, gram_inv, h0, scale0, flip * c, flip * x, Z)
 
         monkeypatch.setattr(sdp, "_certificate", false_ray)
         batch = solve_sdp_many(p, cs)
@@ -482,6 +506,7 @@ class TestSolveSdpMany:
         "helper, fault",
         [
             ("_residuals", nan_iterate),
+            ("_residuals", far_iterate),
             ("_nt_scaling", no_scaling),
             ("_schur_gram", singular_schur),
             ("_residuals", false_ray),
