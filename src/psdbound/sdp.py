@@ -37,9 +37,10 @@ arithmetic on each slice as on a lone matrix, inner products are one BLAS
 dot per row (``np.vecdot``), statuses are decided row by row in Python,
 and the centering, step and Schur-ridge rules run elementwise.  So each result is
 bitwise identical to solving it alone, whatever the batch and its order;
-:func:`solve_sdp` is the one-objective case.  A singular Schur system
-halves the stack until the singular slices stand alone, and ends only its
-own problem.
+:func:`solve_sdp` is the one-objective case.  A row that gets no Newton
+step (its X or Z has no NT scaling, or its Schur system is singular, as
+read off the LU pivots by :func:`_solve_each`) ends at its pre-step
+iterate, and only its own problem ends.
 
 A solve ends when the path error reaches ``TOL``, and (x, X, Z) / tau goes
 to the finish; or, while tau is below kappa, when a certificate of its
@@ -208,7 +209,8 @@ def _nt_scaling(
     stack's X and Z from their eigenpairs, and per slice whether it has them.
 
     A slice has none when X, the middle matrix X^1/2 Z X^1/2 or Z is
-    numerically singular: the float floor is reached.
+    numerically singular: the float floor is reached.  Its factors are then
+    finite stand-ins, built from unit eigenvalues (:func:`_spectrum`).
     """
     count = len(X)
     # X and Z decompose together
@@ -225,18 +227,18 @@ def _nt_scaling(
 def _solve_each(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, list[bool]]:
     """np.linalg.solve over stacks, and per slice whether it was solved.
 
-    A singular slice makes the stacked call fail whole; the stack is then
-    halved until the singular slices stand alone, and those are left at zero.
+    A singular slice makes the stacked call fail whole.  The slices whose LU
+    determinant sign is nonzero are then solved in one more stacked call and
+    the rest left at zero: slogdet runs solve's LAPACK getrf, so it flags
+    exactly the slices on which a lone solve raises.
     """
     try:
         return np.linalg.solve(a, b), [True] * len(a)
     except np.linalg.LinAlgError:
-        if len(a) == 1:
-            return np.zeros_like(b), [False]
-    half = len(a) // 2
-    lo, solved_lo = _solve_each(a[:half], b[:half])
-    hi, solved_hi = _solve_each(a[half:], b[half:])
-    return np.concatenate([lo, hi]), solved_lo + solved_hi
+        ok = np.linalg.slogdet(a)[0] != 0
+    out = np.zeros_like(b)
+    out[ok] = np.linalg.solve(a[ok], b[ok])
+    return out, ok.tolist()
 
 
 def _newton(
@@ -469,15 +471,6 @@ def _solve_stack(pencil: Pencil, a_flat: np.ndarray, cs: np.ndarray) -> list[Sdp
             break
 
         f_mat, zinv, half, scaled = _nt_scaling(Xs, Zs)
-        if not all(scaled):
-            # X or Z reached the float floor: the finish takes over, and the
-            # rest scale again on their own stack (each row as before)
-            ended = {j: STATUS_FAILURE for j, ok in enumerate(scaled) if not ok}
-            rows, cl, xs, Xs, Zs, taus, kappas, rd, rp, head = end(ended, it, rd, rp, head)
-            if not rows:
-                break
-            f_mat, zinv, half, _ = _nt_scaling(Xs, Zs)
-
         b = len(rows)
         winv = f_mat @ f_mat.mT
         schur = _schur_gram(a_flat, f_mat)
@@ -507,11 +500,15 @@ def _solve_stack(pencil: Pencil, a_flat: np.ndarray, cs: np.ndarray) -> list[Sdp
         dx, dX, dZ, dtau, dkappa, solved_c = _newton(*pass_system, 1.0 - sigma, target, t_tk)
         frac = np.where(path_err > 1e-4, 0.9, 0.98)  # of the way to the boundary
         alpha = frac * _step(half, dX, dZ, taus, dtau, kappas, dkappa)
-        # a singular Schur system ends the solve at its pre-step iterate
-        ended = {j: STATUS_FAILURE for j in range(b) if not (solved[j] and solved_c[j])}
+        # no NT scaling or a singular Schur system: the solve ends at its pre-step iterate
+        ended = {
+            j: STATUS_FAILURE for j in range(b) if not (scaled[j] and solved[j] and solved_c[j])
+        }
         rows, cl, xs, Xs, Zs, taus, kappas, dx, dX, dZ, dtau, dkappa, alpha = end(
             ended, it, dx, dX, dZ, dtau, dkappa, alpha
         )
+        if not rows:
+            break
         xs = xs + alpha[:, None] * dx
         Xs = _sym(Xs + alpha[:, None, None] * dX)
         Zs = _sym(Zs + alpha[:, None, None] * dZ)

@@ -5,6 +5,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from psdbound.bounds import pataki_range
 from psdbound.pencil import Pencil, adjoint, eval_pencil, load_pencil, save_pencil, symmetrize
@@ -403,6 +405,28 @@ def no_scaling(real, X, Z):
     return f_mat, zinv, half, scaled
 
 
+def every_singular_schur(real, a_flat, f_mat):
+    schur = real(a_flat, f_mat)
+    schur[:] = -1e-14 * np.eye(len(a_flat))
+    return schur
+
+
+def every_no_scaling(real, X, Z):
+    f_mat, zinv, half, scaled = real(X, Z)
+    return f_mat, zinv, half, [False] * len(scaled)
+
+
+def fault_first_pass(monkeypatch, helper, fault):
+    """Plant ``fault`` in the solver's first call of ``helper``."""
+    real, calls = getattr(sdp, helper), []
+
+    def first_pass(*args):
+        calls.append(None)
+        return fault(real, *args) if len(calls) == 1 else real(*args)
+
+    monkeypatch.setattr(sdp, helper, first_pass)
+
+
 def far_iterate(real, a0, a_flat, cv, x, X, Z):
     # x pushed to 1e154 along c: <x, x> is finite, but <rd, rd> overflows;
     # the row ends on the non-finite rule, with no overflow warning
@@ -515,18 +539,26 @@ class TestSolveSdpMany:
     def test_fault_in_one_row_ends_only_its_solve(self, monkeypatch, helper, fault):
         p, cs = pentagon_objectives(6, 12)
         solo = [solve_sdp(p, c) for c in cs]
-        real, calls = getattr(sdp, helper), []
-
-        def first_pass(*args):
-            calls.append(None)
-            return fault(real, *args) if len(calls) == 1 else real(*args)
-
-        monkeypatch.setattr(sdp, helper, first_pass)
+        fault_first_pass(monkeypatch, helper, fault)
         batch = solve_sdp_many(p, cs)
         broken = batch.pop(FAULTY)
         assert (broken.status, broken.iterations, broken.ray) == ("numerical_failure", 1, None)
         for got, want in zip(batch, solo[:FAULTY] + solo[FAULTY + 1 :]):
             assert_same_solution(got, want)
+
+    @pytest.mark.parametrize("count", [1, 2, 6])
+    @pytest.mark.parametrize(
+        "helper, fault",
+        [("_nt_scaling", every_no_scaling), ("_schur_gram", every_singular_schur)],
+    )
+    def test_fault_in_every_row_ends_every_solve(self, monkeypatch, helper, fault, count):
+        # every row of the stack gets no Newton step on the first pass: the
+        # stack empties there, and each solve ends, none with a certificate
+        p, cs = pentagon_objectives(count, 12)
+        fault_first_pass(monkeypatch, helper, fault)
+        batch = solve_sdp_many(p, cs)
+        got = [(s.status, s.iterations, s.ray, s.farkas) for s in batch]
+        assert got == [("numerical_failure", 1, None, None)] * count
 
     def test_mixed_statuses_on_half_line(self):
         half = Pencil(mats=(np.eye(1), np.eye(1)))  # 1 + x >= 0
@@ -596,6 +628,56 @@ class TestSolveSdpMany:
         for k in range(6):
             want = np.zeros((3, 1)) if k in bad else np.linalg.solve(a[k], b[k])
             assert np.array_equal(out[k], want), k
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(1, 5),
+        st.integers(1, 2),
+        st.lists(st.sampled_from(["regular", "zero", "rank_one", "repeated_column"]),
+                 min_size=1, max_size=8),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_solve_each_flags_what_a_lone_solve_refuses(self, n, r, kinds, seed):
+        # planted zero, rank-one and repeated-column slices, with small
+        # integer entries or Gaussian ones: the flags are "a lone solve
+        # raises", every solved slice is the lone solve's bits, the rest are
+        # zero, and the stack costs at most two stacked solves
+        rng = np.random.default_rng(seed)
+
+        def draw(*shape):
+            if seed % 2:
+                return rng.integers(-3, 4, shape).astype(float)
+            return rng.standard_normal(shape)
+
+        a = np.array([draw(n, n) for _ in kinds])
+        for k, kind in enumerate(kinds):
+            if kind == "zero":
+                a[k] = 0.0
+            elif kind == "rank_one":
+                a[k] = np.outer(draw(n), draw(n))
+            elif kind == "repeated_column" and n > 1:
+                i, j = rng.choice(n, 2, replace=False)
+                a[k, :, j] = a[k, :, i]
+        b = draw(len(kinds), n, r)
+        lone = []
+        for k in range(len(kinds)):
+            try:
+                lone.append(np.linalg.solve(a[k], b[k]))
+            except np.linalg.LinAlgError:
+                lone.append(None)
+        real, calls = np.linalg.solve, []
+
+        def spy(*args):
+            calls.append(None)
+            return real(*args)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(np.linalg, "solve", spy)
+            out, solved = _solve_each(a, b)
+        assert len(calls) <= 2
+        assert solved == [want is not None for want in lone]
+        for k, want in enumerate(lone):
+            assert np.array_equal(out[k], np.zeros((n, r)) if want is None else want), k
 
     def test_different_face_ranks_finish_in_one_stack(self):
         # vertices, the zero objective and edge directions: rows whose
