@@ -7,7 +7,8 @@ from a boundary degree d to lower bounds on representation size
 (sqrt(log2 d) for semidefinite lifts, log2 d for polyhedral lifts).
 
 All integer quantities are exact Python ints; degrees routinely exceed
-64 bits, so the float conversions go through :func:`log2_big`.
+64 bits.  Their logarithms come from :func:`log2_big`, and the ceiling of
+sqrt(log2 d) from the bit length of d - 1, with no float in between.
 """
 
 from __future__ import annotations
@@ -86,18 +87,14 @@ def bezout_kkt_count(m: int) -> int:
 def log2_big(v: int) -> float:
     """log2 of a positive integer of arbitrary size.
 
-    Exact for powers of two; otherwise correct to float precision using the
-    top 64 bits (plain ``math.log2`` overflows past 2**1024).
+    ``math.log2`` rounds v to a 53-bit mantissa and keeps its exponent
+    exact, past the float range (2**1024) too, so the result is exact for
+    powers of two and otherwise within half an ulp plus the 2**-53
+    relative rounding of that mantissa.
     """
     if v < 1:
         raise ValueError(f"log2 needs a positive integer, got {v}")
-    if v & (v - 1) == 0:
-        return float(v.bit_length() - 1)
-    bl = v.bit_length()
-    if bl <= 53:
-        return math.log2(v)
-    shift = max(0, bl - 64)
-    return shift + math.log2(v >> shift)
+    return math.log2(v)
 
 
 class RankBound(NamedTuple):
@@ -109,18 +106,15 @@ def psd_rank_lower_bound(d: int) -> RankBound:
     """Lower bound sqrt(log2 d) on the psd rank implied by boundary degree d.
 
     Returns the real bound and its ceiling (valid since ranks are integers).
-    The ceiling is computed by exact integer comparison, so powers of two
-    invert exactly: d = 2**(m*m) gives (m, m) for any m.
+    The ceiling is exact integer arithmetic, so powers of two invert
+    exactly: d = 2**(m*m) gives (m, m) for any m.
     """
     if d < 1:
         raise ValueError(f"degree must be a positive integer, got {d}")
-    log2d = log2_big(d)
-    bound = math.sqrt(log2d)
-    # smallest k with 2**(k*k) >= d, seeded by the float estimate
-    k = max(0, math.ceil(bound) - 2)
-    while (1 << (k * k)) < d:
-        k += 1
-    return RankBound(bound=bound, ceiling=k)
+    # the smallest k with 2**(k*k) >= d, i.e. with k*k >= the bit length of d - 1
+    bits = (d - 1).bit_length()
+    k = math.isqrt(bits - 1) + 1 if bits else 0
+    return RankBound(bound=math.sqrt(log2_big(d)), ceiling=k)
 
 
 def lp_extension_lower_bound(d: int) -> float:

@@ -27,7 +27,9 @@ SIAM J. Optim. 2, 1992; Todd, Toh and Tutuncu, SIAM J. Optim. 8, 1998),
 so residuals and mu fall at one rate.  The Schur complement is the Gram
 matrix of the NT-scaled coefficients F^T A_i F, F F^T = W^{-1}.  One step
 length moves x, X, Z, tau and kappa: 0.9 of the way to the boundary,
-0.98 once the path error of (x, X, Z) / tau is below 1e-4.  Everything is
+0.98 once the path error of (x, X, Z) / tau is below 1e-4.  The boundary
+is read off one stacked eigvalsh of the scaled dX and dZ, and off
+dtau / tau and dkappa / kappa elementwise (:func:`_step`).  Everything is
 dense and deterministic; intended scale is m <= 24, n <= 80.
 
 :func:`solve_sdp_many` runs one iteration loop over a stack of problems
@@ -42,15 +44,16 @@ step (its X or Z has no NT scaling, or its Schur system is singular, as
 read off the LU pivots by :func:`_solve_each`) ends at its pre-step
 iterate, and only its own problem ends.
 
-A solve ends when the path error reaches ``TOL``, and (x, X, Z) / tau goes
-to the finish; or, while tau is below kappa, when a certificate of its
-iterate passes its check (:func:`_certificate`), as ``infeasible`` or
-``unbounded``.  A solve that does neither within ``MAX_ITER`` passes, or
-whose iterate reaches the float floor, goes to the finish as it is.  The
-finish's Gauss-Newton steps (:func:`_finish`) converge quadratically near
-a strictly complementary optimum, so the path phase hands over at
-``TOL`` = 1e-8, above the float floor (a path error of 3e-10 to 1e-9 at
-m = 24); the finished pair is judged by ``ACCEPT``.  Objectives run in
+A solve ends with a verdict or goes to the finish.  The verdict comes,
+while tau is below kappa, from a certificate of its iterate that passes its
+check (:func:`_certificate`), as ``infeasible`` or ``unbounded``.  Every
+other solve, whose path error reaches ``TOL``, whose iterate reaches the
+float floor or which runs ``MAX_ITER`` passes, takes (x, X, Z) / tau to the
+finish.  The finish's Gauss-Newton steps (:func:`_finish`) converge
+quadratically near a strictly complementary optimum, so the path phase
+hands over at ``TOL`` = 1e-8, above the float floor (a path error of 3e-10
+to 1e-9 at m = 24); ``ACCEPT`` then judges the finished pair ``optimal`` or
+``numerical_failure``, the only place either is set.  Objectives run in
 chunks whose largest per-row stack stays under ``CHUNK_BYTES``.  These
 numerics and the rank threshold ``RANK_EPS`` are module constants, not
 options.
@@ -134,13 +137,17 @@ def _sym(mat: np.ndarray) -> np.ndarray:
     return (mat + mat.mT) / 2.0
 
 
+def _boundary(lam: np.ndarray) -> np.ndarray:
+    """The largest alpha <= 1 keeping I + alpha*D positive definite, from lam_min(D)."""
+    # fmin, like Python's min, keeps 1.0 against a NaN
+    return np.where(lam >= -1e-14, 1.0, np.fmin(1.0, -1.0 / np.minimum(lam, -1e-14)))
+
+
 def _max_step(half: np.ndarray, directions: np.ndarray) -> np.ndarray:
     """Per slice, the largest alpha <= 1 with mat + alpha*direction still
     positive definite, for mat^-1 = half half^T (see :func:`_nt_scaling`):
     half^T direction half is similar to mat^-1/2 direction mat^-1/2."""
-    lam = np.linalg.eigvalsh(_sym(half.mT @ directions @ half))[:, 0]
-    # fmin, like Python's min, keeps 1.0 against a NaN
-    return np.where(lam >= -1e-14, 1.0, np.fmin(1.0, -1.0 / np.minimum(lam, -1e-14)))
+    return _boundary(np.linalg.eigvalsh(_sym(half.mT @ directions @ half))[:, 0])
 
 
 def _schur_gram(a_flat: np.ndarray, f_mat: np.ndarray) -> np.ndarray:
@@ -277,10 +284,12 @@ def _newton(
 def _step(half: np.ndarray, dX: np.ndarray, dZ: np.ndarray, tau: np.ndarray, dtau: np.ndarray,
           kappa: np.ndarray, dkappa: np.ndarray) -> np.ndarray:
     """Per row, the largest alpha <= 1 that keeps X, Z, tau and kappa
-    positive along a direction: tau and kappa are 1 x 1 blocks of the cone."""
+    positive along a direction.  X and Z take one stacked eigvalsh; tau and
+    kappa are 1 x 1 blocks of the cone, whose scaled direction h dv h, h =
+    v^-1/2, is its own eigenvalue, so the same rule runs on it elementwise."""
     cone = _max_step(half, np.concatenate([dX, dZ]))
-    v = np.concatenate([tau, kappa])[:, None, None]
-    scalar = _max_step(1.0 / np.sqrt(v), np.concatenate([dtau, dkappa])[:, None, None])
+    h = 1.0 / np.sqrt(np.concatenate([tau, kappa]))
+    scalar = _boundary(h * np.concatenate([dtau, dkappa]) * h)
     return np.concatenate([cone, scalar]).reshape(4, len(tau)).min(axis=0)
 
 
@@ -409,12 +418,13 @@ def _finish(
 
 def _solve_stack(pencil: Pencil, a_flat: np.ndarray, cs: np.ndarray) -> list[SdpSolution]:
     """The embedding's interior-point loop over one stack of objectives,
-    then each problem's finish and solution.
+    then each problem's finish, verdict and solution.
 
     Row j of the stacked iterates ``xs``, ``Xs``, ``Zs``, ``taus``,
     ``kappas`` is problem ``rows[j]``.  When a problem's solve ends, its
-    last iterate over tau goes to its row of x, X, Z, which the finish
-    starts from, and it leaves the stack."""
+    last iterate over tau goes to its row of x, X, Z, and it leaves the
+    stack.  Its entry of ``verdicts`` is its certificate's status and
+    certificate, or None for a solve that goes to the finish."""
     m, n = pencil.m, pencil.n
     a0 = pencil.mats[0]
     count = len(cs)
@@ -427,31 +437,28 @@ def _solve_stack(pencil: Pencil, a_flat: np.ndarray, cs: np.ndarray) -> list[Sdp
     xs = np.zeros((count, n))
     Xs = np.repeat(np.eye(m)[None], count, axis=0)
     Zs, taus, kappas = Xs.copy(), np.ones(count), np.ones(count)
-    rows, cl = list(range(count)), cs  # the stack's problems and their objectives
+    rows, cl = np.arange(count), cs  # the stack's problems and their objectives
     x, X, Z = np.empty_like(xs), np.empty_like(Xs), np.empty_like(Zs)  # last iterates / tau
-    # a solve that ends without a certificate is judged after the finish
-    final = [STATUS_FAILURE] * count
-    iterations = [MAX_ITER] * count
-    certificates: list[np.ndarray | None] = [None] * count
+    verdicts: list[tuple[str, np.ndarray] | None] = [None] * count
+    iterations = np.full(count, MAX_ITER)
 
-    def end(ended: dict[int, str], it: int, *stacks: np.ndarray | list) -> list:
-        """Record the status and last iterate of each problem whose stack row
-        is in ``ended``; the stack, then ``stacks`` (more per-row state, one
-        entry per stack row), without those rows."""
+    def end(ended: list[int], it: int, *stacks: np.ndarray) -> list[np.ndarray]:
+        """Record the pass count and last iterate over tau of the stack rows
+        ``ended``; the stack, then ``stacks`` (more per-row state), without them."""
         stack = [rows, cl, xs, Xs, Zs, taus, kappas, *stacks]
         if not ended:
             return stack
-        for j, status in ended.items():
-            k = rows[j]
-            final[k], iterations[k] = status, it
-            x[k], X[k], Z[k] = xs[j] / taus[j], Xs[j] / taus[j], Zs[j] / taus[j]
-        keep = [j for j in range(len(rows)) if j not in ended]
-        return [[s[j] for j in keep] if isinstance(s, list) else s[keep] for s in stack]
+        k, t = rows[ended], taus[ended, None]
+        iterations[k] = it
+        x[k], X[k], Z[k] = xs[ended] / t, Xs[ended] / t[..., None], Zs[ended] / t[..., None]
+        keep = np.ones(len(rows), dtype=bool)
+        keep[ended] = False
+        return [s[keep] for s in stack]
 
     for it in range(1, MAX_ITER + 1):
         # the embedding's residuals rd = A0 tau + A(x) - X and rp = -(A*(Z) + c tau)
         rd, rp, dots = _residuals(a0 * taus[:, None, None], a_flat, cl * taus[:, None], xs, Xs, Zs)
-        ended: dict[int, str] = {}  # stack rows whose solve ends in this pass
+        ended: list[int] = []  # stack rows whose solve ends in this pass
         head = []  # per row: path error, <X, Z> + tau kappa and the gap row
         for j, (k, row, tau, kappa) in enumerate(zip(rows, dots, taus.tolist(), kappas.tolist())):
             path_err = max(_errors(row, norm_a0, norm_c[k], tau)[:3])
@@ -460,14 +467,14 @@ def _solve_stack(pencil: Pencil, a_flat: np.ndarray, cs: np.ndarray) -> list[Sdp
             if not all(map(math.isfinite, (*row, tau, kappa))) or path_err <= TOL:
                 # a non-finite iterate or product (the row leaves before any
                 # LAPACK call), or (x, Z) / tau has converged: the finish takes over
-                ended[j] = STATUS_FAILURE
+                ended.append(j)
             elif tau < kappa:
                 # tau falls against kappa: the row ends once its iterate certifies
-                verdict = _certificate(a0, a_flat, gram_inv, h0, scale0, cl[j], xs[j], Zs[j])
-                if verdict:
-                    ended[j], certificates[k] = verdict
-        rows, cl, xs, Xs, Zs, taus, kappas, rd, rp, head = end(ended, it, rd, rp, head)
-        if not rows:
+                verdicts[k] = _certificate(a0, a_flat, gram_inv, h0, scale0, cl[j], xs[j], Zs[j])
+                if verdicts[k]:
+                    ended.append(j)
+        rows, cl, xs, Xs, Zs, taus, kappas, rd, rp, head = end(ended, it, rd, rp, np.array(head))
+        if not rows.size:
             break
 
         f_mat, zinv, half, scaled = _nt_scaling(Xs, Zs)
@@ -478,7 +485,7 @@ def _solve_stack(pencil: Pencil, a_flat: np.ndarray, cs: np.ndarray) -> list[Sdp
         trace = np.trace(schur, axis1=1, axis2=2)
         ridge = 1e-14 * np.fmax(1.0, trace / max(n, 1))
         schur.reshape(b, n * n)[:, :: n + 1] += ridge[:, None]
-        path_err, gap, gap_row = (np.array(v) for v in zip(*head))
+        path_err, gap, gap_row = head.T
         pass_system = (a0, a_flat, schur, winv, rd, rp, cl, gap_row, taus, kappas)
 
         # predictor: sigma = 0 and every residual in full
@@ -501,46 +508,34 @@ def _solve_stack(pencil: Pencil, a_flat: np.ndarray, cs: np.ndarray) -> list[Sdp
         frac = np.where(path_err > 1e-4, 0.9, 0.98)  # of the way to the boundary
         alpha = frac * _step(half, dX, dZ, taus, dtau, kappas, dkappa)
         # no NT scaling or a singular Schur system: the solve ends at its pre-step iterate
-        ended = {
-            j: STATUS_FAILURE for j in range(b) if not (scaled[j] and solved[j] and solved_c[j])
-        }
+        ended = [j for j in range(b) if not (scaled[j] and solved[j] and solved_c[j])]
         rows, cl, xs, Xs, Zs, taus, kappas, dx, dX, dZ, dtau, dkappa, alpha = end(
             ended, it, dx, dX, dZ, dtau, dkappa, alpha
         )
-        if not rows:
+        if not rows.size:
             break
         xs = xs + alpha[:, None] * dx
         Xs = _sym(Xs + alpha[:, None, None] * dX)
         Zs = _sym(Zs + alpha[:, None, None] * dZ)
         taus, kappas = taus + alpha * dtau, kappas + alpha * dkappa
 
-    end(dict.fromkeys(range(len(rows)), STATUS_FAILURE), MAX_ITER)  # still iterating at MAX_ITER
-    return _assemble(pencil, a_flat, norm_a0, cs, norm_c, final, iterations, certificates, x, X, Z)
-
-
-def _assemble(
-    pencil: Pencil, a_flat: np.ndarray, norm_a0: float, cs: np.ndarray, norm_c: list[float],
-    final: list[str], iterations: list[int], certificates: list, x: np.ndarray, X: np.ndarray,
-    Z: np.ndarray) -> list[SdpSolution]:
-    """Finish the stack's final iterates, judge them and assemble each solution."""
-    a0 = pencil.mats[0]
-    count = len(cs)
-    todo = [k for k in range(count) if final[k] == STATUS_FAILURE]
-    if todo:
+    end(list(range(len(rows))), MAX_ITER)  # still iterating at MAX_ITER
+    todo = np.flatnonzero([v is None for v in verdicts])
+    if todo.size:
         fx, fX, fZ, moved = _finish(a0, a_flat, cs[todo], x[todo], Z[todo])
-        for j in moved.nonzero()[0].tolist():
-            x[todo[j]], X[todo[j]], Z[todo[j]] = fx[j], fX[j], fZ[j]
+        k = todo[moved]
+        x[k], X[k], Z[k] = fx[moved], fX[moved], fZ[moved]
     _, _, dots = _residuals(np.broadcast_to(a0, Z.shape), a_flat, cs, x, X, Z)
     w = np.linalg.eigvalsh(np.concatenate([X, Z]))  # spectra and ranks
     ranks = _ranks(w)
 
     solutions = []
-    for k in range(count):
-        status = final[k]
-        if status == STATUS_FAILURE:
+    for k, (verdict, its) in enumerate(zip(verdicts, iterations.tolist())):
+        if verdict is None:
             feas_p, feas_d, rel_gap, rel_comp = _errors(dots[k], norm_a0, norm_c[k], 1.0)
-            if feas_p <= ACCEPT and feas_d <= ACCEPT and rel_gap <= ACCEPT and rel_comp <= 1e-6:
-                status = STATUS_OPTIMAL
+            ok = feas_p <= ACCEPT and feas_d <= ACCEPT and rel_gap <= ACCEPT and rel_comp <= 1e-6
+            verdict = (STATUS_OPTIMAL if ok else STATUS_FAILURE), None
+        status, certificate = verdict
         # the reported residual goes through the pencil's own adjoint, a route
         # apart from the stacked copy the iteration used
         rp = -(cs[k] + adjoint(pencil, Z[k]))
@@ -556,9 +551,9 @@ def _assemble(
                 residuals=(math.sqrt(dots[k][0]), float(np.linalg.norm(rp)), dots[k][1]),
                 spectrum_X=w[k, ::-1].copy(),
                 spectrum_Z=w[count + k, ::-1].copy(),
-                iterations=iterations[k],
-                ray=certificates[k] if status == STATUS_UNBOUNDED else None,
-                farkas=certificates[k] if status == STATUS_INFEASIBLE else None,
+                iterations=its,
+                ray=certificate if status == STATUS_UNBOUNDED else None,
+                farkas=certificate if status == STATUS_INFEASIBLE else None,
             )
         )
     return solutions

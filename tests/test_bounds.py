@@ -1,6 +1,7 @@
 """Bound arithmetic: triangular numbers, Pataki ranges, degree bounds."""
 
 import math
+from decimal import Context, Decimal
 
 import pytest
 from hypothesis import given, settings
@@ -78,6 +79,12 @@ class TestCounts:
             bezout_kkt_count(0)
 
 
+def log2_reference(v: int) -> Decimal:
+    """log2 v to 60 significant digits."""
+    ctx = Context(prec=60)
+    return ctx.divide(ctx.ln(Decimal(v)), ctx.ln(Decimal(2)))
+
+
 class TestLog2Big:
     def test_powers_exact(self):
         for k in (0, 1, 7, 53, 400, 1000):
@@ -90,6 +97,21 @@ class TestLog2Big:
     def test_invalid(self):
         with pytest.raises(ValueError):
             log2_big(0)
+
+    def test_check_growth_m16_correctly_rounded(self):
+        v = 82348858632927688192  # delta(37, 16, 9), the degree of check-growth --m 16
+        got = log2_big(v)
+        assert got == 66.15838245698849
+        assert abs(Decimal(got) - log2_reference(v)) <= Decimal(math.ulp(got)) / 2
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(min_value=1, max_value=1 << 3000))
+    def test_within_half_an_ulp(self, v):
+        got = log2_big(v)
+        # plus the 2**-53 relative rounding of v's mantissa, which moves
+        # log2 v by at most 2**-53 / ln 2 < 2**-52
+        slack = Decimal(math.ulp(got)) / 2 + Decimal(2) ** -52
+        assert abs(Decimal(got) - log2_reference(v)) <= slack
 
 
 class TestRankBounds:

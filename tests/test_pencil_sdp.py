@@ -606,6 +606,41 @@ class TestSolveSdpMany:
             assert steps[k] == pytest.approx(want, rel=1e-10, abs=0), k
         assert np.sum(steps < 1.0) >= 4  # the formula is exercised, not only the cap
 
+    # dtau and dkappa as multiples of tau and kappa, as Newton's directions
+    # scale: past |dv / v| = 2**1023 the 1 x 1 route's (a + a) / 2 overflows
+    # to inf, where the elementwise rule stays finite
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(
+        st.tuples(st.floats(-300, 300), st.floats(-1e8, 1e8) | st.floats(-1e-13, 1e-13)),
+        min_size=2, max_size=12,
+    ))
+    def test_step_tau_kappa_match_one_by_one_eigvalsh(self, draws):
+        v = np.array([10.0**e for e, _ in draws])  # tau, then kappa
+        dv = v * np.array([ratio for _, ratio in draws])
+        count = len(v) // 2
+        v, dv = v[: 2 * count], dv[: 2 * count]
+        half = np.repeat(np.eye(2)[None], 2 * count, axis=0)
+        still = np.zeros((count, 2, 2))  # X and Z do not move: their step is 1
+        want = _max_step(1.0 / np.sqrt(v)[:, None, None], dv[:, None, None])
+        got = sdp._step(half, still, still, v[:count], dv[:count], v[count:], dv[count:])
+        assert got.tobytes() == want.reshape(2, count).min(axis=0).tobytes()
+        # each block alone, while the other does not move
+        zero = np.zeros(count)
+        tau_only = sdp._step(half, still, still, v[:count], dv[:count], v[count:], zero)
+        kappa_only = sdp._step(half, still, still, v[:count], zero, v[count:], dv[count:])
+        assert tau_only.tobytes() == want[:count].tobytes()
+        assert kappa_only.tobytes() == want[count:].tobytes()
+
+    def test_step_makes_one_eigvalsh_call(self, monkeypatch):
+        rng = np.random.default_rng(5)
+        X, Z, dX, dZ = (np.array([g @ g.T for g in rng.standard_normal((3, 3, 3))]) for _ in range(4))
+        half = _nt_scaling(X, Z)[2]
+        calls = []
+        eigvalsh = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(a.shape) or eigvalsh(a))
+        sdp._step(half, -dX, -dZ, np.ones(3), -np.ones(3), np.ones(3), np.zeros(3))
+        assert calls == [(6, 3, 3)]  # X and Z stacked; tau and kappa elementwise
+
     def test_singular_schur_slice_fails_alone(self):
         rng = np.random.default_rng(4)
         a = np.array([g @ g.T + np.eye(3) for g in rng.standard_normal((3, 3, 3))])
