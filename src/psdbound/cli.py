@@ -117,7 +117,11 @@ def _emit(args: argparse.Namespace, payload: dict, *, text: str | None = None) -
 
 def cmd_psi(args) -> int:
     if args.set is not None:
-        elements = [int(tok) for tok in args.set.replace(",", " ").split()]
+        # a bare --set is the empty set; "1,,2", "," and "2,3," have an empty entry
+        entries = args.set.split(",") if args.set.strip() else []
+        if not all(map(str.strip, entries)):
+            raise ValueError(f"--set {args.set!r} has an empty entry")
+        elements = [int(tok) for entry in entries for tok in entry.split()]
         value = psi(elements)
         _emit(args, {"set": elements, "psi": str(value)})
         return EXIT_OK

@@ -16,8 +16,8 @@ Two families of quantities, both exact big integers:
   |I| = m - r and element sum n.
 
 Values overflow 64 bits near m = 10, so everything stays in Python ints
-(Bareiss elimination for determinants, exact rational products for
-intervals).
+(fraction-free elimination for Pfaffians and determinants, exact rational
+products for intervals).
 
 Two routes compute psi:
 
@@ -29,19 +29,20 @@ Two routes compute psi:
   of pair values psi({i, j}), padded by the singletons 2**(i-1) when |I|
   is odd (Nie-Ranestad-Sturmfels 2010).  Each pair value has a closed
   form by Vandermonde's identity, so the setup is O(k^2) with no Pascal
-  matrix, and psi is the integer square root of det Q = Pf(Q)^2.
+  matrix, and Pf(Q) itself comes out of a fraction-free skew elimination
+  in O(k^3) exact steps, with no determinant and no square root.
 
 The test suite enforces their agreement with each other and with the
-interval products.  :func:`psi` and :func:`psi_minor_sum` share
-:func:`_bareiss_det`; the interval routes (:func:`psi_interval_product`,
-:func:`psi_interval_harris_tu`) are closed-form products that do not go
-through it, so they stay independent checks of it.
+interval products.  The routes are independent: only
+:func:`psi_minor_sum` goes through :func:`_bareiss_det`, and the interval
+routes (:func:`psi_interval_product`, :func:`psi_interval_harris_tu`) are
+closed-form products.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from math import comb, exp, isqrt, log
+from math import comb, exp, log
 from typing import Iterable, Iterator, NamedTuple
 
 from .bounds import log2_big, triangular
@@ -120,29 +121,50 @@ def _pair(x: int, y: int) -> int:
     return sum(comb(x + y, j) for j in range(x, y))
 
 
+def _upper_q(elems: tuple[int, ...]) -> list[list[int]]:
+    """The upper triangle of the skew path matrix Q of ``elems``, row by row.
+
+    Entry (a, b), a < b, is the pair value psi({i_a, i_b}).  When |elems| is
+    odd, a last column holds the singletons psi({i}) = 2**(i-1) and a zero
+    row closes the square.  Entries on and below the diagonal are 0: Q is
+    skew, and the elimination reads only above it.
+    """
+    rows = [e - 1 for e in elems]
+    q = [[0] * (a + 1) + [_pair(x, y) for y in rows[a + 1 :]] for a, x in enumerate(rows)]
+    if len(rows) % 2:
+        for row, x in zip(q, rows):
+            row.append(1 << x)
+        q.append([0] * (len(q) + 1))
+    return q
+
+
 @lru_cache(maxsize=None)
 def _psi_cached(elems: tuple[int, ...]) -> int:
-    k = len(elems)
-    if k == 0:
-        return 1
-    rows = [e - 1 for e in elems]
-    size = k + k % 2
-    q = [[0] * size for _ in range(size)]
-    for a in range(k):
-        for b in range(a + 1, k):
-            q[a][b] = _pair(rows[a], rows[b])
-            q[b][a] = -q[a][b]
-    if k % 2:
-        # the pad column holds the singletons, psi({i}) = 2**(i-1)
-        for a in range(k):
-            q[a][k] = 1 << rows[a]
-            q[k][a] = -q[a][k]
-    # det Q = Pf(Q)^2 and the Pfaffian, a path count, is never negative
-    det = _bareiss_det(q)
-    root = isqrt(max(det, 0))
-    if root * root != det:
-        raise ArithmeticError(f"det Q for {elems} is not a perfect square: {det}")
-    return root
+    """Pf(Q) by fraction-free skew elimination over the pivot pairs (2s, 2s+1).
+
+    After step s, entry (i, j) past the pair is the Pfaffian of Q on its
+    first 2s + 2 indices plus {i, j} (the Pfaffian form of Sylvester's
+    identity; Knuth, "Overlapping Pfaffians", 1996), so the division by the
+    previous pivot is exact and the last pivot is Pf(Q).  Each pivot is psi
+    of a leading subset of ``elems`` (padded when odd), a path count that is
+    at least 1, so no pivoting is needed; a pivot <= 0 raises.
+    """
+    q = _upper_q(elems)
+    size = len(q)
+    prev = 1
+    for s in range(0, size, 2):
+        u, v = q[s], q[s + 1]
+        pivot = u[s + 1]
+        if pivot <= 0:
+            raise ArithmeticError(
+                f"Pfaffian pivot {pivot} at rows {s}, {s + 1} of Q for {elems}: psi is at least 1"
+            )
+        for i in range(s + 2, size):
+            row, ui, vi = q[i], u[i], v[i]
+            for j in range(i + 1, size):
+                row[j] = (pivot * row[j] + vi * u[j] - ui * v[j]) // prev
+        prev = pivot
+    return prev
 
 
 def psi(I: Iterable[int]) -> int:
@@ -152,10 +174,11 @@ def psi(I: Iterable[int]) -> int:
     psi({i}) = 2**(i-1) and psi of the full interval {1, ..., m} is 1.
     The empty set returns 1 (empty minor convention).
 
-    Evaluated as sqrt(det Q), det by Bareiss elimination, where Q is the
+    Evaluated as Pf(Q) by fraction-free skew elimination, where Q is the
     skew-symmetric matrix whose Pfaffian counts the free-endpoint
     non-intersecting path families; agrees with :func:`psi_minor_sum`
-    everywhere (property-tested).
+    everywhere (property-tested).  A non-positive pivot raises
+    ArithmeticError.
     """
     return _psi_cached(_as_elements(I))
 

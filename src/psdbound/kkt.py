@@ -512,6 +512,12 @@ def parse_json(text: str) -> PolySystem:
         )
         for terms in raw_equations
     ]
+    if "true" in text or "false" in text:
+        # True == 1 and False == 0 share their keys in the pair memo, so a
+        # bool pair after its int twin would skip _json_pair: check each pair
+        for raw, _ in chain.from_iterable(raw_equations):
+            for entry in raw:
+                _json_pair(len(variables), tuple(entry))
     return _parsed(variables, equations, data.get("metadata") or {})
 
 

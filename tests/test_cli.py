@@ -98,7 +98,7 @@ class TestPsi:
                 main(argv)
             assert err.value.code == 2
 
-    @pytest.mark.parametrize("elements", ["0,1", "2,2"])
+    @pytest.mark.parametrize("elements", ["0,1", "2,2", "1,,2", ",", "2,3,"])
     def test_invalid_set_exit_2(self, capsys, elements):
         assert run_cli(capsys, "psi", "--set", elements)[0] == 2
 

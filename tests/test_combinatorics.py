@@ -129,8 +129,25 @@ class TestPsi:
         assert psi(elements) == psi_minor_sum(elements)
 
     def test_nonnegative(self):
+        # a path count over a totally positive matrix: never below 1
         for sub in [(1, 4), (2, 5, 7), (3, 6, 9, 10)]:
-            assert psi(sub) >= 0
+            assert psi(sub) >= 1
+
+    def test_pfaffian_squared_is_det_q(self):
+        # the eliminated Pfaffian against Bareiss on the full skew Q, past
+        # the {1..8} minor-sum sweep
+        for k in range(13):
+            for sub in combinations(range(1, 13), k):
+                q = combinatorics._upper_q(sub)
+                skew = [[q[a][b] - q[b][a] for b in range(len(q))] for a in range(len(q))]
+                assert psi(sub) ** 2 == _bareiss_det(skew), sub
+
+    def test_rejects_non_positive_pivot(self, monkeypatch):
+        # every pivot is psi of a leading subset, at least 1: a zero pair
+        # value makes the first pivot 0, which the elimination refuses
+        monkeypatch.setattr(combinatorics, "_pair", lambda x, y: 0)
+        with pytest.raises(ArithmeticError, match=r"pivot 0 .* for \(2, 3, 4\)"):
+            combinatorics._psi_cached.__wrapped__((2, 3, 4))
 
 
 class TestBareissDet:
@@ -155,11 +172,6 @@ class TestBareissDet:
                 [-a14, -a24, -a34, 0],
             ]
             assert _bareiss_det(mat) == (a12 * a34 - a13 * a24 + a14 * a23) ** 2
-
-    def test_psi_rejects_non_square_determinant(self, monkeypatch):
-        monkeypatch.setattr(combinatorics, "_bareiss_det", lambda q: 2)
-        with pytest.raises(ArithmeticError, match="not a perfect square"):
-            combinatorics._psi_cached.__wrapped__((2, 3, 4))
 
 
 class TestIntervalFormulas:
@@ -192,7 +204,7 @@ class TestIntervalFormulas:
                     assert psi_interval_harris_tu(q, q - p) == want
 
     def test_every_interval_to_16(self):
-        # the product does not go through _bareiss_det, so it checks the Pfaffian
+        # the product is a closed form of its own, so it checks the Pfaffian
         for p in range(0, 17):
             for q in range(p, 17):
                 assert psi(range(p + 1, q + 1)) == psi_interval_product(p, q), (p, q)

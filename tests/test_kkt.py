@@ -550,6 +550,18 @@ class TestParseRejects:
         with pytest.raises(ValueError, match=message):
             parse_system(json.dumps(data), "json")
 
+    @pytest.mark.parametrize("flag", [True, False])
+    @pytest.mark.parametrize("field", [0, 1], ids=["index", "exponent"])
+    @pytest.mark.parametrize("equation", [0, -1], ids=["first", "last"])
+    def test_json_bool_refused_in_either_order(self, equation, field, flag):
+        # True == 1 and False == 0: in the last equation the bool pair comes
+        # after its int twin ([1, 1], [0, 1] or [2, 1]) was accepted
+        system = build_kkt(Pencil((np.eye(2), np.diag([1.0, -1.0]))), [1.0])
+        data = json.loads(export_system(system, "json"))
+        data["equations"][equation][0][0][0][field] = flag
+        with pytest.raises(ValueError, match=r"not \[index, exponent >= 1\]"):
+            parse_system(json.dumps(data), "json")
+
     @pytest.mark.parametrize("key", ["variables", "equations"])
     def test_json_missing_key(self, key):
         data = json.loads(export_system(build_kkt_rank(segment_fixture(), 1), "json"))
