@@ -32,9 +32,12 @@ Two routes compute psi:
   matrix, and Pf(Q) itself comes out of a fraction-free skew elimination
   in O(k^3) exact steps, with no determinant and no square root.
 
-The test suite enforces their agreement with each other and with the
-interval products.  The routes are independent: only
-:func:`psi_minor_sum` goes through :func:`_bareiss_det`, and the interval
+:func:`psi` and :func:`delta` share that one elimination step: ``_walk``
+runs it along I alone for psi, and along I and its complement at once
+for delta, where subsets with a common prefix share its elimination.
+The test suite enforces agreement with the routes that stay independent
+of the walk: only :func:`psi_minor_sum` goes through :func:`_bareiss_det`,
+the pair values have their own closed form (``_pair``), and the interval
 routes (:func:`psi_interval_product`, :func:`psi_interval_harris_tu`) are
 closed-form products.
 """
@@ -42,8 +45,9 @@ closed-form products.
 from __future__ import annotations
 
 from functools import lru_cache
-from math import comb, exp, log
-from typing import Iterable, Iterator, NamedTuple
+from itertools import accumulate
+from math import comb, exp, log, prod
+from typing import Iterable, NamedTuple
 
 from .bounds import log2_big, triangular
 
@@ -121,50 +125,84 @@ def _pair(x: int, y: int) -> int:
     return sum(comb(x + y, j) for j in range(x, y))
 
 
-def _upper_q(elems: tuple[int, ...]) -> list[list[int]]:
-    """The upper triangle of the skew path matrix Q of ``elems``, row by row.
+def _walk(elems: tuple[int, ...], k: int, n: int) -> int:
+    """Sum of psi(I) * psi(elems minus I) over k-subsets I of ``elems`` summing to n.
 
-    Entry (a, b), a < b, is the pair value psi({i_a, i_b}).  When |elems| is
-    odd, a last column holds the singletons psi({i}) = 2**(i-1) and a zero
-    row closes the square.  Entries on and below the diagonal are 0: Q is
-    skew, and the elimination reads only above it.
+    One depth-first walk over ``elems``, pruned by the sum window: each
+    element joins I or its complement.  Each side, a tuple (level, last
+    pivot, unpaired element or None, elements still to take, prefix),
+    carries its own fraction-free elimination of Pf(Q), where Q is the skew
+    matrix of the pair values psi({i, j}) with a last pad index joined to
+    each i by the singleton psi({i}) = 2**(i-1).
+
+    A level is (rows, parent, a, b, p, prev), or (q,) at the root: a table
+    over the elements still to come.  Row i holds T[i][j] for j > i from
+    the far end in, the pad first, so T[i][j] is ``rows[i][i - j]`` and the
+    rows of any a < b < i line up under ``zip``.  A side that completes a
+    pair (a, b) pivots on p = T[a][b] and starts a level whose rows are
+    ``T'[i][j] = (p*T[i][j] + T[b][i]*T[a][j] - T[a][i]*T[b][j]) // prev``.
+    After a pair, T[i][j] is the Pfaffian of Q on the prefix plus {i, j}
+    (the Pfaffian form of Sylvester's identity; Knuth, "Overlapping
+    Pfaffians", 1996), whatever the rest of the set: every subset that
+    extends the prefix shares the level, and each division is exact.
+
+    A row is eliminated when the walk first reads it, so an element a side
+    never takes costs that side nothing, and the last pair's pivot and an
+    odd side's T[unpaired][pad] are single entries.  At a leaf an even side
+    reads psi as its last pivot, an odd side as T[unpaired][pad].  Each
+    pivot is psi of a prefix, a path count that is at least 1, so no
+    pivoting is needed; a pivot <= 0 raises, naming the prefix.
     """
-    rows = [e - 1 for e in elems]
-    q = [[0] * (a + 1) + [_pair(x, y) for y in rows[a + 1 :]] for a, x in enumerate(rows)]
-    if len(rows) % 2:
-        for row, x in zip(q, rows):
-            row.append(1 << x)
-        q.append([0] * (len(q) + 1))
-    return q
+    size = len(elems)
+    ends = list(accumulate(elems, initial=0))
+    top = [ends[-1] - ends[size - c] for c in range(size + 1)]  # the sum of the c largest
 
+    def row(level: tuple, i: int) -> list[int]:
+        r = level[0][i]
+        if r is None:
+            rows, parent, a, b, p, prev = level
+            ta, tb, ti = parent[0][a], parent[0][b], parent[0][i] or row(parent, i)
+            ai, bi = ta[a - i], tb[b - i]
+            r = rows[i] = [(p * x + bi * y - ai * z) // prev for x, y, z in zip(ti, ta, tb)]
+        return r
 
-@lru_cache(maxsize=None)
-def _psi_cached(elems: tuple[int, ...]) -> int:
-    """Pf(Q) by fraction-free skew elimination over the pivot pairs (2s, 2s+1).
+    def entry(level: tuple, i: int, j: int) -> int:
+        if level[0][i] is not None:
+            return level[0][i][i - j]
+        _, parent, a, b, p, prev = level
+        ta, tb = parent[0][a], parent[0][b]
+        return (p * entry(parent, i, j) + tb[b - i] * ta[a - j] - ta[a - i] * tb[b - j]) // prev
 
-    After step s, entry (i, j) past the pair is the Pfaffian of Q on its
-    first 2s + 2 indices plus {i, j} (the Pfaffian form of Sylvester's
-    identity; Knuth, "Overlapping Pfaffians", 1996), so the division by the
-    previous pivot is exact and the last pivot is Pf(Q).  Each pivot is psi
-    of a leading subset of ``elems`` (padded when odd), a path count that is
-    at least 1, so no pivoting is needed; a pivot <= 0 raises.
-    """
-    q = _upper_q(elems)
-    size = len(q)
-    prev = 1
-    for s in range(0, size, 2):
-        u, v = q[s], q[s + 1]
-        pivot = u[s + 1]
-        if pivot <= 0:
-            raise ArithmeticError(
-                f"Pfaffian pivot {pivot} at rows {s}, {s + 1} of Q for {elems}: psi is at least 1"
-            )
-        for i in range(s + 2, size):
-            row, ui, vi = q[i], u[i], v[i]
-            for j in range(i + 1, size):
-                row[j] = (pivot * row[j] + vi * u[j] - ui * v[j]) // prev
-        prev = pivot
-    return prev
+    def join(side: tuple, x: int) -> tuple:
+        level, prev, u, left, prefix = side
+        prefix += (elems[x],)
+        if u is None:
+            return level, prev, x, left - 1, prefix
+        # a new level reads the rows of its pair; the last pair needs its pivot alone
+        p = row(level, u)[u - x] if left > 1 else entry(level, u, x)
+        if p <= 0:
+            raise ArithmeticError(f"Pfaffian pivot {p} at the prefix {prefix} of Q for {elems}: "
+                                  "psi is at least 1")
+        if left > 1:
+            row(level, x)
+            level = ([None] * size, level, u, x, p, prev)
+        return level, p, None, left - 1, prefix
+
+    def walk(x: int, need: int, inner: tuple, outer: tuple) -> int:
+        if x == size:  # psi of an even side is its last pivot, of an odd one T[unpaired][pad]
+            return prod(s[1] if s[2] is None else entry(s[0], s[2], size) for s in (inner, outer))
+        # I's picks from y on must sum to between the smallest and the largest they can
+        left, e, y, total = inner[3], elems[x], x + 1, 0
+        if left and ends[x + left] - ends[y] <= need - e <= top[left - 1]:
+            total += walk(y, need - e, join(inner, x), outer)
+        if left < size - x and ends[y + left] - ends[y] <= need <= top[left]:
+            total += walk(y, need, inner, join(outer, x))
+        return total
+
+    if not ends[k] <= n <= top[k]:
+        return 0
+    q = [[1 << (x - 1)] + [_pair(x - 1, y - 1) for y in elems[:a:-1]] for a, x in enumerate(elems)]
+    return walk(0, n, *(((q,), 1, None, c, ()) for c in (k, size - k)))
 
 
 def psi(I: Iterable[int]) -> int:
@@ -176,11 +214,12 @@ def psi(I: Iterable[int]) -> int:
 
     Evaluated as Pf(Q) by fraction-free skew elimination, where Q is the
     skew-symmetric matrix whose Pfaffian counts the free-endpoint
-    non-intersecting path families; agrees with :func:`psi_minor_sum`
-    everywhere (property-tested).  A non-positive pivot raises
-    ArithmeticError.
+    non-intersecting path families: the walk of :func:`delta` along I
+    alone.  Agrees with :func:`psi_minor_sum` everywhere (property-tested).
+    A non-positive pivot raises ArithmeticError.
     """
-    return _psi_cached(_as_elements(I))
+    elems = _as_elements(I)
+    return _walk(elems, len(elems), sum(elems))
 
 
 def psi_interval_product(p: int, q: int) -> int:
@@ -224,45 +263,19 @@ def psi_interval_harris_tu(m: int, r: int) -> int:
     return num // den
 
 
-def _subsets_with_sum(m: int, k: int, target: int) -> Iterator[tuple[int, ...]]:
-    """Subsets of {1, ..., m} of size k with element sum target, ascending."""
-
-    def rec(start: int, remaining: int, need: int, acc: list[int]) -> Iterator[tuple[int, ...]]:
-        if remaining == 0:
-            if need == 0:
-                yield tuple(acc)
-            return
-        # reachable-sum window for the remaining choices
-        lo = remaining * start + remaining * (remaining - 1) // 2
-        hi = remaining * m - remaining * (remaining - 1) // 2
-        if not lo <= need <= hi:
-            return
-        for v in range(start, m - remaining + 2):
-            acc.append(v)
-            yield from rec(v + 1, remaining - 1, need - v, acc)
-            acc.pop()
-
-    yield from rec(1, k, target, [])
-
-
 def delta(n: int, m: int, r: int) -> int:
     """Algebraic degree of semidefinite programming, exactly.
 
     Sum of psi(I) * psi(I complement) over subsets I of {1, ..., m} with
-    |I| = m - r and element sum n.  Returns 0 when no subset qualifies.
+    |I| = m - r and element sum n, in one walk over {1, ..., m} that
+    shares each prefix's elimination (``_walk``).  Returns 0 when no
+    subset qualifies.
     """
     if not 1 <= r <= m:
         raise ValueError(f"need 1 <= r <= m, got r = {r}, m = {m}")
     if n < 0:
         raise ValueError(f"need n >= 0, got {n}")
-    k = m - r
-    total = 0
-    full = tuple(range(1, m + 1))
-    for subset in _subsets_with_sum(m, k, n):
-        inside = set(subset)
-        comp = tuple(i for i in full if i not in inside)
-        total += _psi_cached(subset) * _psi_cached(comp)
-    return total
+    return _walk(tuple(range(1, m + 1)), m - r, n)
 
 
 class IntervalBoundReport(NamedTuple):

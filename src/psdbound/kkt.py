@@ -490,6 +490,15 @@ def parse_plain(text: str) -> PolySystem:
     return _parsed(variables, equations, meta_kv)
 
 
+def _json_coefficient(text) -> Fraction:
+    """A coefficient as the exporters write it: a string in the plain-text grammar."""
+    if not (isinstance(text, str) and _COEFF_RE.fullmatch(text)):
+        raise ValueError(
+            f"cannot parse term coefficient {json.dumps(text)}: not a string like '-3' or '3/2'"
+        )
+    return Fraction(text)
+
+
 def _json_pair(num_variables: int, pair: tuple) -> tuple[int, int]:
     v, e = pair
     if not all(type(x) in (int, float) and x % 1 == 0 for x in pair) or e < 1:
@@ -503,8 +512,9 @@ def parse_json(text: str) -> PolySystem:
     data = json.loads(text)
     variables, raw_equations = json_fields(data, "JSON system", "variables", "equations")
     variables = tuple(variables)
-    # a monomial is looked up by its validated pairs, which the pair memo shares
-    coefficients, monomials = _Memo(Fraction), _Memo(_canonical)
+    # a monomial is looked up by its validated pairs, which the pair memo shares;
+    # a coefficient that is not a string raises on its miss, so never enters the memo
+    coefficients, monomials = _Memo(_json_coefficient), _Memo(_canonical)
     pair = _Memo(partial(_json_pair, len(variables))).__getitem__
     equations = [
         _polynomial(

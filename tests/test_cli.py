@@ -532,6 +532,19 @@ class TestExperimentCommands:
     def test_tightness_negative_trials_exit_2(self, capsys):
         assert run_cli(capsys, "tightness", "--m", "4", "--trials", "-3") == (2, "")
 
+    def test_tightness_trials_above_limit_exit_2(self, capsys):
+        # above m = 12 only the exact part runs, so a given --trials is refused
+        assert main(["tightness", "--m", "14", "--trials", "5"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "above m = 12" in err
+
+    @pytest.mark.parametrize("trials", [(), ("--trials", "0")], ids=["default", "zero"])
+    def test_tightness_exact_part_above_limit(self, capsys, trials):
+        code, data = run_json(capsys, "tightness", "--m", "14", *trials)
+        assert code == 0
+        assert (data["tightness"]["trials"], data["tightness"]["frequency"]) == (0, None)
+        assert data["manifest"]["args"]["trials"] == (200 if not trials else 0)
+
     def test_check_growth(self, capsys):
         code, data = run_json(capsys, "check-growth", "--m", "6")
         assert code == 0

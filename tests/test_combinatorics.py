@@ -134,12 +134,17 @@ class TestPsi:
             assert psi(sub) >= 1
 
     def test_pfaffian_squared_is_det_q(self):
-        # the eliminated Pfaffian against Bareiss on the full skew Q, past
-        # the {1..8} minor-sum sweep
+        # the eliminated Pfaffian against Bareiss on the full skew Q, built
+        # here from the pair values, past the {1..8} minor-sum sweep
         for k in range(13):
             for sub in combinations(range(1, 13), k):
-                q = combinatorics._upper_q(sub)
-                skew = [[q[a][b] - q[b][a] for b in range(len(q))] for a in range(len(q))]
+                upper = {(a, b): combinatorics._pair(x - 1, y - 1)
+                         for (a, x), (b, y) in combinations(enumerate(sub), 2)}
+                if k % 2:  # the pad: a last index joined to each i by 2**(i-1)
+                    upper.update({(a, k): 2 ** (x - 1) for a, x in enumerate(sub)})
+                size = k + k % 2
+                skew = [[upper.get((a, b), 0) - upper.get((b, a), 0) for b in range(size)]
+                        for a in range(size)]
                 assert psi(sub) ** 2 == _bareiss_det(skew), sub
 
     def test_rejects_non_positive_pivot(self, monkeypatch):
@@ -147,7 +152,7 @@ class TestPsi:
         # value makes the first pivot 0, which the elimination refuses
         monkeypatch.setattr(combinatorics, "_pair", lambda x, y: 0)
         with pytest.raises(ArithmeticError, match=r"pivot 0 .* for \(2, 3, 4\)"):
-            combinatorics._psi_cached.__wrapped__((2, 3, 4))
+            psi((2, 3, 4))
 
 
 class TestBareissDet:
@@ -225,6 +230,44 @@ class TestDelta:
     def test_empty_sum_is_zero(self):
         assert delta(100, 3, 1) == 0
         assert delta(1, 4, 1) == 0  # size-3 subsets sum at least 6
+        assert delta(820, 40, 1) == 0  # 39 of {1..40} sum at most 819
+        assert delta(3, 40, 2) == 0
+
+    def test_full_rank_is_one(self):
+        for m in range(1, 17):
+            assert delta(0, m, m) == 1, m
+
+    @pytest.fixture(scope="class")
+    def minor_sums(self):
+        # the defining sums of all 256 subsets of {1..8}, built once
+        return {sub: psi_minor_sum(sub) for k in range(9) for sub in combinations(range(1, 9), k)}
+
+    @pytest.mark.parametrize("m", [7, 8])
+    def test_walk_against_minor_sums(self, m, minor_sums):
+        # the Bareiss route shares no code with the walk
+        full = set(range(1, m + 1))
+        for r in range(1, m + 1):
+            for n in range(0, triangular(m) + 1):
+                want = sum(
+                    minor_sums[sub] * minor_sums[tuple(sorted(full - set(sub)))]
+                    for sub in combinations(range(1, m + 1), m - r)
+                    if sum(sub) == n
+                )
+                assert delta(n, m, r) == want, (n, m, r)
+
+    def test_mirror_at_13(self):
+        # I and its complement swap sides: delta(n, m, r) = delta(t_m - n, m, m - r)
+        for r in range(1, 13):
+            for n in range(0, triangular(13) + 1):
+                assert delta(n, 13, r) == delta(triangular(13) - n, 13, 13 - r), (n, r)
+
+    def test_rejects_non_positive_pivot(self, monkeypatch):
+        # {1, 4} and {2, 3} are the subsets: the complement of {1, 4} pairs
+        # 2 with 3 first, on a zero pair value
+        monkeypatch.setattr(combinatorics, "_pair", lambda x, y: 0)
+        want = r"pivot 0 at the prefix \(2, 3\) of Q for \(1, 2, 3, 4\)"
+        with pytest.raises(ArithmeticError, match=want):
+            delta(5, 4, 2)
 
     def test_harris_tu_consistency(self):
         for m in range(1, 9):

@@ -562,6 +562,18 @@ class TestParseRejects:
         with pytest.raises(ValueError, match=r"not \[index, exponent >= 1\]"):
             parse_system(json.dumps(data), "json")
 
+    @pytest.mark.parametrize("coeff", [True, False, 1, 0.1, None, "1e5"],
+                             ids=["true", "false", "int", "float", "null", "exponent-string"])
+    @pytest.mark.parametrize("equation", [0, -1], ids=["first", "last"])
+    def test_json_coefficient_outside_the_grammar(self, equation, coeff):
+        # the exporters write each coefficient as a string: true and 1 once
+        # parsed as 1, 0.1 as an inexact binary fraction, null as a TypeError
+        system = build_kkt(Pencil((np.eye(2), np.diag([1.0, -1.0]))), [1.0])
+        data = json.loads(export_system(system, "json"))
+        data["equations"][equation][0][1] = coeff
+        with pytest.raises(ValueError, match="cannot parse term coefficient"):
+            parse_system(json.dumps(data), "json")
+
     @pytest.mark.parametrize("key", ["variables", "equations"])
     def test_json_missing_key(self, key):
         data = json.loads(export_system(build_kkt_rank(segment_fixture(), 1), "json"))
