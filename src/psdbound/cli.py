@@ -44,6 +44,7 @@ from .combinatorics import (
 )
 from .experiments import SDP_SIZE_LIMIT, rank_frequency, tightness_report
 from .kkt import (
+    FORMATS,
     build_kkt,
     build_kkt_normalized,
     build_kkt_rank,
@@ -328,7 +329,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rank", type=int, help="rank for --variant rank")
     p.add_argument("--c", help="comma-separated objective for --variant plain")
     p.add_argument("--force", action="store_true", help="allow ranks outside the Pataki range")
-    p.add_argument("--format", choices=["plain_text", "json"], default="plain_text")
+    p.add_argument("--format", choices=list(FORMATS), default="plain_text")
     p.add_argument("--out")
     p.set_defaults(func=cmd_kkt_export)
 

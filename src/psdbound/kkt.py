@@ -21,20 +21,20 @@ and Bezout product 2**(m*m).  Variants:
   symmetric matrices).
 
 The variable order x1..xn, X_i_j, Z_i_j (i <= j, row by row), c1..cn is
-decided in one place, :func:`_layout`.  Every metadata field (n, m,
-variant, rank, minor counts, Bezout product) is worked out from the
-variables and equations by :func:`_info`, which the builders call and
-against which the parsers check a file's stated metadata.
+decided in one place, :func:`_layout`.  A :class:`PolySystem` is its
+variables and equations: :attr:`PolySystem.metadata` (n, m, variant, rank,
+minor counts, Bezout product) is worked out from them on first access, and
+the parsers check a file's stated metadata against it.
 
 Coefficients are exact rationals (floats enter via their shortest decimal
 representation), so residuals at rational points are exact and exports
 round-trip losslessly.  Builders, exporters and parsers visit each term
 once; what repeats across terms (a pencil entry, a coefficient or its text,
-a factor, a monomial) is worked out once per call in a memo table freed
+a factor and its text) is worked out once per call in a memo table freed
 when the call returns.  Both parsers raise ValueError on a term outside the
 grammar, an exponent below 1, a variable named twice in one term, an unknown
-variable, a missing header or key, and stated metadata that disagrees.  The
-systems are for external algebraic solvers; solving them is out of scope.
+variable, a missing header or key, a JSON value of the wrong type, and stated
+metadata that disagrees.  The systems are for external algebraic solvers.
 """
 
 from __future__ import annotations
@@ -45,7 +45,7 @@ import re
 from dataclasses import asdict, dataclass, replace
 from decimal import Decimal
 from fractions import Fraction
-from functools import partial
+from functools import cached_property, partial
 from itertools import chain, combinations, permutations, repeat
 from operator import itemgetter, neg
 from typing import Iterable, Iterator, Mapping, Sequence
@@ -104,9 +104,10 @@ class SystemInfo:
 
 @dataclass(frozen=True)
 class PolySystem:
+    """A polynomial system: variable names and {monomial: coefficient} equations."""
+
     variables: tuple[str, ...]
     equations: tuple[Polynomial, ...]
-    metadata: SystemInfo
 
     @property
     def num_variables(self) -> int:
@@ -118,6 +119,39 @@ class PolySystem:
 
     def degrees(self) -> list[int]:
         return [poly_degree(eq) for eq in self.equations]
+
+    @cached_property
+    def metadata(self) -> SystemInfo:
+        """Every metadata field, worked out from the system on first access.
+
+        n and m come from the variables, strings that must follow :func:`_layout`
+        (else ValueError); the variant from the equations past the n + t_m + m^2
+        of the plain system (none: plain, one: normalized, more: rank); the
+        minor counts from which rank equations are in X alone; r is the X
+        minors' degree minus 1, or m when there are none; the Bezout product
+        from the degrees, taken once."""
+        variables, equations = self.variables, self.equations
+        t = sum(str(name).startswith("X_") for name in variables)
+        m = (math.isqrt(8 * t + 1) - 1) // 2
+        for symbolic in (False, True):
+            n = (len(variables) - 2 * t) // (1 + symbolic)
+            if _layout(m, n, symbolic)[0] == variables:
+                break
+        else:
+            raise ValueError("variables do not follow the layout x, X, Z (, c)")
+        degrees = self.degrees()
+        info = SystemInfo(n, m, VARIANT_PLAIN, math.prod(max(d, 1) for d in degrees))
+        first = n + t + m * m  # index of the first equation past the plain system
+        if len(equations) == first + 1:
+            return replace(info, variant=VARIANT_NORMALIZED)
+        if len(equations) > first + 1:
+            # a sorted monomial is in X alone when its first and last variables are
+            in_x = lambda eq: all(not mo or n <= mo[0][0] and mo[-1][0] < n + t for mo in eq)
+            x_minors = [k for k in range(first + 1, len(equations)) if in_x(equations[k])]
+            rank = degrees[x_minors[0]] - 1 if x_minors else m
+            counts = (len(x_minors), len(equations) - first - 1 - len(x_minors))
+            return replace(info, variant=VARIANT_RANK, rank=rank, minor_counts=counts)
+        return info
 
 
 def _degrees(monos: Iterable[Monomial]) -> Iterator[int]:
@@ -169,37 +203,6 @@ def _layout(
     return tuple(names), big_x.tolist(), (big_x + t).tolist()
 
 
-def _info(variables: tuple[str, ...], equations: Sequence[Polynomial]) -> SystemInfo:
-    """Every metadata field, worked out from the system itself.
-
-    n and m come from the variables, which must follow :func:`_layout`; the
-    variant from the equations past the n + t_m + m^2 of the plain system
-    (none: plain, one: normalized, more: rank); the minor counts from which
-    rank equations are in X alone; r is the X minors' degree minus 1, or m
-    when there are none; the Bezout product from the degrees, taken once."""
-    t = sum(name.startswith("X_") for name in variables)
-    m = (math.isqrt(8 * t + 1) - 1) // 2
-    for symbolic in (False, True):
-        n = (len(variables) - 2 * t) // (1 + symbolic)
-        if _layout(m, n, symbolic)[0] == variables:
-            break
-    else:
-        raise ValueError("variables do not follow the layout x, X, Z (, c)")
-    degrees = [poly_degree(eq) for eq in equations]
-    info = SystemInfo(n, m, VARIANT_PLAIN, math.prod(max(d, 1) for d in degrees))
-    first = n + t + m * m  # index of the first equation past the plain system
-    if len(equations) == first + 1:
-        return replace(info, variant=VARIANT_NORMALIZED)
-    if len(equations) > first + 1:
-        # a sorted monomial is in X alone when its first and last variables are
-        in_x = lambda eq: all(not mo or n <= mo[0][0] and mo[-1][0] < n + t for mo in eq)
-        x_minors = [k for k in range(first + 1, len(equations)) if in_x(equations[k])]
-        rank = degrees[x_minors[0]] - 1 if x_minors else m
-        counts = (len(x_minors), len(equations) - first - 1 - len(x_minors))
-        return replace(info, variant=VARIANT_RANK, rank=rank, minor_counts=counts)
-    return info
-
-
 def build_kkt(pencil: Pencil, c: Sequence[float] | None) -> PolySystem:
     """The first-order optimality system for the pencil and objective c.
 
@@ -241,7 +244,7 @@ def build_kkt(pencil: Pencil, c: Sequence[float] | None) -> PolySystem:
         for i in range(m)
         for j in range(m)
     ]
-    return PolySystem(names, tuple(equations), _info(names, equations))
+    return PolySystem(names, tuple(equations))
 
 
 def build_kkt_normalized(pencil: Pencil) -> PolySystem:
@@ -254,8 +257,7 @@ def build_kkt_normalized(pencil: Pencil) -> PolySystem:
     n = pencil.n
     first_c = base.num_variables - n  # c1..cn are the last n names of the layout
     norm = [(((k, 1), (first_c + k, 1)), Fraction(1)) for k in range(n)] + [((), Fraction(-1))]
-    equations = base.equations + (_polynomial(norm),)
-    return PolySystem(base.variables, equations, _info(base.variables, equations))
+    return PolySystem(base.variables, base.equations + (_polynomial(norm),))
 
 
 def build_kkt_rank(pencil: Pencil, r: int, *, force: bool = False) -> PolySystem:
@@ -306,7 +308,7 @@ def build_kkt_rank(pencil: Pencil, r: int, *, force: bool = False) -> PolySystem
         return out
 
     equations = base.equations + tuple(minors(big_x, r + 1) + minors(big_z, m - r + 1))
-    return PolySystem(base.variables, equations, _info(base.variables, equations))
+    return PolySystem(base.variables, equations)
 
 
 def residual(system: PolySystem, assignment: Mapping[str, object]) -> tuple[object, list]:
@@ -340,15 +342,13 @@ def assignment_from_solution(
 ) -> dict[str, float]:
     """Assignment dict for a solver output, keyed by variable name."""
     m, n = system.metadata.m, system.metadata.n
-    symbolic = system.num_variables > n + m * (m + 1)
-    names, _, _ = _layout(m, n, symbolic)
     iu = np.triu_indices(m)
     values = [*solution.x[:n], *solution.X[iu], *solution.Z[iu]]
-    if symbolic:
+    if system.num_variables > len(values):  # c1..cn are symbolic
         if c is None:
             raise ValueError("system has symbolic c; pass the c vector")
         values += [c[k] for k in range(n)]
-    return {name: float(v) for name, v in zip(names, values)}
+    return {name: float(v) for name, v in zip(system.variables, values)}
 
 
 # ---------------------------------------------------------------------------
@@ -402,11 +402,10 @@ def export_json(system: PolySystem) -> str:
 
 
 def _parsed(variables: tuple[str, ...], equations: list[Polynomial], meta: Mapping) -> PolySystem:
-    """A parsed system with its metadata worked out by :func:`_info`.
-    ``meta`` is the file's metadata in the JSON export's keys; a stated
-    field that disagrees with the system raises ValueError."""
-    info = _info(variables, equations)
-    for key, value in asdict(info).items():
+    """The parsed system, refused (ValueError) if ``meta``, the file's metadata
+    in the JSON export's keys, states a field that differs from its metadata."""
+    system = PolySystem(variables, tuple(equations))
+    for key, value in asdict(system.metadata).items():
         stated = meta.get(key)
         if stated is None:
             continue
@@ -416,7 +415,7 @@ def _parsed(variables: tuple[str, ...], equations: list[Polynomial], meta: Mappi
             stated = int(stated)
         if stated != value:
             raise ValueError(f"file states {key}={meta[key]}, the system has {key}={value}")
-    return PolySystem(variables=variables, equations=tuple(equations), metadata=info)
+    return system
 
 
 def _canonical(pairs: Iterable[tuple[int, int]]) -> Monomial:
@@ -460,9 +459,6 @@ def parse_plain(text: str) -> PolySystem:
 
     coefficients = _Memo(lambda text: Fraction(text) if _COEFF_RE.fullmatch(text) else None)
     pair = _Memo(partial(_plain_pair, {name: i for i, name in enumerate(variables)})).__getitem__
-    monomials = _Memo(
-        lambda text: _canonical(map(pair, text.split("*"))) if _FACTORS_RE.fullmatch(text) else None
-    )
     equations: list[Polynomial] = []
     for line in body:
         expr, _, zero = line.rpartition("=")
@@ -475,10 +471,9 @@ def parse_plain(text: str) -> PolySystem:
                 continue
             head, star, factors = tok.partition("*")
             coeff = coefficients[head]
-            mono = None if coeff is None else monomials[factors] if star else ()
-            if mono is None:
+            if coeff is None or star and not _FACTORS_RE.fullmatch(factors):
                 raise ValueError(f"cannot parse term {tok!r}")
-            terms.append((mono, coeff))
+            terms.append((_canonical(map(pair, factors.split("*"))) if star else (), coeff))
         equations.append(_polynomial(terms))
 
     counts = (meta_kv.get("minors_x"), meta_kv.get("minors_z"))
@@ -511,38 +506,42 @@ def _json_pair(num_variables: int, pair: tuple) -> tuple[int, int]:
 def parse_json(text: str) -> PolySystem:
     data = json.loads(text)
     variables, raw_equations = json_fields(data, "JSON system", "variables", "equations")
-    variables = tuple(variables)
-    # a monomial is looked up by its validated pairs, which the pair memo shares;
-    # a coefficient that is not a string raises on its miss, so never enters the memo
-    coefficients, monomials = _Memo(_json_coefficient), _Memo(_canonical)
-    pair = _Memo(partial(_json_pair, len(variables))).__getitem__
-    equations = [
-        _polynomial(
-            [(monomials[tuple(map(pair, map(tuple, raw)))], coefficients[c]) for raw, c in terms]
-        )
-        for terms in raw_equations
-    ]
-    if "true" in text or "false" in text:
-        # True == 1 and False == 0 share their keys in the pair memo, so a
-        # bool pair after its int twin would skip _json_pair: check each pair
-        for raw, _ in chain.from_iterable(raw_equations):
-            for entry in raw:
-                _json_pair(len(variables), tuple(entry))
-    return _parsed(variables, equations, data.get("metadata") or {})
+    meta = data.get("metadata") or {}
+    json_fields(meta, "JSON system 'metadata'")  # an object, if given
+    try:
+        variables = tuple(variables)
+        # a coefficient that is not a string raises on its miss, so never enters the memo
+        coefficients = _Memo(_json_coefficient)
+        pair = _Memo(partial(_json_pair, len(variables))).__getitem__
+        equations = [
+            _polynomial([(_canonical(map(pair, map(tuple, raw))), coefficients[c]) for raw, c in eq])
+            for eq in raw_equations
+        ]
+        if "true" in text or "false" in text:
+            # True == 1 and False == 0 share their keys in the pair memo, so a
+            # bool pair after its int twin would skip _json_pair: check each pair
+            for raw, _ in chain.from_iterable(raw_equations):
+                for entry in raw:
+                    _json_pair(len(variables), tuple(entry))
+        return _parsed(variables, equations, meta)
+    except TypeError as exc:  # a number where a list belongs, or a list where a string
+        raise ValueError(f"JSON system has a value of the wrong type: {exc}") from None
+
+
+# each format's exporter and parser, by the name export_system and parse_system take
+FORMATS = {"plain_text": (export_plain, parse_plain), "json": (export_json, parse_json)}
+
+
+def _format(fmt: str):
+    if fmt not in FORMATS:
+        raise ValueError(f"unknown export format {fmt!r} (use 'plain_text' or 'json')")
+    return FORMATS[fmt]
 
 
 def export_system(system: PolySystem, fmt: str) -> str:
     """Serialize to ``plain_text`` or ``json``; both round-trip exactly."""
-    if fmt == "plain_text":
-        return export_plain(system)
-    if fmt == "json":
-        return export_json(system)
-    raise ValueError(f"unknown export format {fmt!r} (use 'plain_text' or 'json')")
+    return _format(fmt)[0](system)
 
 
 def parse_system(text: str, fmt: str) -> PolySystem:
-    if fmt == "plain_text":
-        return parse_plain(text)
-    if fmt == "json":
-        return parse_json(text)
-    raise ValueError(f"unknown export format {fmt!r} (use 'plain_text' or 'json')")
+    return _format(fmt)[1](text)

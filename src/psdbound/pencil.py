@@ -113,15 +113,9 @@ class Pencil:
     def lift_direction(self, y: np.ndarray) -> np.ndarray:
         """Pull a direction in the image space back to R^n via the adjoint."""
         y = np.asarray(y, dtype=float)
-        if self.projection is None:
-            if y.shape != (self.n,):
-                raise ValueError(f"direction must have length {self.n}, got {y.shape}")
-            return y
-        if y.shape != (self.projection.shape[0],):
-            raise ValueError(
-                f"direction must have length {self.projection.shape[0]}, got {y.shape}"
-            )
-        return self.projection.T @ y
+        if y.shape != (self.image_dim,):
+            raise ValueError(f"direction must have length {self.image_dim}, got {y.shape}")
+        return y if self.projection is None else self.projection.T @ y
 
     def to_dict(self) -> dict:
         out = {

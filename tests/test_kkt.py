@@ -207,11 +207,53 @@ class TestRankVariant:
         assert system.metadata.rank == 3
 
 
+class TestMetadata:
+    """A system is its variables and equations; its metadata is derived from them."""
+
+    def test_derived_once_on_first_access(self, monkeypatch):
+        calls = []
+        derive = PolySystem.metadata.func
+
+        def spy(system):
+            calls.append(system)
+            return derive(system)
+
+        monkeypatch.setattr(PolySystem.metadata, "func", spy)
+        system = build_kkt_rank(small_pencil(3, 3), 1)
+        assert calls == []
+        assert system.metadata.minor_counts == (6, 1)
+        assert system.metadata.rank == 1
+        assert calls == [system]
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda p: build_kkt(p, [1.0, -2.0, 0.5]),
+            build_kkt_normalized,
+            lambda p: build_kkt_rank(p, 2),
+        ],
+        ids=["plain", "normalized", "rank"],
+    )
+    def test_same_fields_same_metadata(self, build):
+        built = build(small_pencil(3, 3))
+        again = PolySystem(built.variables, built.equations)
+        assert again == built
+        assert again.metadata == built.metadata
+
+    @pytest.mark.parametrize(
+        "variables",
+        [("x1", "X_1_1"), ("X_1_1", "x1", "Z_1_1"), ("x1", "X_1_1", "Z_1_1", "c2"),
+         (1, 2, 3), ("a", "b")],
+        ids=["no-Z", "order", "c-name", "not-strings", "names"],
+    )
+    def test_off_layout_refused(self, variables):
+        with pytest.raises(ValueError, match="layout"):
+            PolySystem(variables, ()).metadata
+
+
 class TestResidual:
     def test_zero_system(self):
-        empty = PolySystem(
-            variables=("x1",), equations=(), metadata=SystemInfo(1, 1, "plain", 1)
-        )
+        empty = PolySystem(variables=("x1",), equations=())
         max_abs, per_eq = residual(empty, {"x1": 5})
         assert max_abs == 0 and per_eq == []
 
@@ -313,11 +355,7 @@ class TestResidual:
 
 class TestExport:
     def test_empty_system_header_only(self):
-        empty = PolySystem(
-            variables=("x1", "X_1_1"),
-            equations=(),
-            metadata=SystemInfo(1, 1, "plain", 1),
-        )
+        empty = PolySystem(variables=("x1", "X_1_1"), equations=())
         assert export_plain(empty) == "vars: x1 X_1_1\n"
 
     def test_plain_m2_line_count(self):
@@ -353,8 +391,11 @@ class TestExport:
 
     def test_unknown_format(self):
         system = build_kkt(segment_fixture(), [1.0])
-        with pytest.raises(ValueError):
+        message = re.escape("unknown export format 'yaml' (use 'plain_text' or 'json')")
+        with pytest.raises(ValueError, match=message):
             export_system(system, "yaml")
+        with pytest.raises(ValueError, match=message):
+            parse_system(export_system(system, "json"), "yaml")
 
 
 class TestParse:
@@ -572,6 +613,31 @@ class TestParseRejects:
         data = json.loads(export_system(system, "json"))
         data["equations"][equation][0][1] = coeff
         with pytest.raises(ValueError, match="cannot parse term coefficient"):
+            parse_system(json.dumps(data), "json")
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda d: d["equations"][0][0].__setitem__(1, [1]),
+            lambda d: d["equations"][0][0].__setitem__(1, {"1": 1}),
+            lambda d: d.__setitem__("equations", 5),
+            lambda d: d.__setitem__("variables", 5),
+            lambda d: d["metadata"].__setitem__("m", [2]),
+        ],
+        ids=["list-coefficient", "object-coefficient", "equations-number", "variables-number",
+             "list-metadata-field"],
+    )
+    def test_json_value_of_the_wrong_type(self, edit):
+        data = json.loads(export_system(build_kkt_rank(segment_fixture(), 1), "json"))
+        edit(data)
+        with pytest.raises(ValueError, match="JSON system has a value of the wrong type"):
+            parse_system(json.dumps(data), "json")
+
+    @pytest.mark.parametrize("metadata", [5, [1, 2], "plain"], ids=["number", "list", "string"])
+    def test_json_metadata_not_an_object(self, metadata):
+        data = json.loads(export_system(build_kkt_rank(segment_fixture(), 1), "json"))
+        data["metadata"] = metadata
+        with pytest.raises(ValueError, match="'metadata' must be an object"):
             parse_system(json.dumps(data), "json")
 
     @pytest.mark.parametrize("key", ["variables", "equations"])

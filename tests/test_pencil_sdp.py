@@ -82,6 +82,18 @@ class TestPencil:
         with pytest.raises(ValueError):
             eval_pencil(p, [1.0, 2.0])
 
+    @pytest.mark.parametrize(
+        "fixture,length,wrong",
+        [(segment_fixture, 1, 2), (pentagon_fixture, 2, 4)],
+        ids=["no-projection", "projection"],
+    )
+    def test_lift_direction_length(self, fixture, length, wrong):
+        # with a projection the direction lives in the image, so n = 4 entries are refused
+        p = fixture()
+        assert p.lift_direction(np.ones(length)).shape == (p.n,)
+        with pytest.raises(ValueError, match=rf"direction must have length {length}, got \({wrong},\)"):
+            p.lift_direction(np.ones(wrong))
+
     def test_pentagon_at_zero_is_identity(self):
         assert np.allclose(eval_pencil(pentagon_fixture(), [0, 0, 0, 0]), np.eye(4))
 
