@@ -36,8 +36,9 @@ dense and deterministic; intended scale is m <= 24, n <= 80.
 on one pencil; a problem whose solve ends leaves the stack before the
 next stacked call.  numpy's stacked linear algebra does the same
 arithmetic on each slice as on a lone matrix, inner products are one BLAS
-dot per row (``np.vecdot``), statuses are decided row by row in Python,
-and the centering, step and Schur-ridge rules run elementwise.  So each result is
+dot per row (``np.vecdot``), statuses and the centering, step and
+Schur-ridge rules are decided elementwise, and only a row with tau below
+kappa checks its certificate alone (:func:`_certificate`).  So each result is
 bitwise identical to solving it alone, whatever the batch and its order;
 :func:`solve_sdp` is the one-objective case.  A row that gets no Newton
 step (its X or Z has no NT scaling, or its Schur system is singular, as
@@ -166,12 +167,12 @@ def _schur_gram(a_flat: np.ndarray, f_mat: np.ndarray) -> np.ndarray:
 
 def _residuals(
     a0: np.ndarray, a_flat: np.ndarray, cv: np.ndarray, x: np.ndarray, X: np.ndarray, Z: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, list[list[float]]]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Residuals rd = A0 + A(x) - X and rp = -(A*(Z) + c) over a stack, and
-    per row the inner products the solver's errors and norms are made of:
-    (<rd, rd>, <X, Z>, <XZ, XZ>, <X, X>, <Z, Z>, <A0, Z>, <rp, rp>, <c, x>,
-    <x, x>), each one BLAS dot (:func:`_dot`).  ``a0`` holds A0 once per
-    row, and ``a_flat`` holds A1..An as rows of length m*m."""
+    as row k of a (B, 9) array the inner products problem k's errors and
+    norms are made of: (<rd, rd>, <X, Z>, <XZ, XZ>, <X, X>, <Z, Z>, <A0, Z>,
+    <rp, rp>, <c, x>, <x, x>), each one BLAS dot (:func:`_dot`).  ``a0``
+    holds A0 once per row, and ``a_flat`` holds A1..An as rows of length m*m."""
     count, m = X.shape[:2]
     rd = a0 + (x[:, None, :] @ a_flat).reshape(count, m, m) - X
     rp = -(cv + (a_flat @ Z.reshape(count, m * m, 1))[..., 0])
@@ -179,20 +180,22 @@ def _residuals(
     mats = _dot(np.concatenate([rd, X, xz, X, Z, a0]), np.concatenate([rd, Z, xz, X, Z, Z]))
     mats = mats.reshape(6, count)
     vecs = _dot(np.concatenate([rp, cv, x]), np.concatenate([rp, x, x])).reshape(3, count)
-    return rd, rp, np.concatenate([mats, vecs]).T.tolist()
+    return rd, rp, np.concatenate([mats, vecs]).T
 
 
-def _errors(dots: list[float], norm_a0: float, norm_c: float, tau: float) -> tuple[float, ...]:
-    """Relative errors (primal, dual, gap, complementarity) of the point
-    (x, X, Z) / tau that the solver steers and accepts by, from one row of
-    :func:`_residuals`' products taken with A0 tau and c tau."""
-    rd_rd, x_z, xz_xz, x_x, z_z, _, rp_rp, c_x, _ = dots
-    return (
-        math.sqrt(rd_rd) / (tau * (1.0 + norm_a0)),
-        math.sqrt(rp_rp) / (tau * (1.0 + norm_c)),
-        abs(x_z) / (tau * tau + abs(c_x)),
-        math.sqrt(xz_xz) / (tau * tau + math.sqrt(x_x) * math.sqrt(z_z)),
-    )
+def _errors(dots: np.ndarray, norm_a0: float, norm_c: np.ndarray, tau: np.ndarray) -> tuple:
+    """Relative errors (primal, dual, gap, complementarity) of the points
+    (x, X, Z) / tau that the solver steers and accepts by, each an array
+    over the stack, from :func:`_residuals`' products taken with A0 tau and
+    c tau.  A row with non-finite products gets inf or NaN, with no warning."""
+    rd_rd, x_z, xz_xz, x_x, z_z, _, rp_rp, c_x, _ = dots.T
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        return (
+            np.sqrt(rd_rd) / (tau * (1.0 + norm_a0)),
+            np.sqrt(rp_rp) / (tau * (1.0 + norm_c)),
+            np.abs(x_z) / (tau * tau + np.abs(c_x)),
+            np.sqrt(xz_xz) / (tau * tau + np.sqrt(x_x) * np.sqrt(z_z)),
+        )
 
 
 def _spectrum(mat: np.ndarray, ok: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -249,8 +252,9 @@ def _solve_each(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, list[bool]]:
 
 
 def _newton(
-    a0: np.ndarray, a_flat: np.ndarray, schur: np.ndarray, winv: np.ndarray, rd: np.ndarray,
-    rp: np.ndarray, cv: np.ndarray, gap_row: np.ndarray, tau: np.ndarray, kappa: np.ndarray,
+    a0: np.ndarray, a_flat: np.ndarray, schur: np.ndarray, winv: np.ndarray, wa0w: np.ndarray,
+    c_less_h: np.ndarray, c_plus_h: np.ndarray, wa0w_a0: np.ndarray, rd: np.ndarray,
+    rp: np.ndarray, gap_row: np.ndarray, tau: np.ndarray, kappa: np.ndarray,
     eta: np.ndarray, target: np.ndarray, t_tk: np.ndarray,
 ) -> tuple[np.ndarray, ...]:
     """Directions (dx, dX, dZ, dtau, dkappa) of the embedding's Newton
@@ -261,18 +265,17 @@ def _newton(
     = ``t_tk``.  With g = sym(W^-1 target W^-1) - eta W^-1 rd W^-1 and
     h = A*(W^-1 A0 W^-1), it reduces to S dx = A*(g) - eta rp + dtau (c - h):
     dx = dx1 + dtau dx2 from one stacked solve with two right-hand sides,
-    and dtau from the gap row, one scalar equation.
+    and dtau from the gap row, one scalar equation.  The terms that do not
+    depend on the target, ``wa0w`` = sym(W^-1 A0 W^-1), c - h, c + h and
+    <W^-1 A0 W^-1, A0>, are formed once per pass by the caller.
     """
     count, m = winv.shape[:2]
-    wa0w = _sym(winv @ a0 @ winv)
-    h = (a_flat @ wa0w.reshape(count, m * m, 1))[..., 0]
     g_mat = _sym(winv @ target @ winv) - eta[:, None, None] * (winv @ rd @ winv)
     rhs = (a_flat @ g_mat.reshape(count, m * m, 1))[..., 0] - eta[:, None] * rp
-    d, solved = _solve_each(schur, np.stack([rhs, cv - h], axis=2))
+    d, solved = _solve_each(schur, np.stack([rhs, c_less_h], axis=2))
     dx1, dx2 = d[..., 0], d[..., 1]
-    ch = cv + h
-    dtau = (t_tk / tau - eta * gap_row - _dot(ch, dx1) + _dot(g_mat, a0[None])) / (
-        _dot(ch, dx2) + _dot(wa0w, a0[None]) + kappa / tau
+    dtau = (t_tk / tau - eta * gap_row - _dot(c_plus_h, dx1) + _dot(g_mat, a0[None])) / (
+        _dot(c_plus_h, dx2) + wa0w_a0 + kappa / tau
     )
     dx = dx1 + dtau[:, None] * dx2
     adx = (dx[:, None, :] @ a_flat).reshape(count, m, m)
@@ -429,10 +432,10 @@ def _solve_stack(pencil: Pencil, a_flat: np.ndarray, cs: np.ndarray) -> list[Sdp
     a0 = pencil.mats[0]
     count = len(cs)
     norm_a0 = float(np.linalg.norm(a0))
-    scale0 = max(1.0, norm_a0, max(float(np.linalg.norm(a)) for a in pencil.mats))
+    scale0 = max(1.0, *(float(np.linalg.norm(a)) for a in pencil.mats))
     gram_inv = _gram_inverse(a_flat)  # the Farkas candidate's projection
     h0 = gram_inv @ (a_flat @ a0.ravel())
-    norm_c = np.sqrt(_dot(cs, cs)).tolist()
+    norm_c = np.sqrt(_dot(cs, cs))
     # the embedding's start: x = 0, X = Z = I and tau = kappa = 1
     xs = np.zeros((count, n))
     Xs = np.repeat(np.eye(m)[None], count, axis=0)
@@ -442,38 +445,32 @@ def _solve_stack(pencil: Pencil, a_flat: np.ndarray, cs: np.ndarray) -> list[Sdp
     verdicts: list[tuple[str, np.ndarray] | None] = [None] * count
     iterations = np.full(count, MAX_ITER)
 
-    def end(ended: list[int], it: int, *stacks: np.ndarray) -> list[np.ndarray]:
-        """Record the pass count and last iterate over tau of the stack rows
+    def end(ended: np.ndarray, it: int, *stacks: np.ndarray) -> list[np.ndarray]:
+        """Record the pass count and last iterate over tau of the rows set in
         ``ended``; the stack, then ``stacks`` (more per-row state), without them."""
         stack = [rows, cl, xs, Xs, Zs, taus, kappas, *stacks]
-        if not ended:
+        if not ended.any():
             return stack
         k, t = rows[ended], taus[ended, None]
         iterations[k] = it
         x[k], X[k], Z[k] = xs[ended] / t, Xs[ended] / t[..., None], Zs[ended] / t[..., None]
-        keep = np.ones(len(rows), dtype=bool)
-        keep[ended] = False
-        return [s[keep] for s in stack]
+        return [s[~ended] for s in stack]
 
     for it in range(1, MAX_ITER + 1):
         # the embedding's residuals rd = A0 tau + A(x) - X and rp = -(A*(Z) + c tau)
         rd, rp, dots = _residuals(a0 * taus[:, None, None], a_flat, cl * taus[:, None], xs, Xs, Zs)
-        ended: list[int] = []  # stack rows whose solve ends in this pass
-        head = []  # per row: path error, <X, Z> + tau kappa and the gap row
-        for j, (k, row, tau, kappa) in enumerate(zip(rows, dots, taus.tolist(), kappas.tolist())):
-            path_err = max(_errors(row, norm_a0, norm_c[k], tau)[:3])
-            # c^T x - <A0, Z> - kappa, from the products tau c^T x and tau <A0, Z>
-            head.append((path_err, row[1] + tau * kappa, (row[7] - row[5]) / tau - kappa))
-            if not all(map(math.isfinite, (*row, tau, kappa))) or path_err <= TOL:
-                # a non-finite iterate or product (the row leaves before any
-                # LAPACK call), or (x, Z) / tau has converged: the finish takes over
-                ended.append(j)
-            elif tau < kappa:
-                # tau falls against kappa: the row ends once its iterate certifies
-                verdicts[k] = _certificate(a0, a_flat, gram_inv, h0, scale0, cl[j], xs[j], Zs[j])
-                if verdicts[k]:
-                    ended.append(j)
-        rows, cl, xs, Xs, Zs, taus, kappas, rd, rp, head = end(ended, it, rd, rp, np.array(head))
+        path_err = np.max(_errors(dots, norm_a0, norm_c[rows], taus)[:3], axis=0)
+        # a non-finite iterate or product (the row leaves before any LAPACK
+        # call), or (x, Z) / tau has converged: the finish takes over
+        ended = ~(np.isfinite(dots).all(axis=1) & np.isfinite(taus) & np.isfinite(kappas))
+        ended |= path_err <= TOL
+        for j in (~ended & (taus < kappas)).nonzero()[0]:
+            # tau falls against kappa: the row ends once its iterate certifies
+            verdicts[rows[j]] = _certificate(a0, a_flat, gram_inv, h0, scale0, cl[j], xs[j], Zs[j])
+            ended[j] = verdicts[rows[j]] is not None
+        rows, cl, xs, Xs, Zs, taus, kappas, rd, rp, dots, path_err = end(
+            ended, it, rd, rp, dots, path_err
+        )
         if not rows.size:
             break
 
@@ -485,8 +482,13 @@ def _solve_stack(pencil: Pencil, a_flat: np.ndarray, cs: np.ndarray) -> list[Sdp
         trace = np.trace(schur, axis1=1, axis2=2)
         ridge = 1e-14 * np.fmax(1.0, trace / max(n, 1))
         schur.reshape(b, n * n)[:, :: n + 1] += ridge[:, None]
-        path_err, gap, gap_row = head.T
-        pass_system = (a0, a_flat, schur, winv, rd, rp, cl, gap_row, taus, kappas)
+        # the terms the predictor and the corrector share, h = A*(W^-1 A0 W^-1)
+        # and the gap row c^T x - <A0, Z> - kappa, from tau c^T x and tau <A0, Z>
+        wa0w = _sym(winv @ a0 @ winv)
+        h = (a_flat @ wa0w.reshape(b, m * m, 1))[..., 0]
+        gap_row = (dots[:, 7] - dots[:, 5]) / taus - kappas
+        pass_system = (a0, a_flat, schur, winv, wa0w, cl - h, cl + h, _dot(wa0w, a0[None]),
+                       rd, rp, gap_row, taus, kappas)
 
         # predictor: sigma = 0 and every residual in full
         dx_a, dX_a, dZ_a, dtau_a, dkappa_a, solved = _newton(
@@ -495,7 +497,7 @@ def _solve_stack(pencil: Pencil, a_flat: np.ndarray, cs: np.ndarray) -> list[Sdp
         a = _step(half, dX_a, dZ_a, taus, dtau_a, kappas, dkappa_a)
         gaps_aff = _dot(Xs + a[:, None, None] * dX_a, Zs + a[:, None, None] * dZ_a)
         gaps_aff = gaps_aff + (taus + a * dtau_a) * (kappas + a * dkappa_a)
-        mus = np.maximum(gap / (m + 1), 1e-300)
+        mus = np.maximum((dots[:, 1] + taus * kappas) / (m + 1), 1e-300)  # <X, Z> + tau kappa
         ratio = np.maximum(0.0, gaps_aff / (m + 1)) / mus
         sigma = np.clip(ratio * ratio * ratio, 1e-12, 1.0)
 
@@ -508,7 +510,7 @@ def _solve_stack(pencil: Pencil, a_flat: np.ndarray, cs: np.ndarray) -> list[Sdp
         frac = np.where(path_err > 1e-4, 0.9, 0.98)  # of the way to the boundary
         alpha = frac * _step(half, dX, dZ, taus, dtau, kappas, dkappa)
         # no NT scaling or a singular Schur system: the solve ends at its pre-step iterate
-        ended = [j for j in range(b) if not (scaled[j] and solved[j] and solved_c[j])]
+        ended = ~(np.logical_and(scaled, solved) & solved_c)
         rows, cl, xs, Xs, Zs, taus, kappas, dx, dX, dZ, dtau, dkappa, alpha = end(
             ended, it, dx, dX, dZ, dtau, dkappa, alpha
         )
@@ -519,23 +521,21 @@ def _solve_stack(pencil: Pencil, a_flat: np.ndarray, cs: np.ndarray) -> list[Sdp
         Zs = _sym(Zs + alpha[:, None, None] * dZ)
         taus, kappas = taus + alpha * dtau, kappas + alpha * dkappa
 
-    end(list(range(len(rows))), MAX_ITER)  # still iterating at MAX_ITER
+    end(np.ones(len(rows), dtype=bool), MAX_ITER)  # still iterating at MAX_ITER
     todo = np.flatnonzero([v is None for v in verdicts])
     if todo.size:
         fx, fX, fZ, moved = _finish(a0, a_flat, cs[todo], x[todo], Z[todo])
         k = todo[moved]
         x[k], X[k], Z[k] = fx[moved], fX[moved], fZ[moved]
     _, _, dots = _residuals(np.broadcast_to(a0, Z.shape), a_flat, cs, x, X, Z)
+    feas_p, feas_d, rel_gap, rel_comp = _errors(dots, norm_a0, norm_c, np.ones(count))
+    ok = (feas_p <= ACCEPT) & (feas_d <= ACCEPT) & (rel_gap <= ACCEPT) & (rel_comp <= 1e-6)
     w = np.linalg.eigvalsh(np.concatenate([X, Z]))  # spectra and ranks
     ranks = _ranks(w)
 
     solutions = []
     for k, (verdict, its) in enumerate(zip(verdicts, iterations.tolist())):
-        if verdict is None:
-            feas_p, feas_d, rel_gap, rel_comp = _errors(dots[k], norm_a0, norm_c[k], 1.0)
-            ok = feas_p <= ACCEPT and feas_d <= ACCEPT and rel_gap <= ACCEPT and rel_comp <= 1e-6
-            verdict = (STATUS_OPTIMAL if ok else STATUS_FAILURE), None
-        status, certificate = verdict
+        status, certificate = verdict or ((STATUS_OPTIMAL if ok[k] else STATUS_FAILURE), None)
         # the reported residual goes through the pencil's own adjoint, a route
         # apart from the stacked copy the iteration used
         rp = -(cs[k] + adjoint(pencil, Z[k]))
@@ -548,7 +548,7 @@ def _solve_stack(pencil: Pencil, a_flat: np.ndarray, cs: np.ndarray) -> list[Sdp
                 status=status,
                 rank_X=ranks[k],
                 rank_Z=ranks[count + k],
-                residuals=(math.sqrt(dots[k][0]), float(np.linalg.norm(rp)), dots[k][1]),
+                residuals=(math.sqrt(dots[k, 0]), float(np.linalg.norm(rp)), float(dots[k, 1])),
                 spectrum_X=w[k, ::-1].copy(),
                 spectrum_Z=w[count + k, ::-1].copy(),
                 iterations=its,

@@ -2,6 +2,8 @@
 
 import dataclasses
 import json
+import math
+import warnings
 
 import numpy as np
 import pytest
@@ -15,9 +17,12 @@ from psdbound.experiments import random_pencil, rank_frequency, shift_to_interio
 from psdbound import sdp
 from psdbound.sdp import (
     SdpSolution,
+    _dot,
+    _errors,
     _finish,
     _max_step,
     _nt_scaling,
+    _residuals,
     _schur_gram,
     _solve_each,
     rank_of,
@@ -557,6 +562,67 @@ class TestSolveSdpMany:
         assert (broken.status, broken.iterations, broken.ray) == ("numerical_failure", 1, None)
         for got, want in zip(batch, solo[:FAULTY] + solo[FAULTY + 1 :]):
             assert_same_solution(got, want)
+
+    def test_faults_in_two_rows_end_both_in_one_pass(self, monkeypatch):
+        # nan_iterate in row FAULTY and false_ray's products in row OTHER,
+        # planted through one _residuals call: both rows end on the first
+        # pass's masks together, and every other row is its solo solve
+        p, cs = pentagon_objectives(6, 12)
+        solo = [solve_sdp(p, c) for c in cs]
+        other = FAULTY + 2
+
+        def two_faults(real, a0, a_flat, cv, x, X, Z):
+            rd, rp, dots = nan_iterate(real, a0, a_flat, cv, x, X, Z)
+            dots[other, 7] = dots[other, 8] = np.inf
+            return rd, rp, dots
+
+        fault_first_pass(monkeypatch, "_residuals", two_faults)
+        batch = solve_sdp_many(p, cs)
+        for k, (got, want) in enumerate(zip(batch, solo)):
+            if k in (FAULTY, other):
+                assert (got.status, got.iterations, got.ray) == ("numerical_failure", 1, None), k
+            else:
+                assert_same_solution(got, want)
+
+    def test_stacked_errors_match_the_scalar_formula(self):
+        # row k of the (B, 9) products is problem k's inner products, and
+        # entry k of each stacked error is, bitwise, the scalar expression on
+        # its Python floats; rows with infinite products give inf or NaN and
+        # no RuntimeWarning
+        p, cs = pentagon_objectives(8, 13)
+        rng = np.random.default_rng(13)
+        count, m, n = len(cs), p.m, p.n
+        cs = np.array(cs)
+        a0, a_flat = p.mats[0], np.array(p.mats[1:]).reshape(n, m * m)
+        g = rng.standard_normal((2, count, m, m))
+        X, Z = g @ g.mT + np.eye(m)
+        x, tau = rng.standard_normal((count, n)), rng.uniform(0.1, 2.0, count)
+        rd, rp, dots = _residuals(a0 * tau[:, None, None], a_flat, cs * tau[:, None], x, X, Z)
+        assert dots.shape == (count, 9)
+        for k in range(count):
+            pairs = [(rd[k], rd[k]), (X[k], Z[k]), (X[k] @ Z[k],) * 2, (X[k], X[k]), (Z[k], Z[k]),
+                     (a0 * tau[k], Z[k]), (rp[k], rp[k]), (cs[k] * tau[k], x[k]), (x[k], x[k])]
+            assert dots[k].tolist() == [float(np.vdot(u, v)) for u, v in pairs], k
+        dots[0, 0] = np.inf  # primal error inf
+        dots[1, 3:5] = np.inf  # complementarity's denominator inf
+        dots[2, 2:4] = np.inf  # complementarity inf / inf
+        dots[3, 1] = dots[3, 7] = np.inf  # gap inf / inf
+        norm_a0, norm_c = float(np.linalg.norm(a0)), np.sqrt(_dot(cs, cs))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            errors = np.column_stack(_errors(dots, norm_a0, norm_c, tau))
+        assert errors.shape == (count, 4)
+        for k in range(count):
+            rd_rd, x_z, xz_xz, x_x, z_z, _, rp_rp, c_x, _ = dots[k].tolist()
+            t, nc = float(tau[k]), float(norm_c[k])
+            want = [
+                math.sqrt(rd_rd) / (t * (1.0 + norm_a0)),
+                math.sqrt(rp_rp) / (t * (1.0 + nc)),
+                abs(x_z) / (t * t + abs(c_x)),
+                math.sqrt(xz_xz) / (t * t + math.sqrt(x_x) * math.sqrt(z_z)),
+            ]
+            np.testing.assert_array_equal(errors[k], want, strict=True, err_msg=str(k))
+        assert np.isnan(errors[2:4]).sum() == 2 and np.isinf(errors[0, 0])
 
     @pytest.mark.parametrize("count", [1, 2, 6])
     @pytest.mark.parametrize(
