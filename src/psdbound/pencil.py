@@ -11,8 +11,8 @@ The interchange format is JSON:
      "projection": [[n floats] x k]}        # optional
 
 Symmetry is validated on load with tolerance 1e-12 and then enforced
-exactly.  ValueError rejects an empty (m = 0) matrix, a NaN or infinite
-entry, a missing key and a value of the wrong type.
+exactly.  ValueError rejects a negative m or n, an empty (m = 0) matrix,
+a NaN or infinite entry, a missing key and a value of the wrong type.
 """
 
 from __future__ import annotations
@@ -130,6 +130,9 @@ class Pencil:
     @classmethod
     def from_dict(cls, data: dict) -> "Pencil":
         m, n, mats = json_fields(data, "pencil JSON", "m", "n", "mats", ints=("m", "n"))
+        for key, size in (("m", m), ("n", n)):
+            if size < 0:  # m = 0 is refused as an empty matrix
+                raise ValueError(f"pencil JSON {key!r} must be non-negative, got {size}")
         try:
             proj = data.get("projection")
             if len(mats) != n + 1:

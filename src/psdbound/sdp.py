@@ -53,7 +53,9 @@ float floor or which runs ``MAX_ITER`` passes, takes (x, X, Z) / tau to the
 finish.  The finish's Gauss-Newton steps (:func:`_finish`) converge
 quadratically near a strictly complementary optimum, so the path phase
 hands over at ``TOL`` = 1e-8, above the float floor (a path error of 3e-10
-to 1e-9 at m = 24); ``ACCEPT`` then judges the finished pair ``optimal`` or
+to 1e-9 at m = 24).  They stop once the KKT residual reaches the rounding
+level of X Z, eps ||X||_F ||Z||_F, which two steps reach on nearly every
+row; ``ACCEPT`` then judges the finished pair ``optimal`` or
 ``numerical_failure``, the only place either is set.  Objectives run in
 chunks whose largest per-row stack stays under ``CHUNK_BYTES``.  These
 numerics and the rank threshold ``RANK_EPS`` are module constants, not
@@ -107,7 +109,9 @@ class SdpSolution:
     <A0, Z> < 0 (see :func:`_certificate`).  With a certificate, ``x``,
     ``X``, ``Z`` and ``value`` = c^T x are the last iterate over tau, not an
     optimum.  The descending spectra ride along for auditing the rank
-    decisions.
+    decisions.  ``iterations`` counts the path phase's passes and
+    ``finish_steps`` the Gauss-Newton steps the finish took (0 with a
+    certificate, or when the first step is refused).
     """
 
     x: np.ndarray
@@ -121,6 +125,7 @@ class SdpSolution:
     spectrum_X: np.ndarray
     spectrum_Z: np.ndarray
     iterations: int
+    finish_steps: int
     ray: np.ndarray | None = None
     farkas: np.ndarray | None = None
 
@@ -254,7 +259,7 @@ def _solve_each(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, list[bool]]:
 def _newton(
     a0: np.ndarray, a_flat: np.ndarray, schur: np.ndarray, winv: np.ndarray, wa0w: np.ndarray,
     c_less_h: np.ndarray, c_plus_h: np.ndarray, wa0w_a0: np.ndarray, rd: np.ndarray,
-    rp: np.ndarray, gap_row: np.ndarray, tau: np.ndarray, kappa: np.ndarray,
+    wrdw: np.ndarray, rp: np.ndarray, gap_row: np.ndarray, tau: np.ndarray, kappa: np.ndarray,
     eta: np.ndarray, target: np.ndarray, t_tk: np.ndarray,
 ) -> tuple[np.ndarray, ...]:
     """Directions (dx, dX, dZ, dtau, dkappa) of the embedding's Newton
@@ -266,11 +271,11 @@ def _newton(
     h = A*(W^-1 A0 W^-1), it reduces to S dx = A*(g) - eta rp + dtau (c - h):
     dx = dx1 + dtau dx2 from one stacked solve with two right-hand sides,
     and dtau from the gap row, one scalar equation.  The terms that do not
-    depend on the target, ``wa0w`` = sym(W^-1 A0 W^-1), c - h, c + h and
-    <W^-1 A0 W^-1, A0>, are formed once per pass by the caller.
+    depend on the target, ``wa0w`` = sym(W^-1 A0 W^-1), ``wrdw`` = W^-1 rd W^-1,
+    c - h, c + h and <W^-1 A0 W^-1, A0>, are formed once per pass by the caller.
     """
     count, m = winv.shape[:2]
-    g_mat = _sym(winv @ target @ winv) - eta[:, None, None] * (winv @ rd @ winv)
+    g_mat = _sym(winv @ target @ winv) - eta[:, None, None] * wrdw
     rhs = (a_flat @ g_mat.reshape(count, m * m, 1))[..., 0] - eta[:, None] * rp
     d, solved = _solve_each(schur, np.stack([rhs, c_less_h], axis=2))
     dx1, dx2 = d[..., 0], d[..., 1]
@@ -338,16 +343,23 @@ def _finish(
     a0: np.ndarray, a_flat: np.ndarray, cs: np.ndarray, x: np.ndarray, Z: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Up to three Gauss-Newton steps on the symmetrized KKT system over a
-    stack: the finished (x, X, Z), and per row whether it took a step.
+    stack: the finished (x, X, Z), and per row the number of steps taken.
 
     The system is F(x, Z) = (A*(Z) + c, the upper triangle of (XZ + ZX)/2)
     with X = A0 + A(x) (Alizadeh-Haeberly-Overton, SIAM J. Optim. 8, 1998);
     its unknowns are x and the upper triangle of Z, so it is square.  A row
-    takes a step only while the step is finite, ||F|| falls, and X and Z
-    stay psd to ``-ACCEPT * max(1, lambda_max)``.  A step that lowers ||F||
-    but leaves the cone is halved, up to three times: from a path phase that
-    hands over off-centre the full step can end just outside.  A row whose
-    step is refused stops.  ``a_flat`` holds A1..An as rows of length m*m.
+    goes on only while ||F|| > eps ||X||_F ||Z||_F, eps the float epsilon:
+    each entry of XZ is computed with an error up to about eps times the
+    product of a row of X and a column of Z, whose norms square and sum to
+    ||X||_F^2 ||Z||_F^2, so below that level a step cannot lower ||F|| by
+    more than rounding.  Two steps bring every pentagon direction and every
+    (24, 80) benchmark pair there, saving the third step's LU solve; a row
+    still above it after two takes the third.  A step is taken only if it
+    is finite, ||F|| falls, and X and Z stay psd to ``-ACCEPT * max(1,
+    lambda_max)``.  A step that lowers ||F|| but leaves the cone is halved,
+    up to three times: from a path phase that hands over off-centre the full
+    step can end just outside.  A row whose step is refused stops.
+    ``a_flat`` holds A1..An as rows of length m*m.
     """
     count, m = Z.shape[:2]
     n = a_flat.shape[0]
@@ -359,6 +371,7 @@ def _finish(
     rows = n + np.arange(t)[:, None]
     col_oj, col_io = n + pair[o, ju[:, None]], n + pair[iu[:, None], o]
     a_mats = a_flat.reshape(n, m, m)
+    eps = np.finfo(float).eps
     jac = np.zeros((count, n + t, n + t))
     # d<A_k, Z>/dZ_ab: the dual block is constant
     jac[:, :n, n:] = a_flat[:, iu * m + ju] * np.where(iu == ju, 1.0, 2.0)
@@ -374,9 +387,12 @@ def _finish(
     x, Z = x.copy(), Z.copy()
     X = pencil_at(x)
     f, norm2 = residual(cs, X, Z)
-    moved = np.zeros(count, dtype=bool)
-    live = np.isfinite(norm2).nonzero()[0]
+    steps = np.zeros(count, dtype=int)
+    live = np.arange(count)
     for _ in range(3):
+        # on while ||F|| is finite and above the rounding level of XZ
+        level = eps * np.sqrt(_dot(X, X)) * np.sqrt(_dot(Z, Z))
+        live = live[(np.isfinite(norm2) & (np.sqrt(norm2) > level))[live]]
         if not live.size:
             break
         jl = jac[: len(live)]
@@ -415,8 +431,8 @@ def _finish(
             if not cand.size:
                 break
         live = np.sort(np.concatenate(stepped))
-        moved[live] = True
-    return x, X, Z, moved
+        steps[live] += 1
+    return x, X, Z, steps
 
 
 def _solve_stack(pencil: Pencil, a_flat: np.ndarray, cs: np.ndarray) -> list[SdpSolution]:
@@ -482,13 +498,14 @@ def _solve_stack(pencil: Pencil, a_flat: np.ndarray, cs: np.ndarray) -> list[Sdp
         trace = np.trace(schur, axis1=1, axis2=2)
         ridge = 1e-14 * np.fmax(1.0, trace / max(n, 1))
         schur.reshape(b, n * n)[:, :: n + 1] += ridge[:, None]
-        # the terms the predictor and the corrector share, h = A*(W^-1 A0 W^-1)
-        # and the gap row c^T x - <A0, Z> - kappa, from tau c^T x and tau <A0, Z>
+        # the terms the predictor and the corrector share, h = A*(W^-1 A0 W^-1),
+        # W^-1 rd W^-1 and the gap row c^T x - <A0, Z> - kappa, from tau c^T x
+        # and tau <A0, Z>
         wa0w = _sym(winv @ a0 @ winv)
         h = (a_flat @ wa0w.reshape(b, m * m, 1))[..., 0]
         gap_row = (dots[:, 7] - dots[:, 5]) / taus - kappas
         pass_system = (a0, a_flat, schur, winv, wa0w, cl - h, cl + h, _dot(wa0w, a0[None]),
-                       rd, rp, gap_row, taus, kappas)
+                       rd, winv @ rd @ winv, rp, gap_row, taus, kappas)
 
         # predictor: sigma = 0 and every residual in full
         dx_a, dX_a, dZ_a, dtau_a, dkappa_a, solved = _newton(
@@ -523,8 +540,10 @@ def _solve_stack(pencil: Pencil, a_flat: np.ndarray, cs: np.ndarray) -> list[Sdp
 
     end(np.ones(len(rows), dtype=bool), MAX_ITER)  # still iterating at MAX_ITER
     todo = np.flatnonzero([v is None for v in verdicts])
+    finish_steps = np.zeros(count, dtype=int)
     if todo.size:
-        fx, fX, fZ, moved = _finish(a0, a_flat, cs[todo], x[todo], Z[todo])
+        fx, fX, fZ, finish_steps[todo] = _finish(a0, a_flat, cs[todo], x[todo], Z[todo])
+        moved = finish_steps[todo] > 0
         k = todo[moved]
         x[k], X[k], Z[k] = fx[moved], fX[moved], fZ[moved]
     _, _, dots = _residuals(np.broadcast_to(a0, Z.shape), a_flat, cs, x, X, Z)
@@ -534,7 +553,9 @@ def _solve_stack(pencil: Pencil, a_flat: np.ndarray, cs: np.ndarray) -> list[Sdp
     ranks = _ranks(w)
 
     solutions = []
-    for k, (verdict, its) in enumerate(zip(verdicts, iterations.tolist())):
+    for k, (verdict, its, steps) in enumerate(
+        zip(verdicts, iterations.tolist(), finish_steps.tolist())
+    ):
         status, certificate = verdict or ((STATUS_OPTIMAL if ok[k] else STATUS_FAILURE), None)
         # the reported residual goes through the pencil's own adjoint, a route
         # apart from the stacked copy the iteration used
@@ -552,6 +573,7 @@ def _solve_stack(pencil: Pencil, a_flat: np.ndarray, cs: np.ndarray) -> list[Sdp
                 spectrum_X=w[k, ::-1].copy(),
                 spectrum_Z=w[count + k, ::-1].copy(),
                 iterations=its,
+                finish_steps=steps,
                 ray=certificate if status == STATUS_UNBOUNDED else None,
                 farkas=certificate if status == STATUS_INFEASIBLE else None,
             )

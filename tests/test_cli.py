@@ -419,6 +419,21 @@ class TestSamplingCommands:
         out, err = capsys.readouterr()
         assert out == "" and message in err
 
+    @pytest.mark.parametrize(
+        "doc, message",
+        [
+            # numpy's reshape once refused it: "can only specify one unknown dimension"
+            ({"m": -1, "n": 0, "mats": [[1]]}, "'m' must be non-negative, got -1"),
+            ({"m": 1, "n": -1, "mats": []}, "'n' must be non-negative, got -1"),
+        ],
+    )
+    def test_negative_pencil_size_exit_2(self, capsys, tmp_path, doc, message):
+        bad = tmp_path / "pencil.json"
+        bad.write_text(json.dumps(doc))
+        assert main(["sample-polar", "--pencil", str(bad), "--num-dirs", "5"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and message in err
+
     @pytest.mark.parametrize("dim", [1.7, 2.0, "2", True])
     def test_non_integer_cloud_dim_exit_2(self, capsys, tmp_path, dim):
         bad = tmp_path / "cloud.json"

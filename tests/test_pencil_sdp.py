@@ -849,3 +849,72 @@ def test_finish_jacobian_matches_central_differences(monkeypatch):
         for e in np.eye(len(v))
     ]
     np.testing.assert_allclose(jac, np.array(columns).T, rtol=1e-6, atol=1e-9)
+
+
+def count_finish_solves(monkeypatch, size):
+    """A list that gains one entry per LU solve of a ``size``-square
+    Jacobian, the finish's system; the Schur solves are n-square."""
+    calls, real = [], sdp._solve_each
+
+    def spy(a, b):
+        if a.shape[-1] == size:
+            calls.append(len(a))
+        return real(a, b)
+
+    monkeypatch.setattr(sdp, "_solve_each", spy)
+    return calls
+
+
+class TestFinishStopsAtRoundingLevel:
+    """The finish takes another Gauss-Newton round only while ||F|| is above
+    eps ||X||_F ||Z||_F, the resolution of sym(XZ)."""
+
+    def test_sdp_large_pool_takes_two_steps(self, monkeypatch):
+        # the benchmark's sdp-large pool: two steps reach the level, so the
+        # third Jacobian solve (about 2 ms at 380-square) is not made
+        m, n = 24, 80
+        calls = count_finish_solves(monkeypatch, n + m * (m + 1) // 2)
+        for i in range(12):
+            p, c = strictly_feasible_pair(m, n, (2024, i))
+            del calls[:]
+            sol = solve_sdp(p, c)
+            assert sol.status == "optimal", i
+            assert sol.finish_steps == 2, i
+            assert calls == [1, 1], i
+
+    def test_row_above_level_after_two_rounds_takes_a_third(self):
+        # directions 24 and 377 sit about 1.7e4 times above the level after
+        # two rounds; every other row of the cloud is at it by then
+        p = shift_to_interior(random_pencil(4, 2, 0), 0.5)[0]
+        raw = np.random.default_rng(0).standard_normal((600, 2))
+        sols = solve_sdp_many(p, [y / np.linalg.norm(y) for y in raw])
+        third = {k for k, sol in enumerate(sols) if sol.finish_steps == 3}
+        assert {24, 377} <= third
+        assert all(sols[k].status == "optimal" for k in third)
+        assert max(sol.finish_steps for sol in sols) == 3
+
+    def test_iterate_at_level_is_returned_unchanged(self, monkeypatch):
+        # finished pentagon pairs, which sit at the level; the test is exact
+        # under power-of-two scalings of Z and c, or of the pencil and c,
+        # which scale F and eps ||X|| ||Z|| alike
+        p, cs = pentagon_objectives(30, 5)
+        sols = solve_sdp_many(p, cs)
+        assert {sol.finish_steps for sol in sols} == {2}
+        m, n = p.m, p.n
+        a0, a_flat = p.mats[0], np.array(p.mats[1:]).reshape(n, m * m)
+        cs = np.array(cs)
+        xs, Xs, Zs = (np.array([getattr(sol, f) for sol in sols]) for f in ("x", "X", "Z"))
+        calls = count_finish_solves(monkeypatch, n + m * (m + 1) // 2)
+        for s in (1.0, 2.0**20, 2.0**-20):
+            for z_scale, pencil_scale in ((s, 1.0), (1.0, s)):
+                x, X, Z, steps = _finish(
+                    pencil_scale * a0, pencil_scale * a_flat, s * cs, xs, z_scale * Zs
+                )
+                assert calls == [] and steps.tolist() == [0] * len(sols), (z_scale, pencil_scale)
+                assert np.array_equal(x, xs)
+                assert np.array_equal(X, pencil_scale * Xs) and np.array_equal(Z, z_scale * Zs)
+
+    def test_certificates_take_no_finish_step(self):
+        p = Pencil(mats=(-np.eye(2), np.diag([1.0, -1.0])))
+        sol = solve_sdp(p, [1.0])
+        assert sol.status == "infeasible" and sol.finish_steps == 0
