@@ -180,6 +180,7 @@ class TestSolveSdp:
         p = Pencil(mats=(-np.eye(2), np.diag([1.0, -1.0])))
         sol = solve_sdp(p, [1.0])
         assert_farkas(p, sol)
+        assert sol.finish_steps == 0  # a certificate goes to no finish
         # the same body with A2 = 2 A1: the Gram matrix of A1, A2 is exactly
         # singular, and the Farkas candidate's projection must not raise
         p = Pencil(mats=(-np.eye(2), np.diag([1.0, -1.0]), np.diag([2.0, -2.0])))
@@ -883,15 +884,15 @@ class TestFinishStopsAtRoundingLevel:
             assert calls == [1, 1], i
 
     def test_row_above_level_after_two_rounds_takes_a_third(self):
-        # directions 24 and 377 sit about 1.7e4 times above the level after
-        # two rounds; every other row of the cloud is at it by then
+        # directions 24 and 377 sit 1.7e4 and 1.8e4 times above the level
+        # after two rounds (265 and 597, the cloud's other two such rows,
+        # 1.07 and 1.06 times)
         p = shift_to_interior(random_pencil(4, 2, 0), 0.5)[0]
         raw = np.random.default_rng(0).standard_normal((600, 2))
         sols = solve_sdp_many(p, [y / np.linalg.norm(y) for y in raw])
         third = {k for k, sol in enumerate(sols) if sol.finish_steps == 3}
         assert {24, 377} <= third
         assert all(sols[k].status == "optimal" for k in third)
-        assert max(sol.finish_steps for sol in sols) == 3
 
     def test_iterate_at_level_is_returned_unchanged(self, monkeypatch):
         # finished pentagon pairs, which sit at the level; the test is exact
@@ -913,8 +914,3 @@ class TestFinishStopsAtRoundingLevel:
                 assert calls == [] and steps.tolist() == [0] * len(sols), (z_scale, pencil_scale)
                 assert np.array_equal(x, xs)
                 assert np.array_equal(X, pencil_scale * Xs) and np.array_equal(Z, z_scale * Zs)
-
-    def test_certificates_take_no_finish_step(self):
-        p = Pencil(mats=(-np.eye(2), np.diag([1.0, -1.0])))
-        sol = solve_sdp(p, [1.0])
-        assert sol.status == "infeasible" and sol.finish_steps == 0
