@@ -42,7 +42,7 @@ from .combinatorics import (
     psi_interval_harris_tu,
     psi_interval_product,
 )
-from .experiments import SDP_SIZE_LIMIT, rank_frequency, tightness_report
+from .experiments import rank_frequency, tightness_report
 from .kkt import (
     FORMATS,
     build_kkt,
@@ -256,12 +256,6 @@ def cmd_rank_freq(args) -> int:
 
 
 def cmd_tightness(args) -> int:
-    if args.trials is None:  # the default, which an m above the limit skips
-        args.trials = 200
-    elif args.trials > 0 and args.m > SDP_SIZE_LIMIT:
-        raise ValueError(
-            f"--m {args.m} takes no --trials: tightness runs none above m = {SDP_SIZE_LIMIT}"
-        )
     report = tightness_report(args.m, args.trials, args.seed)
     _emit(args, {"tightness": {**_fields(report), "delta": str(report.delta)}})
     return EXIT_OK
@@ -366,7 +360,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("tightness", help="half-rank-regime degree and rank frequencies")
     p.add_argument("--m", type=int, required=True)
-    p.add_argument("--trials", type=int, help=f"default 200, none above m = {SDP_SIZE_LIMIT}")
+    p.add_argument("--trials", type=int, default=200)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out")
     p.set_defaults(func=cmd_tightness)

@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from psdbound import combinatorics
 from psdbound.bounds import PatakiViolationError
 from psdbound.cli import main
 from psdbound.kkt import build_kkt_normalized, build_kkt_rank, parse_system
@@ -101,6 +102,13 @@ class TestPsi:
     @pytest.mark.parametrize("elements", ["0,1", "2,2", "1,,2", ",", "2,3,"])
     def test_invalid_set_exit_2(self, capsys, elements):
         assert run_cli(capsys, "psi", "--set", elements)[0] == 2
+
+    def test_non_positive_pivot_exit_1(self, capsys, monkeypatch):
+        # a zero pair value makes the first Pfaffian pivot 0 (ArithmeticError)
+        monkeypatch.setattr(combinatorics, "_pair", lambda x, y: 0)
+        assert main(["psi", "--set", "1,2"]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and "Pfaffian pivot" in err
 
 
 class TestDegree:
@@ -547,18 +555,19 @@ class TestExperimentCommands:
     def test_tightness_negative_trials_exit_2(self, capsys):
         assert run_cli(capsys, "tightness", "--m", "4", "--trials", "-3") == (2, "")
 
-    def test_tightness_trials_above_limit_exit_2(self, capsys):
-        # above m = 12 only the exact part runs, so a given --trials is refused
-        assert main(["tightness", "--m", "14", "--trials", "5"]) == 2
-        out, err = capsys.readouterr()
-        assert out == "" and "above m = 12" in err
-
-    @pytest.mark.parametrize("trials", [(), ("--trials", "0")], ids=["default", "zero"])
-    def test_tightness_exact_part_above_limit(self, capsys, trials):
-        code, data = run_json(capsys, "tightness", "--m", "14", *trials)
+    @pytest.mark.parametrize("trials", [0, 5])
+    def test_tightness_m14(self, capsys, trials):
+        # every even m runs its trials; each (14, 29) trial ends certified
+        code, data = run_json(capsys, "tightness", "--m", "14", "--trials", str(trials), "--seed", "0")
         assert code == 0
-        assert (data["tightness"]["trials"], data["tightness"]["frequency"]) == (0, None)
-        assert data["manifest"]["args"]["trials"] == (200 if not trials else 0)
+        report = data["tightness"]
+        assert report["trials"] == trials
+        if trials == 0:
+            assert report["frequency"] is None
+        else:
+            statuses = report["frequency"]["statuses"]
+            assert sum(statuses.values()) == trials
+            assert statuses["numerical_failure"] == 0
 
     def test_check_growth(self, capsys):
         code, data = run_json(capsys, "check-growth", "--m", "6")
@@ -658,6 +667,9 @@ class TestManifest:
          "--variant plain does not take --force"),
         (["kkt-export", "--pencil", "segment.json", "--variant", "rank", "--rank", "1",
           "--c", "1,2"], 2, "--variant rank does not take --c"),
+        (["sample-polar", "--pencil", "few_mats.json"], 2, "expected 2 matrices, got 1"),
+        (["sample-polar", "--pencil", "short_matrix.json"], 2,
+         "matrix data has 3 entries, expected 4"),
     ],
 )
 def test_refused_input(capsys, tmp_path, monkeypatch, argv, code, message):
@@ -665,6 +677,10 @@ def test_refused_input(capsys, tmp_path, monkeypatch, argv, code, message):
     save_pencil(segment_fixture(), "segment.json")
     Path("empty.json").write_text(
         json.dumps({"ambient_dim": 2, "points": [], "directions": [], "values": []})
+    )
+    Path("few_mats.json").write_text(json.dumps({"m": 2, "n": 1, "mats": [[1, 0, 0, 1]]}))
+    Path("short_matrix.json").write_text(
+        json.dumps({"m": 2, "n": 1, "mats": [[1, 0, 0, 1], [1, 0, 0]]})
     )
     try:
         got = main(argv)

@@ -64,6 +64,8 @@ class TestPencil:
             Pencil((np.eye(2), np.eye(2)), projection=[[np.nan]])
 
     def test_empty_rejected(self):
+        with pytest.raises(ValueError, match="at least the constant matrix"):
+            Pencil(mats=())
         with pytest.raises(ValueError, match="matrix is empty"):
             Pencil((np.zeros((0, 0)),))
         with pytest.raises(ValueError, match="matrix is empty"):

@@ -258,6 +258,8 @@ class TestFit:
         report = fit_min_vanishing_degree(cloud, 2)
         assert report.fitted_degree is None
         assert report.max_abs_eval is None
+        with pytest.raises(ValueError, match="no fitted polynomial"):
+            evaluate_fit(report, pts)
 
     def test_report_round_trip_dict(self, pentagon_cloud):
         report = fit_min_vanishing_degree(pentagon_cloud, 5)
