@@ -164,7 +164,11 @@ def tightness_report(m: int, trials: int, seed: int) -> TightnessReport:
 
     The empirical part is skipped (frequency None) when trials is 0.  On
     2 cores with one BLAS thread a raw trial costs about 2.5 ms at m = 12,
-    3 ms at m = 14 and 16, 4 ms at m = 20 and 7-8 ms at m = 24.
+    3 ms at m = 14 and 16, 4 ms at m = 20 and 7-8 ms at m = 24.  From m =
+    10 on the raw trials end ``infeasible`` with a Farkas certificate (200
+    of 200 at m = 10, 12, 14 and 20 with seed 0), so ``in_range_fraction``
+    is None and ``target_rank_count`` 0 there; ROADMAP item 4 replaces the
+    raw pencils with interior-shifted bodies.
     """
     if trials < 0:
         raise ValueError(f"need trials >= 0, got {trials}")

@@ -53,13 +53,16 @@ float floor or which runs ``MAX_ITER`` passes, takes (x, X, Z) / tau to the
 finish.  The finish's Gauss-Newton steps (:func:`_finish`) converge
 quadratically near a strictly complementary optimum, so the path phase
 hands over at ``TOL`` = 1e-8, above the float floor (a path error of 3e-10
-to 1e-9 at m = 24).  They stop once the KKT residual reaches the rounding
-level of X Z, eps ||X||_F ||Z||_F, which two steps reach on nearly every
-row; ``ACCEPT`` then judges the finished pair ``optimal`` or
-``numerical_failure``, the only place either is set.  Objectives run in
-chunks whose largest per-row stack stays under ``CHUNK_BYTES``.  These
-numerics and the rank threshold ``RANK_EPS`` are module constants, not
-options.
+to 1e-9 at m = 24).  Each step solves the KKT system in X's eigenbasis,
+eliminating the pairs of dZ outside X's kernel x kernel block, so one LU
+solve of n + t(m - rank_X) unknowns remains, t(k) = k (k + 1) / 2 (108 to
+125 at the (24, 80) benchmark pairs, for 380; :func:`_finish_step`).  The
+steps stop once the KKT residual reaches the rounding level of X Z, eps
+||X||_F ||Z||_F, which two steps reach on nearly every row; ``ACCEPT`` then
+judges the finished pair ``optimal`` or ``numerical_failure``, the only
+place either is set.  Objectives run in chunks whose largest per-row stack
+stays under ``CHUNK_BYTES``.  These numerics and the rank threshold
+``RANK_EPS`` are module constants, not options.
 """
 
 from __future__ import annotations
@@ -156,17 +159,21 @@ def _max_step(half: np.ndarray, directions: np.ndarray) -> np.ndarray:
     return _boundary(np.linalg.eigvalsh(_sym(half.mT @ directions @ half))[:, 0])
 
 
-def _schur_gram(a_flat: np.ndarray, f_mat: np.ndarray) -> np.ndarray:
+def _schur_gram(
+    a_flat: np.ndarray, f_mat: np.ndarray, out: np.ndarray | None = None
+) -> np.ndarray:
     """Schur complement S_ij = <A_i, W^-1 A_j W^-1> for F F^T = W^-1.
 
     ``a_flat`` holds A1..An as rows of length m*m; ``f_mat`` is one F or a
     stack of them.  S_ij = <F^T A_i F, F^T A_j F>, so S is the Gram matrix
     of the scaled stack: symmetric and positive semidefinite by
-    construction.
+    construction.  The scaled stack goes to ``out`` if given: one buffer
+    for a solve's passes, which would otherwise fault its pages in anew.
     """
     n, m = a_flat.shape[0], f_mat.shape[-1]
     f = f_mat[..., None, :, :]
-    b_flat = (f.mT @ a_flat.reshape(n, m, m) @ f).reshape(*f_mat.shape[:-2], n, m * m)
+    b = np.matmul(f.mT @ a_flat.reshape(n, m, m), f, out=out)
+    b_flat = b.reshape(*f_mat.shape[:-2], n, m * m)
     return b_flat @ b_flat.mT
 
 
@@ -339,21 +346,93 @@ def _certificate(a0: np.ndarray, a_flat: np.ndarray, gram_inv: np.ndarray, h0: n
     return None
 
 
+def _finish_step(
+    a_mats: np.ndarray, X: np.ndarray, Z: np.ndarray, rd: np.ndarray, rc: np.ndarray,
+    pairs: tuple[np.ndarray, np.ndarray],
+) -> tuple[np.ndarray, np.ndarray, list[bool]]:
+    """The Gauss-Newton step (dx, dZ) = -J^-1 F of :func:`_finish` over a
+    stack, and per row whether its linear system was solved.
+
+    F is rd = A*(Z) + c and rc = sym(XZ); J (dx, dZ) = (A*(dZ), sym(A(dx) Z
+    + X dZ)).  With X = Q L Q^T, the unknowns dZ~ = Q^T dZ Q meet the
+    complementarity rows through sym(A~(dx) Z~) + P o dZ~ (A~_k = Q^T A_k Q,
+    Z~ = Q^T Z Q, P_ij = (l_i + l_j) / 2), and <A_k, dZ> = <A~_k, dZ~>.  X's
+    kernel is its eigenvalues up to RANK_EPS max(1, lambda_max) above its
+    most negative one, if any (for a psd X with lambda_max >= 1, m - rank_X
+    of them), so every pair outside the kernel block has a pivot P_ij above
+    RANK_EPS max(1, lambda_max) / 2: the floor of 1, the psd test's scale,
+    keeps an X of rounding only (a rank-0 face) whole.  Those pairs are
+    eliminated; their Schur complement -<A~_k / P, A~_l Z~> joins the dense
+    system in dx and the kernel block's upper triangle, n + t(k) unknowns,
+    at most the n + t(m) of the whole system.  Rows of one k are solved
+    together on the leading rows of one system, as they would be alone.
+    ``a_mats`` holds A1..An as (n, m, m), and ``pairs`` is np.tril_indices(m),
+    the pairs i <= j as (j, i) column by column, so that the first t(k) fill
+    the leading k x k block.
+    """
+    count, m = X.shape[:2]
+    n = len(a_mats)
+    lam, q = np.linalg.eigh(X)
+    floor = RANK_EPS * np.fmax(1.0, lam[:, -1:]) - np.fmin(0.0, lam[:, :1])
+    kernel = (lam <= floor).sum(axis=1)  # X's kernel: its first `kernel` eigenvectors
+    qt = q.mT
+    a_rot = qt[:, None] @ a_mats @ q[:, None]
+    z_rot, r_rot = qt @ np.stack([Z, rc]) @ q
+    az = a_rot @ z_rot[:, None]  # A~_l Z~
+    az_flat = az.reshape(count, n, m * m)
+    pivot = (lam[:, :, None] + lam[:, None, :]) / 2.0
+    # the dense system of the largest kernel block; a row of kernel dimension
+    # k solves its leading n + t(k) rows and columns
+    top = int(kernel.max())
+    jj, ii = pairs[0][: top * (top + 1) // 2], pairs[1][: top * (top + 1) // 2]
+    size = n + len(ii)
+    jac = np.zeros((count, size, size))
+    jac[:, :n, n:] = a_rot[..., ii, jj] * np.where(ii == jj, 1.0, 2.0)
+    jac[:, n:, :n] = ((az[..., ii, jj] + az[..., jj, ii]) / 2.0).mT
+    jac.reshape(count, -1)[:, (size + 1) * n :: size + 1] = pivot[:, ii, jj]
+    # the eliminated pairs' weights 1 / P, and A~_k / P in place of A~_k
+    out = np.arange(m) >= kernel[:, None]
+    out = out[:, :, None] | out[:, None, :]
+    weight = np.divide(1.0, pivot, out=np.zeros_like(pivot), where=out)
+    a_rot *= weight[:, None]
+    g_flat = a_rot.reshape(count, n, m * m)
+    jac[:, :n, :n] = -(g_flat @ az_flat.mT)
+    dual = (g_flat @ r_rot.reshape(count, m * m, 1))[..., 0] - rd
+    rhs = np.concatenate([dual, -r_rot[:, ii, jj]], axis=1)
+    d, solved = np.zeros((count, size)), np.empty(count, dtype=bool)
+    for k in sorted(set(kernel.tolist())):
+        rows, part = np.flatnonzero(kernel == k), n + k * (k + 1) // 2
+        d_rows, solved[rows] = _solve_each(jac[rows, :part, :part], rhs[rows, :part, None])
+        d[rows, :part] = d_rows[..., 0]
+    dx = d[:, :n].copy()
+    # back-substitution, dZ~ = -(R~ + sym(A~(dx) Z~)) / P outside the kernel
+    # block: the sym is the one taken of Q dZ~ Q^T
+    dz = np.zeros((count, m, m))
+    dz[:, ii, jj] = dz[:, jj, ii] = d[:, n:]
+    dz -= weight * (r_rot + (dx[:, None, :] @ az_flat).reshape(count, m, m))
+    return dx, _sym(q @ dz @ qt), solved.tolist()
+
+
 def _finish(
     a0: np.ndarray, a_flat: np.ndarray, cs: np.ndarray, x: np.ndarray, Z: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, ...]:
     """Up to three Gauss-Newton steps on the symmetrized KKT system over a
-    stack: the finished (x, X, Z), and per row the number of steps taken.
+    stack: the finished (x, X, Z), per row the number of steps taken, and the
+    ascending spectra of X and Z (shape (2, B, m)) that the line search of a
+    row's last step read, for the rows that took one.
 
     The system is F(x, Z) = (A*(Z) + c, the upper triangle of (XZ + ZX)/2)
     with X = A0 + A(x) (Alizadeh-Haeberly-Overton, SIAM J. Optim. 8, 1998);
-    its unknowns are x and the upper triangle of Z, so it is square.  A row
-    goes on only while ||F|| > eps ||X||_F ||Z||_F, eps the float epsilon:
+    its unknowns are x and the upper triangle of Z, so it is square, and its
+    Jacobian is nonsingular at a strictly complementary optimum.  Each step
+    solves it in X's eigenbasis (:func:`_finish_step`), where only the
+    kernel x kernel block of dZ needs a dense solve.  A row goes on only
+    while ||F|| > eps ||X||_F ||Z||_F, eps the float epsilon:
     each entry of XZ is computed with an error up to about eps times the
     product of a row of X and a column of Z, whose norms square and sum to
     ||X||_F^2 ||Z||_F^2, so below that level a step cannot lower ||F|| by
     more than rounding.  Two steps bring every pentagon direction and every
-    (24, 80) benchmark pair there, saving the third step's LU solve; a row
+    (24, 80) benchmark pair there, saving the third step's solve; a row
     still above it after two takes the third.  A step is taken only if it
     is finite, ||F|| falls, and X and Z stay psd to ``-ACCEPT * max(1,
     lambda_max)``.  A step that lowers ||F|| but leaves the cone is halved,
@@ -362,32 +441,25 @@ def _finish(
     ``a_flat`` holds A1..An as rows of length m*m.
     """
     count, m = Z.shape[:2]
-    n = a_flat.shape[0]
     iu, ju = np.triu_indices(m)
-    t = len(iu)
-    pair = np.empty((m, m), dtype=int)  # column of Z_ab = Z_ba among the unknowns
-    pair[iu, ju] = pair[ju, iu] = np.arange(t)
-    o = np.arange(m)
-    rows = n + np.arange(t)[:, None]
-    col_oj, col_io = n + pair[o, ju[:, None]], n + pair[iu[:, None], o]
-    a_mats = a_flat.reshape(n, m, m)
+    pairs = np.tril_indices(m)
+    a_mats = a_flat.reshape(-1, m, m)
     eps = np.finfo(float).eps
-    jac = np.zeros((count, n + t, n + t))
-    # d<A_k, Z>/dZ_ab: the dual block is constant
-    jac[:, :n, n:] = a_flat[:, iu * m + ju] * np.where(iu == ju, 1.0, 2.0)
 
     def pencil_at(x: np.ndarray) -> np.ndarray:
         return _sym(a0 + (x[:, None, :] @ a_flat).reshape(len(x), m, m))
 
-    def residual(cv: np.ndarray, X: np.ndarray, Z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        dual = (a_flat @ Z.reshape(len(Z), m * m, 1))[..., 0] + cv
-        f = np.concatenate([dual, _sym(X @ Z)[:, iu, ju]], axis=1)
-        return f, _dot(f, f)
+    def residual(cv: np.ndarray, X: np.ndarray, Z: np.ndarray) -> tuple[np.ndarray, ...]:
+        rd = (a_flat @ Z.reshape(len(Z), m * m, 1))[..., 0] + cv
+        rc = _sym(X @ Z)
+        f = np.concatenate([rd, rc[:, iu, ju]], axis=1)
+        return rd, rc, _dot(f, f)
 
     x, Z = x.copy(), Z.copy()
     X = pencil_at(x)
-    f, norm2 = residual(cs, X, Z)
+    rd, rc, norm2 = residual(cs, X, Z)
     steps = np.zeros(count, dtype=int)
+    spectra = np.empty((2, count, m))  # of X and Z after a row's last step
     live = np.arange(count)
     for _ in range(3):
         # on while ||F|| is finite and above the rounding level of XZ
@@ -395,44 +467,32 @@ def _finish(
         live = live[(np.isfinite(norm2) & (np.sqrt(norm2) > level))[live]]
         if not live.size:
             break
-        jl = jac[: len(live)]
-        # d((XZ + ZX)/2)_ij/dx_k = ((A_k Z + Z A_k)/2)_ij
-        az = a_mats @ Z[live, None]
-        jl[:, n:, :n] = ((az[..., iu, ju] + az[..., ju, iu]) / 2.0).mT
-        del az  # before the LU solve, which copies the Jacobian
-        # d((XZ + ZX)/2)_ij/dZ_ab: X_io/2 at {a, b} = {o, j}, X_oj/2 at {a, b} = {i, o}
-        jl[:, n:, n:] = 0.0
-        xl = X[live]
-        jl[:, rows, col_oj] += xl[:, iu[:, None], o] / 2.0
-        jl[:, rows, col_io] += xl[:, o, ju[:, None]] / 2.0
-        d, solved = _solve_each(jl, -f[live, :, None])
-        d = d[..., 0]
-        ok = np.array(solved) & np.isfinite(d).all(axis=1)
-        cand, d = live[ok], d[ok]
+        dx, dz, solved = _finish_step(a_mats, X[live], Z[live], rd[live], rc[live], pairs)
+        ok = np.array(solved) & np.isfinite(dx).all(axis=1) & np.isfinite(dz).all(axis=(1, 2))
+        cand, dx, dz = live[ok], dx[ok], dz[ok]
         if not cand.size:
             break
         stepped = []
         for length in (1.0, 0.5, 0.25, 0.125):
-            x_new = x[cand] + length * d[:, :n]
-            dz = np.zeros((len(cand), m, m))
-            dz[:, iu, ju] = dz[:, ju, iu] = length * d[:, n:]
-            Z_new = Z[cand] + dz
+            x_new = x[cand] + length * dx
+            Z_new = Z[cand] + length * dz
             X_new = pencil_at(x_new)
-            f_new, norm2_new = residual(cs[cand], X_new, Z_new)
-            w = np.linalg.eigvalsh(np.concatenate([X_new, Z_new]))
-            psd = w[:, 0] >= -ACCEPT * np.maximum(1.0, w[:, -1])
+            rd_new, rc_new, norm2_new = residual(cs[cand], X_new, Z_new)
+            w = np.linalg.eigvalsh(np.concatenate([X_new, Z_new])).reshape(2, len(cand), m)
+            psd = (w[..., 0] >= -ACCEPT * np.maximum(1.0, w[..., -1])).all(axis=0)
             falls = norm2_new < norm2[cand]
-            take = falls & psd[: len(cand)] & psd[len(cand) :]
+            take = falls & psd
             done = cand[take]
             x[done], X[done], Z[done] = x_new[take], X_new[take], Z_new[take]
-            f[done], norm2[done] = f_new[take], norm2_new[take]
+            rd[done], rc[done], norm2[done] = rd_new[take], rc_new[take], norm2_new[take]
+            spectra[:, done] = w[:, take]
             stepped.append(done)
-            cand, d = cand[falls & ~take], d[falls & ~take]
+            cand, dx, dz = cand[falls & ~take], dx[falls & ~take], dz[falls & ~take]
             if not cand.size:
                 break
         live = np.sort(np.concatenate(stepped))
         steps[live] += 1
-    return x, X, Z, steps
+    return x, X, Z, steps, spectra
 
 
 def _solve_stack(pencil: Pencil, a_flat: np.ndarray, cs: np.ndarray) -> list[SdpSolution]:
@@ -460,6 +520,7 @@ def _solve_stack(pencil: Pencil, a_flat: np.ndarray, cs: np.ndarray) -> list[Sdp
     x, X, Z = np.empty_like(xs), np.empty_like(Xs), np.empty_like(Zs)  # last iterates / tau
     verdicts: list[tuple[str, np.ndarray] | None] = [None] * count
     iterations = np.full(count, MAX_ITER)
+    scaled_a = np.empty((count, n, m, m))  # every pass's F^T A_i F (:func:`_schur_gram`)
 
     def end(ended: np.ndarray, it: int, *stacks: np.ndarray) -> list[np.ndarray]:
         """Record the pass count and last iterate over tau of the rows set in
@@ -493,7 +554,7 @@ def _solve_stack(pencil: Pencil, a_flat: np.ndarray, cs: np.ndarray) -> list[Sdp
         f_mat, zinv, half, scaled = _nt_scaling(Xs, Zs)
         b = len(rows)
         winv = f_mat @ f_mat.mT
-        schur = _schur_gram(a_flat, f_mat)
+        schur = _schur_gram(a_flat, f_mat, scaled_a[:b])
         # tiny ridge keeps borderline-dependent pencils solvable
         trace = np.trace(schur, axis1=1, axis2=2)
         ridge = 1e-14 * np.fmax(1.0, trace / max(n, 1))
@@ -541,15 +602,18 @@ def _solve_stack(pencil: Pencil, a_flat: np.ndarray, cs: np.ndarray) -> list[Sdp
     end(np.ones(len(rows), dtype=bool), MAX_ITER)  # still iterating at MAX_ITER
     todo = np.flatnonzero([v is None for v in verdicts])
     finish_steps = np.zeros(count, dtype=int)
+    w = np.empty((2, count, m))  # ascending spectra of X and Z
     if todo.size:
-        fx, fX, fZ, finish_steps[todo] = _finish(a0, a_flat, cs[todo], x[todo], Z[todo])
+        fx, fX, fZ, finish_steps[todo], fw = _finish(a0, a_flat, cs[todo], x[todo], Z[todo])
         moved = finish_steps[todo] > 0
         k = todo[moved]
-        x[k], X[k], Z[k] = fx[moved], fX[moved], fZ[moved]
+        x[k], X[k], Z[k], w[:, k] = fx[moved], fX[moved], fZ[moved], fw[:, moved]
+    rest = finish_steps == 0  # rows whose spectra the finish did not read
+    w[:, rest] = np.linalg.eigvalsh(np.concatenate([X[rest], Z[rest]])).reshape(2, -1, m)
     _, _, dots = _residuals(np.broadcast_to(a0, Z.shape), a_flat, cs, x, X, Z)
     feas_p, feas_d, rel_gap, rel_comp = _errors(dots, norm_a0, norm_c, np.ones(count))
     ok = (feas_p <= ACCEPT) & (feas_d <= ACCEPT) & (rel_gap <= ACCEPT) & (rel_comp <= 1e-6)
-    w = np.linalg.eigvalsh(np.concatenate([X, Z]))  # spectra and ranks
+    w = w.reshape(2 * count, m)
     ranks = _ranks(w)
 
     solutions = []
@@ -604,7 +668,8 @@ def solve_sdp_many(pencil: Pencil, objectives: Sequence[Sequence[float]]) -> lis
     if bad.size:
         raise ValueError(f"objective {bad[0]} is not finite: {cs[bad[0]].tolist()}")
     a_flat = np.array(pencil.mats[1:]).reshape(n, m * m)  # row i is A_{i+1}, raveled
-    # the larger per-row array: the finish's Jacobian or the scaled coefficients
+    # the larger per-row array: the scaled coefficients, or the finish's dense
+    # system, whose worst case, a rank-0 row's, has all n + t(m) unknowns
     size = max(1, CHUNK_BYTES // (8 * max(n * m * m, (n + m * (m + 1) // 2) ** 2)))
     return [
         sol

@@ -413,8 +413,8 @@ def nan_iterate(real, a0, a_flat, cv, x, X, Z):
     return real(a0, a_flat, cv, x, X, Z)
 
 
-def singular_schur(real, a_flat, f_mat):
-    schur = real(a_flat, f_mat)
+def singular_schur(real, a_flat, f_mat, out):
+    schur = real(a_flat, f_mat, out)
     schur[FAULTY] = -1e-14 * np.eye(len(a_flat))  # the ridge of 1e-14 I makes it 0
     return schur
 
@@ -425,8 +425,8 @@ def no_scaling(real, X, Z):
     return f_mat, zinv, half, scaled
 
 
-def every_singular_schur(real, a_flat, f_mat):
-    schur = real(a_flat, f_mat)
+def every_singular_schur(real, a_flat, f_mat, out):
+    schur = real(a_flat, f_mat, out)
     schur[:] = -1e-14 * np.eye(len(a_flat))
     return schur
 
@@ -541,7 +541,8 @@ class TestSolveSdpMany:
     def test_chunks_do_not_change_results(self, monkeypatch):
         p, cs = pentagon_objectives(12, 11)
         whole = solve_sdp_many(p, cs)
-        # chunks of 5: the Jacobian of the finish is the larger per-row stack
+        # chunks of 5: the finish's dense system of a rank-0 row, (n + t(m))^2
+        # floats, is the larger per-row stack the chunk size allows for
         monkeypatch.setattr(sdp, "CHUNK_BYTES", 8 * (p.n + p.m * (p.m + 1) // 2) ** 2 * 5)
         for got, want in zip(solve_sdp_many(p, cs), whole):
             assert_same_solution(got, want)
@@ -805,6 +806,16 @@ class TestSolveSdpMany:
         for c, sol in zip(cs, batch):
             assert_same_solution(sol, solve_sdp(p, c))
 
+    def test_mixed_kernel_stack_equals_solo_solves(self):
+        # ranks 10 to 12 at m = 16: the finish groups kernel dimensions 4 to
+        # 6, each group with its own dense system
+        p = shift_to_interior(random_pencil(16, 37, 1), 0.5)[0]
+        cs = np.random.default_rng(0).standard_normal((40, 37))
+        batch = solve_sdp_many(p, cs)
+        assert {16 - sol.rank_X for sol in batch} == {4, 5, 6}
+        for c, sol in zip(cs, batch):
+            assert_same_solution(sol, solve_sdp(p, c))
+
     def test_non_finite_objectives_rejected(self):
         p = segment_fixture()
         with pytest.raises(ValueError, match="objective 1 is not finite"):
@@ -827,44 +838,162 @@ def kkt_map(a0, a_flat, c, v):
     return np.array(dual + [prod[i, j] / 2 for i, j in zip(iu, ju)])
 
 
-def test_finish_jacobian_matches_central_differences(monkeypatch):
-    rng = np.random.default_rng(12)
-    m, n = 4, 3
-    p, c = bounded_random_pencil(12, m, n)
-    a0, a_flat = p.mats[0], np.array(p.mats[1:]).reshape(n, m * m)
-    x = rng.standard_normal(n)
-    g = rng.standard_normal((m, m))
-    z = g @ g.T
-    calls = []
-
-    def spy(a, b):
-        calls.append((a.copy(), b.copy()))
-        return _solve_each(a, b)
-
-    monkeypatch.setattr(sdp, "_solve_each", spy)
-    _finish(a0, a_flat, c[None], x[None], z[None])
-    jac, rhs = calls[0][0][0], calls[0][1][0, :, 0]
-    v = np.concatenate([x, z[np.triu_indices(m)]])
-    assert np.allclose(rhs, -kkt_map(a0, a_flat, c, v), rtol=1e-12, atol=1e-12)
-    h = 1e-5
-    columns = [
-        (kkt_map(a0, a_flat, c, v + h * e) - kkt_map(a0, a_flat, c, v - h * e)) / (2 * h)
-        for e in np.eye(len(v))
-    ]
-    np.testing.assert_allclose(jac, np.array(columns).T, rtol=1e-6, atol=1e-9)
+def kkt_jacobian(a0, a_flat, c, v):
+    """The Jacobian of :func:`kkt_map` at v, column by column by central
+    differences: F is bilinear in (x, Z), so unit differences are exact up
+    to rounding."""
+    return np.array(
+        [(kkt_map(a0, a_flat, c, v + e) - kkt_map(a0, a_flat, c, v - e)) / 2 for e in np.eye(len(v))]
+    ).T
 
 
-def count_finish_solves(monkeypatch, size):
-    """A list that gains one entry per LU solve of a ``size``-square
-    Jacobian, the finish's system; the Schur solves are n-square."""
-    calls, real = [], sdp._solve_each
+def record_finish_steps(monkeypatch):
+    """A list that gains (X, Z, rd, rc, dx, dZ) for each row of each
+    Gauss-Newton step the finish takes: the iterate, its residual F = (rd,
+    sym(XZ) = rc) and the step :func:`sdp._finish_step` returns."""
+    rows, real = [], sdp._finish_step
 
-    def spy(a, b):
-        if a.shape[-1] == size:
-            calls.append(len(a))
-        return real(a, b)
+    def spy(a_mats, X, Z, rd, rc, pairs):
+        dx, dz, solved = real(a_mats, X, Z, rd, rc, pairs)
+        rows.extend(zip(X, Z, rd, rc, dx, dz))
+        return dx, dz, solved
 
-    monkeypatch.setattr(sdp, "_solve_each", spy)
+    monkeypatch.setattr(sdp, "_finish_step", spy)
+    return rows
+
+
+def kernel_dim(X):
+    """The kernel the finish's step eliminates around: the eigenvalues of X
+    up to RANK_EPS max(1, lambda_max) above its most negative one, if any."""
+    w = np.linalg.eigvalsh(X)
+    return int((w <= sdp.RANK_EPS * max(1.0, w[-1]) - min(0.0, w[0])).sum())
+
+
+def assert_newton_steps(p, rows, forward):
+    """Each recorded step d = (dx, dZ) solves J d = -F, J the dense
+    central-difference Jacobian of kkt_map at its iterate: with a normwise
+    backward error below 1e-14, and, when ``forward``, equal to -J^-1 F to
+    1e-8 relative (cond(J) is then at most 1e6, so -J^-1 F is itself known
+    to about 1e-10).  Returns the kernel dimensions of the rows."""
+    m, n = p.m, p.n
+    a_flat = np.array(p.mats[1:]).reshape(n, m * m)
+    iu = np.triu_indices(m)
+    kernels = []
+    for X, Z, rd, rc, dx, dz in rows:
+        # kkt_map with X in place of A0 at x = 0 has this iterate's X, and
+        # its sym(XZ) to the rounding level of XZ
+        v = np.concatenate([np.zeros(n), Z[iu]])
+        c = rd - a_flat @ Z.ravel()
+        level = 1e-14 * np.linalg.norm(X) * np.linalg.norm(Z)
+        assert np.allclose(rc[iu], kkt_map(X, a_flat, c, v)[n:], rtol=0, atol=level)
+        f = np.concatenate([rd, rc[iu]])
+        jac = kkt_jacobian(X, a_flat, c, v)
+        assert np.array_equal(dz, dz.T)
+        d = np.concatenate([dx, dz[iu]])
+        residual = np.linalg.norm(jac @ d + f)
+        assert residual <= 1e-14 * (np.linalg.norm(jac, 2) * np.linalg.norm(d) + np.linalg.norm(f))
+        if forward:
+            assert np.linalg.cond(jac) <= 1e6
+            want = -np.linalg.solve(jac, f)
+            assert np.linalg.norm(d - want) <= 1e-8 * np.linalg.norm(want)
+        kernels.append(kernel_dim(X))
+    return kernels
+
+
+def basis_pencil(m):
+    """A0 = I and A1..A_t the symmetric unit matrices: with c = -A*(Z0), Z0
+    positive definite, the optimum is X = 0 with the dual Z0, a rank-0 face
+    whose KKT Jacobian is nonsingular."""
+    iu, ju = np.triu_indices(m)
+    mats = []
+    for i, j in zip(iu, ju):
+        e = np.zeros((m, m))
+        e[i, j] = e[j, i] = 1.0
+        mats.append(e)
+    return Pencil(mats=(np.eye(m), *mats))
+
+
+class TestFinishStep:
+    """The finish's step, a block elimination in X's eigenbasis, is the
+    Newton step -J^-1 F of the whole symmetrized KKT system."""
+
+    def test_step_from_a_given_iterate(self, monkeypatch):
+        # X = A0 positive definite and a random positive definite Z: kernel 0;
+        # F at the start is kkt_map of the given (x, Z) and c
+        rng = np.random.default_rng(12)
+        m, n = 4, 3
+        p, c = bounded_random_pencil(12, m, n)
+        a0, a_flat = p.mats[0], np.array(p.mats[1:]).reshape(n, m * m)
+        g = rng.standard_normal((m, m))
+        z = g @ g.T
+        rows = record_finish_steps(monkeypatch)
+        _finish(a0, a_flat, c[None], np.zeros((1, n)), z[None])
+        X, Z, rd, rc = rows[0][:4]
+        v = np.concatenate([np.zeros(n), z[np.triu_indices(m)]])
+        f = np.concatenate([rd, rc[np.triu_indices(m)]])
+        assert np.array_equal(X, a0) and np.array_equal(Z, z)
+        assert np.allclose(f, kkt_map(a0, a_flat, c, v), rtol=1e-12, atol=1e-12)
+        assert set(assert_newton_steps(p, rows, forward=True)) == {0}
+
+    @pytest.mark.parametrize(
+        "m, n, kernels", [(4, 2, {1}), (4, 4, {1, 2})]
+    )
+    def test_steps_on_random_bodies(self, monkeypatch, m, n, kernels):
+        p = shift_to_interior(random_pencil(m, n, 1), 0.5)[0]
+        rows = record_finish_steps(monkeypatch)
+        sols = solve_sdp_many(p, np.random.default_rng(0).standard_normal((12, n)))
+        assert {s.status for s in sols} == {"optimal"}
+        assert set(assert_newton_steps(p, rows, forward=True)) == kernels
+
+    def test_steps_at_a_rank_0_optimum(self, monkeypatch):
+        # X ends at 0: every pair is in the kernel block, the whole system
+        m = 3
+        p = basis_pencil(m)
+        g = np.random.default_rng(0).standard_normal((m, m))
+        rows = record_finish_steps(monkeypatch)
+        sol = solve_sdp(p, -adjoint(p, g @ g.T / m + 0.5 * np.eye(m)))
+        assert sol.status == "optimal"
+        assert set(assert_newton_steps(p, rows, forward=True)) == {m}
+
+    def test_steps_on_a_large_pool_pair(self, monkeypatch):
+        p, c = strictly_feasible_pair(24, 80, (2024, 0))
+        rows = record_finish_steps(monkeypatch)
+        assert solve_sdp(p, c).status == "optimal"
+        assert set(assert_newton_steps(p, rows, forward=True)) == {7}
+
+    def test_steps_on_pentagon_faces(self, monkeypatch):
+        # vertex, zero-objective and edge rows: the vertices' duals are not
+        # unique, so J nears singularity (cond 4e8 to 1e16) and only the
+        # backward error is held
+        p = pentagon_fixture()
+        edges = [np.cos(np.pi * (2 * k + 1) / 5 + np.array([0, -np.pi / 2])) for k in range(5)]
+        cs = [p.lift_direction(v) for v in [*pentagon_vertices(), *edges]] + [np.zeros(p.n)]
+        rows = record_finish_steps(monkeypatch)
+        assert {s.status for s in solve_sdp_many(p, cs)} == {"optimal"}
+        assert set(assert_newton_steps(p, rows, forward=False)) == {0, 2, 3}
+
+
+def count_finish_solves(monkeypatch):
+    """A list that gains the shape of each stacked LU solve made inside the
+    finish, whatever its size; the Schur solves of the path phase are not
+    counted."""
+    calls, inside = [], []
+    real_finish, real_solve = sdp._finish, sdp._solve_each
+
+    def finish(*args):
+        inside.append(True)
+        try:
+            return real_finish(*args)
+        finally:
+            inside.pop()
+
+    def solve_each(a, b):
+        if inside:
+            calls.append(a.shape)
+        return real_solve(a, b)
+
+    monkeypatch.setattr(sdp, "_finish", finish)
+    monkeypatch.setattr(sdp, "_solve_each", solve_each)
     return calls
 
 
@@ -873,17 +1002,20 @@ class TestFinishStopsAtRoundingLevel:
     eps ||X||_F ||Z||_F, the resolution of sym(XZ)."""
 
     def test_sdp_large_pool_takes_two_steps(self, monkeypatch):
-        # the benchmark's sdp-large pool: two steps reach the level, so the
-        # third Jacobian solve (about 2 ms at 380-square) is not made
+        # the benchmark's sdp-large pool: two steps reach the level, so a
+        # third step is not taken; each step's LU solve has n + t(m - rank X)
+        # unknowns (rank X is 15 to 17 here), never the n + t(m) = 380 of the
+        # whole system
         m, n = 24, 80
-        calls = count_finish_solves(monkeypatch, n + m * (m + 1) // 2)
+        calls = count_finish_solves(monkeypatch)
         for i in range(12):
             p, c = strictly_feasible_pair(m, n, (2024, i))
             del calls[:]
             sol = solve_sdp(p, c)
             assert sol.status == "optimal", i
             assert sol.finish_steps == 2, i
-            assert calls == [1, 1], i
+            assert [shape[0] for shape in calls] == [1, 1], i
+            assert all(shape[1] == shape[2] <= n + 45 for shape in calls), (i, calls)
 
     def test_row_above_level_after_two_rounds_takes_a_third(self):
         # directions 24 and 377 sit 1.7e4 and 1.8e4 times above the level
@@ -907,10 +1039,10 @@ class TestFinishStopsAtRoundingLevel:
         a0, a_flat = p.mats[0], np.array(p.mats[1:]).reshape(n, m * m)
         cs = np.array(cs)
         xs, Xs, Zs = (np.array([getattr(sol, f) for sol in sols]) for f in ("x", "X", "Z"))
-        calls = count_finish_solves(monkeypatch, n + m * (m + 1) // 2)
+        calls = count_finish_solves(monkeypatch)
         for s in (1.0, 2.0**20, 2.0**-20):
             for z_scale, pencil_scale in ((s, 1.0), (1.0, s)):
-                x, X, Z, steps = _finish(
+                x, X, Z, steps, _ = sdp._finish(
                     pencil_scale * a0, pencil_scale * a_flat, s * cs, xs, z_scale * Zs
                 )
                 assert calls == [] and steps.tolist() == [0] * len(sols), (z_scale, pencil_scale)
