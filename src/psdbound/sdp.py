@@ -18,19 +18,18 @@ Its solutions have <X, Z> + tau kappa = 0: tau > 0 gives the optimal pair
 Z (<A0, Z> < 0, A*(Z) = 0).  The Farkas matrix is read off as Z projected
 onto the null space of A*, in one solve with the Gram matrix <A_i, A_j>
 (Permenter, Friberg and Andersen, SIAM J. Optim. 27, 2017), and checked
-against ``TOL``.  The iteration starts at x = 0, X = Z = I,
-tau = kappa = 1.  Each pass takes a Nesterov-Todd scaled Mehrotra step:
-the corrector scales every residual by 1 - sigma, aims at sigma*mu, mu =
-(<X, Z> + tau kappa) / (m + 1), and subtracts the predictor's
-second-order terms sym(dX_a dZ_a Z^-1) and dtau_a dkappa_a (Mehrotra,
-SIAM J. Optim. 2, 1992; Todd, Toh and Tutuncu, SIAM J. Optim. 8, 1998),
-so residuals and mu fall at one rate.  The Schur complement is the Gram
-matrix of the NT-scaled coefficients F^T A_i F, F F^T = W^{-1}.  One step
-length moves x, X, Z, tau and kappa: 0.9 of the way to the boundary,
-0.98 once the path error of (x, X, Z) / tau is below 1e-4.  The boundary
-is read off one stacked eigvalsh of the scaled dX and dZ, and off
-dtau / tau and dkappa / kappa elementwise (:func:`_step`).  Everything is
-dense and deterministic; intended scale is m <= 24, n <= 80.
+against ``TOL``.  The iteration starts at x = 0, X = Z = I, tau = kappa
+= 1.  Each pass takes a Nesterov-Todd (NT) scaled Mehrotra step: the
+corrector scales every residual by 1 - sigma, aims at sigma*mu, mu =
+(<X, Z> + tau kappa) / (m + 1), and subtracts the predictor's second-order
+terms sym(dX_a dZ_a Z^-1) and dtau_a dkappa_a (Mehrotra, SIAM J. Optim. 2,
+1992; Todd, Toh and Tutuncu, SIAM J. Optim. 8, 1998).  The NT point comes
+from one Cholesky factor X = L L^T and one eigh of L^T Z L
+(:func:`_nt_scaling`); the Schur complement is the Gram matrix of the
+scaled F^T A_i F, F F^T = W^{-1}.  One step length, off one eigvalsh of
+the scaled dX and dZ (:func:`_step`), moves x, X, Z, tau and kappa 0.9 of
+the way to the boundary, 0.98 once the path error of (x, X, Z) / tau is
+below 1e-4.  Everything is dense; intended scale is m <= 24, n <= 80.
 
 :func:`solve_sdp_many` runs one iteration loop over a stack of problems
 on one pencil; a problem whose solve ends leaves the stack before the
@@ -41,32 +40,32 @@ Schur-ridge rules are decided elementwise, and only a row with tau below
 kappa checks its certificate alone (:func:`_certificate`).  So each result is
 bitwise identical to solving it alone, whatever the batch and its order;
 :func:`solve_sdp` is the one-objective case.  A row that gets no Newton
-step (its X or Z has no NT scaling, or its Schur system is singular, as
-read off the LU pivots by :func:`_solve_each`) ends at its pre-step
-iterate, and only its own problem ends.
+step (it has no NT scaling, or its Schur system is singular, as read off
+the LU pivots by :func:`_solve_each`) ends at its pre-step iterate, and
+only its own problem ends.
 
 A solve ends with a verdict or goes to the finish.  The verdict comes,
-while tau is below kappa, from a certificate of its iterate that passes its
-check (:func:`_certificate`), as ``infeasible`` or ``unbounded``.  Every
-other solve, whose path error reaches ``TOL``, whose iterate reaches the
-float floor or which runs ``MAX_ITER`` passes, takes (x, X, Z) / tau to the
-finish.  The finish's Gauss-Newton steps (:func:`_finish`) converge
+while tau is below kappa, from a certificate of its iterate that passes
+its check (:func:`_certificate`), as ``infeasible`` or ``unbounded``.
+Every other solve, whose path error reaches ``TOL``, whose iterate reaches
+the float floor or which runs ``MAX_ITER`` passes, takes (x, X, Z) / tau
+to the finish.  The finish's Gauss-Newton steps (:func:`_finish`) converge
 quadratically near a strictly complementary optimum, so the path phase
 hands over at ``TOL`` = 1e-8, above the float floor (a path error of 3e-10
 to 1e-9 at m = 24).  Each step solves the KKT system in X's eigenbasis,
 eliminating the pairs of dZ outside X's kernel x kernel block, so one LU
-solve of n + t(m - rank_X) unknowns remains, t(k) = k (k + 1) / 2 (108 to
-125 at the (24, 80) benchmark pairs, for 380; :func:`_finish_step`).  The
-steps stop once the KKT residual reaches the rounding level of X Z, eps
-||X||_F ||Z||_F, which two steps reach on nearly every row; ``ACCEPT`` then
-judges the finished pair ``optimal`` or ``numerical_failure``, the only
-place either is set.  Objectives run in chunks whose largest per-row stack
-stays under ``CHUNK_BYTES``.  These numerics and the rank threshold
-``RANK_EPS`` are module constants, not options.
+solve of n + t(m - rank_X) unknowns remains, t(k) = k (k + 1) / 2
+(:func:`_finish_step`).  The steps stop once the KKT residual reaches the
+rounding level of X Z, eps ||X||_F ||Z||_F, which two steps reach on
+nearly every row; ``ACCEPT`` then judges the finished pair ``optimal`` or
+``numerical_failure``, the only place either is set.  Objectives run in
+chunks whose largest per-row stack stays under ``CHUNK_BYTES``; these
+numerics and ``RANK_EPS`` are module constants, not options.
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -154,7 +153,7 @@ def _boundary(lam: np.ndarray) -> np.ndarray:
 
 def _max_step(half: np.ndarray, directions: np.ndarray) -> np.ndarray:
     """Per slice, the largest alpha <= 1 with mat + alpha*direction still
-    positive definite, for mat^-1 = half half^T (see :func:`_nt_scaling`):
+    positive definite, for mat^-1 = half half^T (H_X or H_Z of :func:`_nt_scaling`):
     half^T direction half is similar to mat^-1/2 direction mat^-1/2."""
     return _boundary(np.linalg.eigvalsh(_sym(half.mT @ directions @ half))[:, 0])
 
@@ -210,14 +209,12 @@ def _errors(dots: np.ndarray, norm_a0: float, norm_c: np.ndarray, tau: np.ndarra
         )
 
 
-def _spectrum(mat: np.ndarray, ok: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """eigh over a stack, each spectrum floored at 1e-30 of its top, and
-    ``ok`` cleared where a slice is not numerically positive definite.
-
-    Every slice not ok gets unit eigenvalues, so later calls see no NaN.
-    """
+def _spectrum(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """eigh over a stack of middle matrices L^T Z L, each spectrum floored at
+    1e-30 of its top, and per slice whether it is numerically positive
+    definite; a slice that is not gets unit eigenvalues, so no NaN follows."""
     w, v = np.linalg.eigh(mat)
-    ok = ok & ~(w[:, 0] <= 0) & np.isfinite(w[:, -1])
+    ok = ~(w[:, 0] <= 0) & np.isfinite(w[:, -1])
     w = np.maximum(w, 1e-30 * w[:, -1:])
     w[~ok] = 1.0
     return w, v, ok
@@ -227,23 +224,25 @@ def _nt_scaling(
     X: np.ndarray, Z: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[bool]]:
     """Nesterov-Todd factors F (F F^T = W^-1 for W Z W = X) and Z^-1 over a
-    stack, the half-inverses H = V W^-1/2 (H H^T = X^-1, then Z^-1) of the
-    stack's X and Z from their eigenpairs, and per slice whether it has them.
-
-    A slice has none when X, the middle matrix X^1/2 Z X^1/2 or Z is
-    numerically singular: the float floor is reached.  Its factors are then
-    finite stand-ins, built from unit eigenvalues (:func:`_spectrum`).
-    """
-    count = len(X)
-    # X and Z decompose together
-    w, v, ok_xz = _spectrum(np.concatenate([X, Z]), np.ones(2 * count, dtype=bool))
+    stack, the half-inverses H_X, then H_Z (H H^T = X^-1, Z^-1), and per
+    slice whether it has them.  With X = L L^T and L^T Z L = V diag(w) V^T
+    (one stacked cholesky and eigh), W = L V diag(w^-1/2) V^T L^T: F = L^-T V
+    diag(w^1/4), H_X = L^-T V, H_Z = L V diag(w^-1/2) and Z^-1 = H_Z H_Z^T.
+    A slice has none when the Cholesky refuses X or L^T Z L is numerically
+    singular (:func:`_spectrum`): the float floor is reached.  The refused
+    slices are found one by one, only when the stacked call raises, and
+    stand in as L = I, so their Z^-1 and H_Z are still Z's own."""
+    try:
+        chol, ok = np.linalg.cholesky(X), np.ones(len(X), dtype=bool)
+    except np.linalg.LinAlgError:
+        chol, ok = np.zeros_like(X) + np.eye(X.shape[-1]), np.zeros(len(X), dtype=bool)
+        for k, mat in enumerate(X):
+            with contextlib.suppress(np.linalg.LinAlgError):
+                chol[k], ok[k] = np.linalg.cholesky(mat), True
+    w, v, ok_m = _spectrum(_sym(chol.mT @ Z @ chol))
     root = np.sqrt(w)[:, None, :]
-    half = v / root
-    vx, vz = v[:count], v[count:]
-    xh = (vx * root[:count]) @ vx.mT
-    wg, vg, ok = _spectrum(_sym(xh @ Z @ xh), ok_xz[:count] & ok_xz[count:])
-    f_mat = (half[:count] @ vx.mT @ vg) * np.sqrt(np.sqrt(wg))[:, None, :]
-    return f_mat, (vz / w[count:, None, :]) @ vz.mT, half, ok.tolist()
+    hx, hz = np.linalg.solve(chol.mT, v), chol @ v / root  # LU of triangular L^T is itself
+    return hx * np.sqrt(root), hz @ hz.mT, np.concatenate([hx, hz]), (ok & ok_m).tolist()
 
 
 def _solve_each(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, list[bool]]:

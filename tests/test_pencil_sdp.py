@@ -723,6 +723,76 @@ class TestSolveSdpMany:
         sdp._step(half, -dX, -dZ, np.ones(3), -np.ones(3), np.ones(3), np.zeros(3))
         assert calls == [(6, 3, 3)]  # X and Z stacked; tau and kappa elementwise
 
+    @pytest.mark.parametrize("m", [3, 4, 8])
+    def test_nt_identities(self, m):
+        # random pd pairs, and a last pair whose X spans 1 to 1e-10 (as at the
+        # path's hand-over at TOL) against a Z of the reverse spread, X Z ~ 1e-10
+        rng = np.random.default_rng(m)
+        g = rng.standard_normal((2, 5, m, m))
+        X, Z = g @ g.mT + np.eye(m) / m
+        q = np.linalg.qr(rng.standard_normal((m, m)))[0]
+        lam = np.logspace(0, -10, m)
+        g = rng.standard_normal((m, m))
+        X = np.concatenate([X, [(q * lam) @ q.T]])
+        Z = np.concatenate([Z, [(q * (1e-10 / lam)) @ q.T + 1e-12 * g @ g.T]])
+        X, Z = (X + X.mT) / 2, (Z + Z.mT) / 2
+        f_mat, zinv, half, scaled = _nt_scaling(X, Z)
+        assert scaled == [True] * 6
+        eye = np.eye(m)
+        for k in range(6):
+            # relative error up to 20 eps cond: rounding of the worse-conditioned
+            # of X and Z (measured at most 2 eps cond, 1e-6 on the last pair)
+            cond = max(np.linalg.cond(X[k]), np.linalg.cond(Z[k]))
+            tol = 20 * np.finfo(float).eps * cond
+            f_inv = np.linalg.inv(f_mat[k])
+            fxf, fzf = f_mat[k].T @ X[k] @ f_mat[k], f_inv @ Z[k] @ f_inv.T
+            top = np.abs(fxf).max()
+            assert np.abs(fxf - fzf).max() <= tol * top, k
+            for both in (fxf, fzf):  # the scaled point, diagonal
+                assert np.abs(both - np.diag(np.diag(both))).max() <= tol * top, k
+            hx, hz = half[k], half[6 + k]
+            for prod in (hx @ hx.T @ X[k], hz @ hz.T @ Z[k], zinv[k] @ Z[k]):
+                assert np.abs(prod - eye).max() <= tol, k
+
+    def test_nt_scaling_makes_one_cholesky_and_one_eigh_call(self, monkeypatch):
+        rng = np.random.default_rng(6)
+        X, Z = (np.array([g @ g.T + np.eye(4) for g in rng.standard_normal((5, 4, 4))]) for _ in range(2))
+        calls = []
+
+        def record(name):
+            real = getattr(np.linalg, name)
+            monkeypatch.setattr(np.linalg, name, lambda a: calls.append((name, a)) or real(a))
+
+        for name in ("cholesky", "eigh", "eigvalsh"):
+            record(name)
+        _nt_scaling(X, Z)
+        assert [(name, a.shape) for name, a in calls] == [("cholesky", (5, 4, 4)), ("eigh", (5, 4, 4))]
+        assert calls[0][1] is X
+        # the eigh is of the middle matrix L^T Z L, not of X or Z
+        chol = np.linalg.cholesky(X)
+        assert np.array_equal(calls[1][1], sdp._sym(chol.mT @ Z @ chol))
+
+    @pytest.mark.parametrize("bad", [[1.0, -1.0, 2.0], [1.0, 0.0, 2.0]], ids=["indefinite", "singular"])
+    def test_refused_cholesky_unscales_only_its_row(self, bad):
+        rng = np.random.default_rng(7)
+        X, Z = (np.array([g @ g.T + np.eye(3) for g in rng.standard_normal((5, 3, 3))]) for _ in range(2))
+        X[2] = np.diag(bad)
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.cholesky(X)  # the stacked call refuses the stack
+        f_mat, zinv, half, scaled = _nt_scaling(X, Z)
+        assert scaled == [True, True, False, True, True]
+        for k in (0, 1, 3, 4):
+            f1, zinv1, half1, scaled1 = _nt_scaling(X[k : k + 1], Z[k : k + 1])
+            assert scaled1 == [True]
+            assert f_mat[k].tobytes() == f1[0].tobytes(), k
+            assert zinv[k].tobytes() == zinv1[0].tobytes(), k
+            assert half[k].tobytes() == half1[0].tobytes(), k
+            assert half[5 + k].tobytes() == half1[1].tobytes(), k
+        # the refused X stands in as L = I: its row's Z^-1 and Z half are Z's own
+        assert np.allclose(zinv[2] @ Z[2], np.eye(3), atol=1e-12)
+        assert np.allclose(half[7] @ half[7].T @ Z[2], np.eye(3), atol=1e-12)
+        assert np.isfinite(f_mat[2]).all() and np.isfinite(half[2]).all()
+
     def test_singular_schur_slice_fails_alone(self):
         rng = np.random.default_rng(4)
         a = np.array([g @ g.T + np.eye(3) for g in rng.standard_normal((3, 3, 3))])
