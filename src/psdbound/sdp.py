@@ -18,18 +18,17 @@ Its solutions have <X, Z> + tau kappa = 0: tau > 0 gives the optimal pair
 Z (<A0, Z> < 0, A*(Z) = 0).  The Farkas matrix is read off as Z projected
 onto the null space of A*, in one solve with the Gram matrix <A_i, A_j>
 (Permenter, Friberg and Andersen, SIAM J. Optim. 27, 2017), and checked
-against ``TOL``.  The iteration starts at x = 0, X = Z = I, tau = kappa
-= 1.  Each pass takes a Nesterov-Todd (NT) scaled Mehrotra step: the
-corrector scales every residual by 1 - sigma, aims at sigma*mu, mu =
-(<X, Z> + tau kappa) / (m + 1), and subtracts the predictor's second-order
-terms sym(dX_a dZ_a Z^-1) and dtau_a dkappa_a (Mehrotra, SIAM J. Optim. 2,
-1992; Todd, Toh and Tutuncu, SIAM J. Optim. 8, 1998).  The NT point comes
-from one Cholesky factor X = L L^T and one eigh of L^T Z L
-(:func:`_nt_scaling`); the Schur complement is the Gram matrix of the
-scaled F^T A_i F, F F^T = W^{-1}.  One step length, off one eigvalsh of
-the scaled dX and dZ (:func:`_step`), moves x, X, Z, tau and kappa 0.9 of
-the way to the boundary, 0.98 once the path error of (x, X, Z) / tau is
-below 1e-4.  Everything is dense; intended scale is m <= 24, n <= 80.
+against ``TOL``.  The iteration starts at x = 0, X = Z = I, tau = kappa = 1.
+Each pass takes a Nesterov-Todd (NT) scaled Mehrotra step: the corrector
+scales every residual by 1 - sigma, aims at sigma*mu, mu = (<X, Z> + tau
+kappa) / (m + 1), and subtracts the predictor's second-order terms
+sym(dX_a dZ_a Z^-1) and dtau_a dkappa_a (Mehrotra, SIAM J. Optim. 2, 1992;
+Todd, Toh and Tutuncu, SIAM J. Optim. 8, 1998).  The NT point comes from one
+Cholesky factor X = L L^T and one eigh of L^T Z L (:func:`_nt_scaling`); the
+Schur complement is the Gram matrix of the scaled F^T A_i F, F F^T = W^-1.
+One step length, off one eigvalsh of the scaled dX and dZ (:func:`_step`),
+moves x, X, Z, tau and kappa 0.9 of the way to the boundary, 0.98 once the
+path error of (x, X, Z) / tau is below 1e-4.  Intended scale: m <= 24, n <= 80.
 
 :func:`solve_sdp_many` runs one iteration loop over a stack of problems
 on one pencil; a problem whose solve ends leaves the stack before the
@@ -45,22 +44,23 @@ the LU pivots by :func:`_solve_each`) ends at its pre-step iterate, and
 only its own problem ends.
 
 A solve ends with a verdict or goes to the finish.  The verdict comes,
-while tau is below kappa, from a certificate of its iterate that passes
-its check (:func:`_certificate`), as ``infeasible`` or ``unbounded``.
-Every other solve, whose path error reaches ``TOL``, whose iterate reaches
-the float floor or which runs ``MAX_ITER`` passes, takes (x, X, Z) / tau
-to the finish.  The finish's Gauss-Newton steps (:func:`_finish`) converge
+while tau is below kappa, from a certificate of its iterate that passes its
+check (:func:`_certificate`), as ``infeasible`` or ``unbounded``.  Every
+other solve, whose path error reaches ``TOL``, whose iterate reaches the
+float floor or which runs ``MAX_ITER`` passes, takes (x, X, Z) / tau to the
+finish.  The finish's Gauss-Newton steps (:func:`_finish`) converge
 quadratically near a strictly complementary optimum, so the path phase
 hands over at ``TOL`` = 1e-8, above the float floor (a path error of 3e-10
 to 1e-9 at m = 24).  Each step solves the KKT system in X's eigenbasis,
 eliminating the pairs of dZ outside X's kernel x kernel block, so one LU
-solve of n + t(m - rank_X) unknowns remains, t(k) = k (k + 1) / 2
-(:func:`_finish_step`).  The steps stop once the KKT residual reaches the
-rounding level of X Z, eps ||X||_F ||Z||_F, which two steps reach on
-nearly every row; ``ACCEPT`` then judges the finished pair ``optimal`` or
-``numerical_failure``, the only place either is set.  Objectives run in
-chunks whose largest per-row stack stays under ``CHUNK_BYTES``; these
-numerics and ``RANK_EPS`` are module constants, not options.
+solve of n + t(m - rank_X) unknowns remains, t(k) = k (k + 1) / 2 (108 to
+125 at the (24, 80) benchmark pairs, for 380; :func:`_finish_step`).  The
+steps stop once the KKT residual reaches the rounding level of X Z, eps
+||X||_F ||Z||_F, which two steps reach on nearly every row; ``ACCEPT`` then
+judges the finished pair ``optimal`` or ``numerical_failure``, the only
+place either is set.  Objectives run in chunks whose largest per-row stack
+stays under ``CHUNK_BYTES``.  These numerics and the rank threshold
+``RANK_EPS`` are module constants, not options.
 """
 
 from __future__ import annotations
