@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import reduce
 from itertools import combinations_with_replacement
 from typing import Sequence
 
@@ -99,6 +100,8 @@ class BoundaryCloud:
         dim, *fields = json_fields(
             data, "cloud JSON", "ambient_dim", "points", "directions", "values", ints=("ambient_dim",)
         )
+        if dim < 1:
+            raise ValueError(f"cloud JSON 'ambient_dim' must be at least 1, got {dim}")
         try:
             points, directions = (np.asarray(v, dtype=float).reshape(-1, dim) for v in fields[:2])
             values = np.asarray(fields[2], dtype=float)
@@ -122,11 +125,11 @@ def sample_polar_boundary(pencil: Pencil, num_dirs: int, seed: int) -> BoundaryC
     The polar needs the origin interior to the body: a pencil whose A0 is
     not positive definite raises :class:`NotInteriorError`.  Directions are
     unit Gaussians in the image space (seeded); each is lifted through the
-    projection adjoint when one is present, the support
-    SDPs of all directions are solved in one stacked run
+    projection adjoint when one is present, the support SDPs of all
+    directions are solved in one stacked run
     (:func:`~psdbound.sdp.solve_sdp_many`), and each direction divided by
     its support value is stored.  Unbounded or failed solves, and support
-    values at or below ``EPS_VALUE``, land in ``skipped``.
+    values at or below ``EPS_VALUE``, land in ``skipped`` in index order.
     """
     if num_dirs < 1:
         raise ValueError(f"need at least one direction, got {num_dirs}")
@@ -134,37 +137,21 @@ def sample_polar_boundary(pencil: Pencil, num_dirs: int, seed: int) -> BoundaryC
     if lam0 <= 0.0:
         raise NotInteriorError(f"A0 is not positive definite (lambda_min = {lam0:.3e})")
     k = pencil.image_dim
-    rng = np.random.default_rng(seed)
-    raw = rng.standard_normal((num_dirs, k))
-
-    units = [y / float(np.linalg.norm(y)) for y in raw]
+    raw = np.random.default_rng(seed).standard_normal((num_dirs, k))
+    # a row's vecdot is the BLAS dot that np.linalg.norm squares
+    units = raw / np.sqrt(np.vecdot(raw, raw))[:, None]
     solutions = solve_sdp_many(pencil, [pencil.lift_direction(y) for y in units])
-
-    points = []
-    directions = []
-    values = []
-    skipped: list[dict] = []
-    for idx, (y, sol) in enumerate(zip(units, solutions)):
-        if sol.status != STATUS_OPTIMAL:
-            skipped.append({"index": idx, "reason": sol.status})
-            continue
-        if sol.value <= EPS_VALUE:
-            skipped.append({"index": idx, "reason": "near_zero_value"})
-            continue
-        points.append(y / sol.value)
-        directions.append(y)
-        values.append(sol.value)
-
-    if not points:
+    optimal = np.array([sol.status == STATUS_OPTIMAL for sol in solutions])
+    values = np.array([sol.value for sol in solutions])
+    keep = optimal & (values > EPS_VALUE)
+    if not keep.any():
         raise AllSkippedError("every sampled direction was skipped")
-    return BoundaryCloud(
-        ambient_dim=k,
-        points=np.asarray(points),
-        directions=np.asarray(directions),
-        values=np.asarray(values),
-        skipped=skipped,
-        seed=seed,
-    )
+    skipped = [
+        {"index": int(i), "reason": "near_zero_value" if optimal[i] else solutions[i].status}
+        for i in np.flatnonzero(~keep)
+    ]
+    points = units[keep] / values[keep, None]
+    return BoundaryCloud(k, points, units[keep], values[keep], skipped, seed)
 
 
 def monomial_exponents(dim: int, degree: int) -> list[tuple[int, ...]]:
@@ -173,25 +160,22 @@ def monomial_exponents(dim: int, degree: int) -> list[tuple[int, ...]]:
     Graded order: total degree first, lexicographic within a degree.
     Includes the constant monomial.
     """
-    monos: list[tuple[int, ...]] = []
-    for total in range(degree + 1):
-        for combo in combinations_with_replacement(range(dim), total):
-            e = [0] * dim
-            for v in combo:
-                e[v] += 1
-            monos.append(tuple(e))
-    return monos
+    return [
+        tuple(combo.count(v) for v in range(dim))
+        for total in range(degree + 1)
+        for combo in combinations_with_replacement(range(dim), total)
+    ]
 
 
 def _eval_monomials(points: np.ndarray, monos: Sequence[tuple[int, ...]]) -> np.ndarray:
-    cols = []
-    for e in monos:
-        col = np.ones(len(points))
-        for var, exp in enumerate(e):
-            if exp:
-                col = col * points[:, var] ** exp
-        cols.append(col)
-    return np.column_stack(cols)
+    # column j is the product, in variable order, of the powers points[:, v] ** monos[j][v],
+    # each taken once into a table; a power of exponent 0 is exactly 1 and changes no bit
+    exps = np.array(monos)
+    table = np.empty((len(points), exps.shape[1], exps.max() + 1))
+    for v, e in np.ndindex(table.shape[1:]):
+        table[:, v, e] = points[:, v] ** e
+    # take keeps the product C-ordered, the layout the fit's matmul is summed in
+    return reduce(np.multiply, (np.take(table[:, v], col, axis=1) for v, col in enumerate(exps.T)))
 
 
 @dataclass
@@ -225,11 +209,13 @@ class DegreeFitReport:
 
 
 def evaluate_fit(report: DegreeFitReport, points: np.ndarray) -> np.ndarray:
-    """Evaluate the fitted polynomial at the given points."""
+    """Evaluate the fitted polynomial at an (N, ambient_dim) array of points."""
     if report.fitted_degree is None:
         raise ValueError("report has no fitted polynomial")
-    mat = _eval_monomials(np.asarray(points, dtype=float), report.fitted_monomials)
-    return mat @ report.fitted_coefficients
+    points = np.asarray(points, dtype=float)
+    if points.ndim != 2 or points.shape[1] != report.ambient_dim:
+        raise ValueError(f"points must be (N, {report.ambient_dim}), got shape {points.shape}")
+    return _eval_monomials(points, report.fitted_monomials) @ report.fitted_coefficients
 
 
 def fit_min_vanishing_degree(cloud: BoundaryCloud, max_degree: int) -> DegreeFitReport:
@@ -238,23 +224,20 @@ def fit_min_vanishing_degree(cloud: BoundaryCloud, max_degree: int) -> DegreeFit
     The monomial evaluation matrix is assembled once, on points rescaled to
     unit RMS radius (Vandermonde conditioning); each degree's kernel test
     takes the SVD of its leading columns and declares a kernel when the
-    smallest singular value is at most ``EPS_KERNEL`` times the largest.  Needs at least 2 monomial_count points per tested
-    degree and fits on every point of the cloud: a row subsample could miss
-    a whole boundary component and show a kernel the cloud does not have.
+    smallest singular value is at most ``EPS_KERNEL`` times the largest.
+    Needs at least 2 monomial_count points per tested degree and fits on
+    every point of the cloud: a row subsample could miss a whole boundary
+    component and show a kernel the cloud does not have.
     Every degree up to ``max_degree`` that the cloud can test is tested, so
     the report carries the full kernel profile.
     """
     if max_degree < 1:
         raise ValueError(f"need max_degree >= 1, got {max_degree}")
-    pts = np.asarray(cloud.points, dtype=float)
+    pts, dim = np.asarray(cloud.points, dtype=float), cloud.ambient_dim
     if pts.size == 0:
         raise InsufficientSamplesError("empty cloud")
     npts = len(pts)
-    dim = cloud.ambient_dim
-
-    rms = float(np.sqrt(np.mean(np.sum(pts * pts, axis=1))))
-    scale = rms if rms > 0 else 1.0
-    scaled = pts / scale
+    scale = float(np.sqrt(np.mean(np.sum(pts * pts, axis=1)))) or 1.0  # the RMS radius
 
     # monomials come in graded order, so degree D's matrix is the leading
     # comb(dim + D, D) columns of the matrix at the highest testable degree,
@@ -262,27 +245,17 @@ def fit_min_vanishing_degree(cloud: BoundaryCloud, max_degree: int) -> DegreeFit
     counts = [math.comb(dim + degree, degree) for degree in range(1, max_degree + 1)]
     top = sum(2 * k <= npts for k in counts)
     monos = monomial_exponents(dim, top)
-    mat = _eval_monomials(scaled, monos)
+    mat = _eval_monomials(pts / scale, monos)
     per_degree: list[DegreeFit] = []
     fitted_degree = fitted_monos = fitted_coeffs = max_abs_eval = None
     for degree, k in enumerate(counts[:top], 1):
         _, svals, vt = np.linalg.svd(mat[:, :k], full_matrices=False)
         sigma_max = float(svals[0]) + 0.0  # + 0.0 writes a -0.0 as 0.0
         kernel_dim = int(np.sum(svals <= EPS_KERNEL * sigma_max))
-        gap = None
-        if 1 <= kernel_dim < len(svals) and svals[-1] > 0:
-            gap = float(svals[-kernel_dim - 1]) / float(svals[-1])
-        per_degree.append(
-            DegreeFit(
-                degree=degree,
-                monomial_count=k,
-                sample_count=npts,
-                sigma_max=sigma_max,
-                singular_tail=[float(s) + 0.0 for s in svals[-min(6, len(svals)) :]],
-                kernel_dim=kernel_dim,
-                gap=gap,
-            )
-        )
+        has_gap = 1 <= kernel_dim < len(svals) and svals[-1] > 0
+        gap = float(svals[-kernel_dim - 1]) / float(svals[-1]) if has_gap else None
+        tail = [float(s) + 0.0 for s in svals[-min(6, len(svals)) :]]
+        per_degree.append(DegreeFit(degree, k, npts, sigma_max, tail, kernel_dim, gap))
         if kernel_dim >= 1 and fitted_degree is None:
             fitted_degree, fitted_monos = degree, monos[:k]
             # map back to original coordinates and renormalize
@@ -405,12 +378,8 @@ def bound_pipeline(pencil: Pencil, num_dirs: int, max_degree: int, seed: int) ->
     """
     cloud = sample_polar_boundary(pencil, num_dirs, seed)
     report = fit_min_vanishing_degree(cloud, max_degree)
-    if report.fitted_degree is not None:
-        d_used = report.fitted_degree
-        conclusive = True
-    else:
-        d_used = max_degree
-        conclusive = False
+    conclusive = report.fitted_degree is not None
+    d_used = report.fitted_degree or max_degree  # a fitted degree is at least 1
     bound = psd_rank_lower_bound(d_used)
     return PipelineResult(
         d_est=report.fitted_degree,

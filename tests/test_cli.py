@@ -452,6 +452,16 @@ class TestSamplingCommands:
         out, err = capsys.readouterr()
         assert out == "" and "'ambient_dim' must be an integer" in err
 
+    @pytest.mark.parametrize("dim", [0, -1])
+    def test_cloud_dim_below_1_exit_2(self, capsys, tmp_path, dim):
+        # numpy's reshape once refused it: "cannot reshape array of size 0 into
+        # shape (0)" or "can only specify one unknown dimension"
+        bad = tmp_path / "cloud.json"
+        bad.write_text(json.dumps({"ambient_dim": dim, "points": [], "directions": [], "values": []}))
+        assert main(["fit-degree", "--cloud", str(bad)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and f"'ambient_dim' must be at least 1, got {dim}" in err
+
     @pytest.mark.parametrize(
         "extra, message",
         [

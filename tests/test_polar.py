@@ -12,6 +12,7 @@ from psdbound.polar import (
     BoundaryCloud,
     InsufficientSamplesError,
     NotInteriorError,
+    _eval_monomials,
     bound_pipeline,
     disk_fixture,
     evaluate_fit,
@@ -118,6 +119,20 @@ class TestSampling:
         assert all(rec["reason"] == "near_zero_value" for rec in cloud.skipped)
         assert np.allclose(cloud.points, -1.0)
 
+    def test_skipped_reasons_mix_in_index_order(self):
+        # S = {x >= -1e-10, y >= -1e-10, x <= 1}: unbounded where c_y > 0, a
+        # support value of at most 1e-10 |c| where c_x, c_y <= 0, else c_x - 1e-10 c_y
+        mats = (np.diag([1e-10, 1e-10, 1.0]), np.diag([1.0, 0.0, -1.0]), np.diag([0.0, 1.0, 0.0]))
+        cloud = sample_polar_boundary(Pencil(mats=mats), 24, seed=3)
+        near, unb = "near_zero_value", "unbounded"
+        assert [(rec["index"], rec["reason"]) for rec in cloud.skipped] == [
+            (2, near), (3, near), (4, unb), (6, near), (7, near), (10, unb), (12, unb), (14, unb),
+            (15, near), (16, unb), (17, unb), (18, unb), (19, near), (20, unb), (21, near), (23, unb),
+        ]
+        assert len(cloud) == 8
+        assert np.all(cloud.directions[:, 0] > 0) and np.all(cloud.directions[:, 1] < 0)
+        assert np.array_equal(cloud.points, cloud.directions / cloud.values[:, None])
+
     def test_all_skipped(self):
         # S = R (whole line): every support value is +infinity
         whole_line = Pencil(mats=(np.eye(1), np.zeros((1, 1))))
@@ -180,6 +195,24 @@ class TestMonomials:
         assert monos[0] == (0, 0)
 
 
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_eval_matches_column_loop_bitwise(self, dim):
+        # columns of exponents 0, 1, 2 and >= 3 each take their own numpy power path
+        points = 3.0 * np.random.default_rng(dim).standard_normal((50, dim))
+        monos = monomial_exponents(dim, 6)
+        cols = []
+        for e in monos:  # the column-by-column loop the power table replaced
+            col = np.ones(len(points))
+            for var, exp in enumerate(e):
+                if exp:
+                    col = col * points[:, var] ** exp
+            cols.append(col)
+        want = np.column_stack(cols)
+        got = _eval_monomials(points, monos)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        assert got.flags.c_contiguous  # the layout a matmul with it is summed in
+
+
 class TestFit:
     def test_circle_degree_two(self):
         cloud = sample_polar_boundary(disk_fixture(), 80, seed=11)
@@ -235,6 +268,15 @@ class TestFit:
         assert np.linalg.norm(report.fitted_coefficients) == pytest.approx(1.0)
         evals = evaluate_fit(report, pentagon_cloud.points)
         assert np.abs(evals).max() <= 1e-6
+
+    @pytest.mark.parametrize("shape", [(3, 3), (3, 1), (3,)])
+    def test_evaluate_fit_refuses_points_not_ambient_dim_wide(self, shape):
+        circle = unit_circle(40)
+        cloud = BoundaryCloud(ambient_dim=2, points=circle, directions=circle, values=np.ones(40))
+        report = fit_min_vanishing_degree(cloud, 2)
+        assert report.fitted_degree == 2
+        with pytest.raises(ValueError, match=r"points must be \(N, 2\)"):
+            evaluate_fit(report, np.ones(shape))
 
     def test_insufficient_samples(self):
         cloud = BoundaryCloud(
