@@ -1,6 +1,8 @@
 """Command-line front end.
 
-Every subcommand prints a single document (to stdout or ``--out``).  The
+Every subcommand writes a single document to stdout, or to ``--out FILE``,
+which every subcommand takes.  The grammar is built once per process, at
+import (:data:`PARSER`), and :func:`main` only parses with it.  The
 result modules hold data only; this module writes every view of it.  The
 JSON documents embed a run manifest (subcommand, flags, seeds, version,
 timestamp) and go through one strict encoder: a report dataclass is written
@@ -109,7 +111,7 @@ def _emit(args: argparse.Namespace, payload: dict, *, text: str | None = None) -
         data = text
     else:
         data = _json({"manifest": _manifest(args), **payload}, indent=2) + "\n"
-    if getattr(args, "out", None):
+    if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(data)
     else:
@@ -293,7 +295,6 @@ def build_parser() -> argparse.ArgumentParser:
     mode = p.add_mutually_exclusive_group(required=True)
     mode.add_argument("--set", nargs="?", const="", help="comma-separated indices, e.g. 2,3,4")
     mode.add_argument("--interval", nargs=2, type=int, metavar=("P", "Q"), help="interval {P+1..Q}")
-    p.add_argument("--out")
     p.set_defaults(func=cmd_psi)
 
     p = sub.add_parser("degree", help="algebraic degree delta(n, m, r) of SDP")
@@ -303,18 +304,15 @@ def build_parser() -> argparse.ArgumentParser:
     mode.add_argument("--r", type=int)
     mode.add_argument("--all-ranks", action="store_true", help="sweep the Pataki range and sum")
     p.add_argument("--force", action="store_true", help="compute outside the Pataki range")
-    p.add_argument("--out")
     p.set_defaults(func=cmd_degree)
 
     p = sub.add_parser("pataki", help="generic optimal-rank range for a shape (m, n)")
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--out")
     p.set_defaults(func=cmd_pataki)
 
     p = sub.add_parser("bound", help="representation-size bounds from a boundary degree d")
     p.add_argument("--d", required=True, help="degree (arbitrary-size integer)")
-    p.add_argument("--out")
     p.set_defaults(func=cmd_bound)
 
     p = sub.add_parser("kkt-export", help="build and export a KKT polynomial system")
@@ -324,7 +322,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--c", help="comma-separated objective for --variant plain")
     p.add_argument("--force", action="store_true", help="allow ranks outside the Pataki range")
     p.add_argument("--format", choices=list(FORMATS), default="plain_text")
-    p.add_argument("--out")
     p.set_defaults(func=cmd_kkt_export)
 
     p = sub.add_parser("sample-polar", help="sample boundary points of the polar body")
@@ -332,13 +329,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--num-dirs", type=int, default=300)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--format", choices=["json", "csv"], default="json")
-    p.add_argument("--out")
     p.set_defaults(func=cmd_sample_polar)
 
     p = sub.add_parser("fit-degree", help="minimal vanishing degree of a sampled cloud")
     p.add_argument("--cloud", required=True, help="cloud JSON from sample-polar")
     p.add_argument("--max-degree", type=int, default=6)
-    p.add_argument("--out")
     p.set_defaults(func=cmd_fit_degree)
 
     p = sub.add_parser("pipeline", help="sample, fit, and bound in one run")
@@ -346,7 +341,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--num-dirs", type=int, default=300)
     p.add_argument("--max-degree", type=int, default=6)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out")
     p.set_defaults(func=cmd_pipeline)
 
     p = sub.add_parser("rank-freq", help="optimal-rank frequencies over random pencils")
@@ -355,34 +349,35 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, default=200)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--format", choices=["json", "csv"], default="json")
-    p.add_argument("--out")
     p.set_defaults(func=cmd_rank_freq)
 
     p = sub.add_parser("tightness", help="half-rank-regime degree and rank frequencies")
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--trials", type=int, default=200)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out")
     p.set_defaults(func=cmd_tightness)
 
     p = sub.add_parser("check-growth", help="exact delta versus the 2^(m^2/20) floor")
     p.add_argument("--m", type=int, required=True)
-    p.add_argument("--out")
     p.set_defaults(func=cmd_check_growth)
 
     p = sub.add_parser("pentagon", help="full pentagon demo: fixture, sample, fit, bound")
     p.add_argument("--num-dirs", type=int, default=600)
     p.add_argument("--max-degree", type=int, default=6)
     p.add_argument("--seed", type=int, default=7)
-    p.add_argument("--out")
     p.set_defaults(func=cmd_pentagon)
 
+    # last, so it is each subcommand's last option in --help and the manifest
+    for p in sub.choices.values():
+        p.add_argument("--out")
     return parser
 
 
+PARSER = build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = PARSER.parse_args(argv)
     try:
         return args.func(args)
     except (NotInteriorError, AllSkippedError, InsufficientSamplesError) as exc:

@@ -583,11 +583,12 @@ def _solve_stack(pencil: Pencil, a_flat: np.ndarray, cs: np.ndarray) -> list[Sdp
         smu = sigma * mus
         target = smu[:, None, None] * zinv - Xs - _sym(dX_a @ dZ_a @ zinv)
         t_tk = smu - taus * kappas - dtau_a * dkappa_a
-        dx, dX, dZ, dtau, dkappa, solved_c = _newton(*pass_system, 1.0 - sigma, target, t_tk)
+        # the same Schur stack as the predictor's, so the same rows solved
+        dx, dX, dZ, dtau, dkappa, _ = _newton(*pass_system, 1.0 - sigma, target, t_tk)
         frac = np.where(path_err > 1e-4, 0.9, 0.98)  # of the way to the boundary
         alpha = frac * _step(half, dX, dZ, taus, dtau, kappas, dkappa)
         # no NT scaling or a singular Schur system: the solve ends at its pre-step iterate
-        ended = ~(np.logical_and(scaled, solved) & solved_c)
+        ended = ~np.logical_and(scaled, solved)
         rows, cl, xs, Xs, Zs, taus, kappas, dx, dX, dZ, dtau, dkappa, alpha = end(
             ended, it, dx, dX, dZ, dtau, dkappa, alpha
         )

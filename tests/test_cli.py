@@ -1,5 +1,6 @@
 """CLI contract: flags, exit codes, JSON schemas, determinism."""
 
+import argparse
 import csv
 import io
 import json
@@ -652,6 +653,80 @@ class TestManifest:
         with pytest.raises(SystemExit) as err:
             main(["not-a-command"])
         assert err.value.code == 2
+
+
+def split_manifest(text, kind):
+    """A document's body and its manifest (None for the CSV and JSON KKT
+    exports, which carry none): a JSON document is parsed, the plain-text
+    KKT export keeps its text and parses its trailing manifest comment."""
+    if kind == "json":
+        doc = loads(text)
+        return doc, doc.pop("manifest")
+    if kind == "kkt-text":
+        body, manifest = text.split("# manifest: ")
+        return body, loads(manifest)
+    return text, None
+
+
+# every subcommand, and each of its CSV or KKT formats
+OUT_CASES = [
+    ("json", ["psi", "--set", "2,3,4"]),
+    ("json", ["degree", "--n", "6", "--m", "4", "--all-ranks"]),
+    ("json", ["pataki", "--m", "3", "--n", "3"]),
+    ("json", ["bound", "--d", "5"]),
+    ("kkt-text", ["kkt-export", "--pencil", "disk.json", "--variant", "normalized"]),
+    ("raw", ["kkt-export", "--pencil", "disk.json", "--variant", "rank", "--rank", "1",
+             "--format", "json"]),
+    ("json", ["sample-polar", "--pencil", "disk.json", "--num-dirs", "10", "--seed", "3"]),
+    ("raw", ["sample-polar", "--pencil", "disk.json", "--num-dirs", "10", "--seed", "3",
+             "--format", "csv"]),
+    ("json", ["fit-degree", "--cloud", "circle.json", "--max-degree", "3"]),
+    ("json", ["pipeline", "--pencil", "disk.json", "--num-dirs", "40", "--max-degree", "3"]),
+    ("json", ["rank-freq", "--m", "2", "--n", "1", "--trials", "10", "--seed", "5"]),
+    ("raw", ["rank-freq", "--m", "2", "--n", "1", "--trials", "10", "--seed", "5",
+             "--format", "csv"]),
+    ("json", ["tightness", "--m", "4", "--trials", "5", "--seed", "3"]),
+    ("json", ["check-growth", "--m", "6"]),
+    ("json", ["pentagon", "--num-dirs", "150", "--max-degree", "5"]),
+]
+
+
+class TestOut:
+    @pytest.mark.parametrize(
+        "kind, argv", OUT_CASES, ids=[f"{argv[0]}-{kind}" for kind, argv in OUT_CASES]
+    )
+    def test_out_file_is_what_stdout_prints(self, capsys, tmp_path, monkeypatch, kind, argv):
+        monkeypatch.chdir(tmp_path)
+        save_pencil(disk_fixture(), "disk.json")
+        circle = [[np.cos(t), np.sin(t)] for t in np.linspace(0.0, 6.0, 20).tolist()]
+        Path("circle.json").write_text(json.dumps(
+            {"ambient_dim": 2, "points": circle, "directions": circle, "values": [1.0] * 20}
+        ))
+        code, out = run_cli(capsys, *argv)
+        assert run_cli(capsys, *argv, "--out", "doc") == (code, "")
+        printed, printed_manifest = split_manifest(out, kind)
+        # bytes, so the CSV's CRLF line ends are compared as written
+        written, written_manifest = split_manifest(Path("doc").read_bytes().decode(), kind)
+        assert written == printed
+        if printed_manifest is not None:
+            # the manifest records --out, the last flag, like any other that is set
+            assert written_manifest["args"].popitem() == ("out", "doc")
+            del written_manifest["timestamp"], printed_manifest["timestamp"]
+            assert written_manifest == printed_manifest
+
+    def test_main_builds_no_parser(self, capsys, monkeypatch):
+        # the grammar is built once, at import; main only parses with it
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(kwargs)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+        assert run_cli(capsys, "pataki", "--m", "3", "--n", "3")[0] == 0
+        assert run_cli(capsys, "bound", "--d", "5")[0] == 0
+        assert built == []
 
 
 @pytest.mark.parametrize(
