@@ -51,16 +51,15 @@ float floor or which runs ``MAX_ITER`` passes, takes (x, X, Z) / tau to the
 finish.  The finish's Gauss-Newton steps (:func:`_finish`) converge
 quadratically near a strictly complementary optimum, so the path phase
 hands over at ``TOL`` = 1e-8, above the float floor (a path error of 3e-10
-to 1e-9 at m = 24).  Each step solves the KKT system in X's eigenbasis,
-eliminating the pairs of dZ outside X's kernel x kernel block, so one LU
-solve of n + t(m - rank_X) unknowns remains, t(k) = k (k + 1) / 2 (108 to
-125 at the (24, 80) benchmark pairs, for 380; :func:`_finish_step`).  The
-steps stop once the KKT residual reaches the rounding level of X Z, eps
-||X||_F ||Z||_F, which two steps reach on nearly every row; ``ACCEPT`` then
-judges the finished pair ``optimal`` or ``numerical_failure``, the only
-place either is set.  Objectives run in chunks whose largest per-row stack
-stays under ``CHUNK_BYTES``.  These numerics and the rank threshold
-``RANK_EPS`` are module constants, not options.
+to 1e-9 at m = 24).  Each step solves the KKT system in X's eigenbasis
+(:func:`_finish_step`), eliminating the pairs of dZ outside X's kernel x
+kernel block: one LU solve of n + t(m - rank_X) unknowns remains,
+t(k) = k (k + 1) / 2, and rank_X is :func:`rank_of`'s.  The steps stop once
+the KKT residual reaches the rounding level of X Z, eps ||X||_F ||Z||_F,
+which two steps reach on nearly every row; ``ACCEPT`` then judges the
+finished pair ``optimal`` or ``numerical_failure``, the only place either
+is set.  Objectives run in chunks whose largest per-row stack stays under
+``CHUNK_BYTES``.  These numerics are module constants, not options.
 """
 
 from __future__ import annotations
@@ -88,14 +87,18 @@ STATUS_FAILURE = "numerical_failure"
 
 
 def rank_of(mat: np.ndarray) -> int:
-    """Numerical rank: eigenvalues above RANK_EPS * max(0, lambda_max)."""
-    return _ranks(np.linalg.eigvalsh(np.asarray(mat, dtype=float))[None])[0]
+    """Numerical rank, the solver's one rank rule: the eigenvalues above
+    RANK_EPS max(1, lambda_max) - min(0, lambda_min).  Below lambda_max = 1
+    the floor is the absolute RANK_EPS (rounding alone has rank 0), and on
+    an indefinite matrix it is raised by |lambda_min|.
+    ``rank_X``, ``rank_Z`` and the finish's kernel of X all apply it."""
+    return int(_ranks(np.linalg.eigvalsh(np.asarray(mat, dtype=float))[None])[0])
 
 
-def _ranks(w: np.ndarray) -> list[int]:
-    """:func:`rank_of` of each row of a stack of ascending spectra w."""
-    # fmax, like Python's max, keeps 0.0 against a NaN
-    return (w > RANK_EPS * np.fmax(0.0, w[:, -1:])).sum(axis=1).tolist()
+def _ranks(w: np.ndarray) -> np.ndarray:
+    """:func:`rank_of`'s rule on each row of a stack of ascending spectra w."""
+    # fmax and fmin, like Python's max and min, keep 1.0 and 0.0 against a NaN
+    return (w > RANK_EPS * np.fmax(1.0, w[:, -1:]) - np.fmin(0.0, w[:, :1])).sum(axis=1)
 
 
 @dataclass
@@ -110,10 +113,10 @@ class SdpSolution:
     and checked to be positive definite with ||A*(Z)|| <= TOL and
     <A0, Z> < 0 (see :func:`_certificate`).  With a certificate, ``x``,
     ``X``, ``Z`` and ``value`` = c^T x are the last iterate over tau, not an
-    optimum.  The descending spectra ride along for auditing the rank
-    decisions.  ``iterations`` counts the path phase's passes and
-    ``finish_steps`` the Gauss-Newton steps the finish took (0 with a
-    certificate, or when the first step is refused).
+    optimum.  ``rank_X`` and ``rank_Z`` follow :func:`rank_of`, and the
+    descending spectra ride along for auditing them.  ``iterations`` counts
+    the path phase's passes and ``finish_steps`` the Gauss-Newton steps the
+    finish took (0 with a certificate, or when the first step is refused).
     """
 
     x: np.ndarray
@@ -356,24 +359,21 @@ def _finish_step(
     + X dZ)).  With X = Q L Q^T, the unknowns dZ~ = Q^T dZ Q meet the
     complementarity rows through sym(A~(dx) Z~) + P o dZ~ (A~_k = Q^T A_k Q,
     Z~ = Q^T Z Q, P_ij = (l_i + l_j) / 2), and <A_k, dZ> = <A~_k, dZ~>.  X's
-    kernel is its eigenvalues up to RANK_EPS max(1, lambda_max) above its
-    most negative one, if any (for a psd X with lambda_max >= 1, m - rank_X
-    of them), so every pair outside the kernel block has a pivot P_ij above
-    RANK_EPS max(1, lambda_max) / 2: the floor of 1, the psd test's scale,
-    keeps an X of rounding only (a rank-0 face) whole.  Those pairs are
-    eliminated; their Schur complement -<A~_k / P, A~_l Z~> joins the dense
-    system in dx and the kernel block's upper triangle, n + t(k) unknowns,
-    at most the n + t(m) of the whole system.  Rows of one k are solved
-    together on the leading rows of one system, as they would be alone.
-    ``a_mats`` holds A1..An as (n, m, m), and ``pairs`` is np.tril_indices(m),
-    the pairs i <= j as (j, i) column by column, so that the first t(k) fill
-    the leading k x k block.
+    kernel is the m - rank_X eigenvalues :func:`rank_of` does not count, so
+    every pair outside the kernel block has a pivot P_ij above RANK_EPS
+    max(1, lambda_max) / 2, and an X of rounding only (a rank-0 face) stays
+    whole.  Those pairs are eliminated; their Schur complement -<A~_k / P,
+    A~_l Z~> joins the dense system in dx and the kernel block's upper
+    triangle, n + t(k) unknowns, at most the n + t(m) of the whole system.
+    Rows of one k are solved together on the leading rows of one system, as
+    they would be alone.  ``a_mats`` holds A1..An as (n, m, m), and
+    ``pairs`` is np.tril_indices(m), the pairs i <= j as (j, i) column by
+    column, so that the first t(k) fill the leading k x k block.
     """
     count, m = X.shape[:2]
     n = len(a_mats)
     lam, q = np.linalg.eigh(X)
-    floor = RANK_EPS * np.fmax(1.0, lam[:, -1:]) - np.fmin(0.0, lam[:, :1])
-    kernel = (lam <= floor).sum(axis=1)  # X's kernel: its first `kernel` eigenvectors
+    kernel = m - _ranks(lam)  # X's kernel: its first `kernel` eigenvectors
     qt = q.mT
     a_rot = qt[:, None] @ a_mats @ q[:, None]
     z_rot, r_rot = qt @ np.stack([Z, rc]) @ q
@@ -614,7 +614,7 @@ def _solve_stack(pencil: Pencil, a_flat: np.ndarray, cs: np.ndarray) -> list[Sdp
     feas_p, feas_d, rel_gap, rel_comp = _errors(dots, norm_a0, norm_c, np.ones(count))
     ok = (feas_p <= ACCEPT) & (feas_d <= ACCEPT) & (rel_gap <= ACCEPT) & (rel_comp <= 1e-6)
     w = w.reshape(2 * count, m)
-    ranks = _ranks(w)
+    ranks = _ranks(w).tolist()
 
     solutions = []
     for k, (verdict, its, steps) in enumerate(

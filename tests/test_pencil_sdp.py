@@ -139,6 +139,10 @@ class TestRankOf:
         assert rank_of(np.diag([2.0, 0.0])) == 1
         assert rank_of(np.diag([1.0, 1e-12])) == 1
         assert rank_of(np.diag([1.0, 1e-3])) == 2
+        # below lambda_max = 1 the floor is the absolute RANK_EPS: rounding
+        # alone has rank 0, and 1e-8 does not count beside 1e-3
+        assert rank_of(1e-47 * np.eye(3)) == 0
+        assert rank_of(np.diag([1e-3, 1e-8])) == 1
 
 
 class TestSolveSdp:
@@ -526,6 +530,7 @@ class TestSolveSdpMany:
         raw = np.random.default_rng(seed).standard_normal((600, 2))
         sols = solve_sdp_many(p, [y / np.linalg.norm(y) for y in raw])
         assert {s.status for s in sols} == {"optimal"}
+        assert {s.rank_X + s.rank_Z for s in sols} == {p.m}
 
     def test_reported_fields_match_their_definitions(self):
         # residuals and ranks come from the stack's own products and spectra
@@ -932,13 +937,6 @@ def record_finish_steps(monkeypatch):
     return rows
 
 
-def kernel_dim(X):
-    """The kernel the finish's step eliminates around: the eigenvalues of X
-    up to RANK_EPS max(1, lambda_max) above its most negative one, if any."""
-    w = np.linalg.eigvalsh(X)
-    return int((w <= sdp.RANK_EPS * max(1.0, w[-1]) - min(0.0, w[0])).sum())
-
-
 def assert_newton_steps(p, rows, forward):
     """Each recorded step d = (dx, dZ) solves J d = -F, J the dense
     central-difference Jacobian of kkt_map at its iterate: with a normwise
@@ -966,7 +964,7 @@ def assert_newton_steps(p, rows, forward):
             assert np.linalg.cond(jac) <= 1e6
             want = -np.linalg.solve(jac, f)
             assert np.linalg.norm(d - want) <= 1e-8 * np.linalg.norm(want)
-        kernels.append(kernel_dim(X))
+        kernels.append(m - rank_of(X))  # the kernel the step eliminates around
     return kernels
 
 
@@ -1023,6 +1021,7 @@ class TestFinishStep:
         rows = record_finish_steps(monkeypatch)
         sol = solve_sdp(p, -adjoint(p, g @ g.T / m + 0.5 * np.eye(m)))
         assert sol.status == "optimal"
+        assert (sol.rank_X, sol.rank_Z) == (0, m)
         assert set(assert_newton_steps(p, rows, forward=True)) == {m}
 
     def test_steps_on_a_large_pool_pair(self, monkeypatch):
