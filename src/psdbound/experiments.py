@@ -44,14 +44,20 @@ def random_symmetric(rng: np.random.Generator, m: int) -> np.ndarray:
 
 
 def random_pencil(m: int, n: int, seed) -> Pencil:
-    """Pencil with n+1 independent Gaussian symmetric matrices."""
+    """Pencil with n+1 independent Gaussian symmetric matrices.
+
+    The n + 1 Gaussian matrices G come from one standard_normal((n + 1, m,
+    m)) draw, the same stream as n + 1 draws of :func:`random_symmetric`, so
+    the matrices, and the generator's next draw, are bitwise the same."""
     if m < 1:
         raise ValueError(f"matrix size must be >= 1, got {m}")
     if not 1 <= n <= triangular(m):
         raise ValueError(f"need 1 <= n <= t_m = {triangular(m)}, got {n}")
     rng = np.random.default_rng(seed)
-    mats = tuple(random_symmetric(rng, m) for _ in range(n + 1))
-    return Pencil(mats=mats)
+    g = rng.standard_normal((n + 1, m, m))
+    sym = g + g.mT
+    sym /= 2.0
+    return Pencil(mats=sym)
 
 
 def shift_to_interior(pencil: Pencil, margin: float = 0.1) -> tuple[Pencil, float]:

@@ -2,8 +2,10 @@
 
 A pencil defines the spectrahedron S = {x : A0 + sum x_i A_i psd}; an
 optional linear projection to R^k turns S into a spectrahedral shadow.
-Matrices are dense numpy arrays, symmetrized exactly on construction and
-frozen read-only so pencils can be shared across threads.
+The n + 1 matrices are checked and symmetrized as one (n + 1, m, m) stack
+(:func:`_checked_stack`): one pass of stacked reductions finds the first
+faulty matrix, one (S + S^T) / 2 symmetrizes them all, and ``mats`` holds
+read-only views of that stack, so pencils can be shared across threads.
 
 The interchange format is JSON:
 
@@ -60,6 +62,43 @@ def json_fields(data, what: str, *keys: str, ints: tuple[str, ...] = ()) -> list
     return [data[key] for key in keys]
 
 
+def _checked_stack(mats: Sequence) -> np.ndarray:
+    """The matrices as one read-only stack of their exactly symmetric parts.
+
+    A faulty matrix raises the ValueError :func:`symmetrize` raises for it,
+    for the first faulty matrix in order, and only when every matrix passes
+    does a shape that differs from A0's raise.  Matrices of one square,
+    nonempty shape are checked on the stack: per matrix, whether it is
+    finite and its largest asymmetry against ``SYMMETRY_TOL`` max(1,
+    max |a_ij|), the same exact reductions as :func:`symmetrize`'s, so
+    (S + S^T) / 2 is bitwise each matrix's own symmetric part.
+    """
+    try:
+        stack = np.asarray(mats, dtype=float)
+    except ValueError:  # matrices of different shapes
+        stack = None
+    if stack is None or stack.ndim != 3 or stack.shape[1] != stack.shape[2] or not stack.size:
+        sym = [symmetrize(a) for a in mats]  # the first matrix's own fault, in order
+        m = sym[0].shape[0]
+        idx = next(i for i, a in enumerate(sym) if a.shape != (m, m))
+        raise ValueError(f"matrix {idx} has shape {sym[idx].shape}, expected {(m, m)}")
+    finite = np.isfinite(stack).all(axis=(1, 2))
+    # one buffer holds |S - S^T|, then |S|, then the symmetric parts
+    with np.errstate(invalid="ignore"):  # inf - inf, in a matrix refused as non-finite
+        out = np.subtract(stack, stack.mT)
+        asym = np.abs(out, out=out).max(axis=(1, 2))
+    scale = np.maximum(1.0, np.abs(stack, out=out).max(axis=(1, 2)))
+    faulty = ~finite | (asym > SYMMETRY_TOL * scale)
+    if faulty.any():
+        idx = int(faulty.argmax())
+        raise ValueError("matrix has a non-finite entry" if not finite[idx]
+                         else "matrix is not symmetric within tolerance")
+    np.add(stack, stack.mT, out=out)
+    out /= 2.0
+    out.setflags(write=False)
+    return out
+
+
 def _frozen(a: np.ndarray) -> np.ndarray:
     out = np.array(a, dtype=float)
     out.setflags(write=False)
@@ -81,11 +120,7 @@ class Pencil:
     def __post_init__(self) -> None:
         if len(self.mats) < 1:
             raise ValueError("a pencil needs at least the constant matrix A0")
-        mats = tuple(_frozen(symmetrize(a)) for a in self.mats)
-        m = mats[0].shape[0]
-        for idx, a in enumerate(mats):
-            if a.shape != (m, m):
-                raise ValueError(f"matrix {idx} has shape {a.shape}, expected {(m, m)}")
+        mats = tuple(_checked_stack(self.mats))  # read-only views of one stack
         object.__setattr__(self, "mats", mats)
         if self.projection is not None:
             proj = np.asarray(self.projection, dtype=float)

@@ -35,20 +35,23 @@ on one pencil; a problem whose solve ends leaves the stack before the
 next stacked call.  numpy's stacked linear algebra does the same
 arithmetic on each slice as on a lone matrix, inner products are one BLAS
 dot per row (``np.vecdot``), statuses and the centering, step and
-Schur-ridge rules are decided elementwise, and only a row with tau below
-kappa checks its certificate alone (:func:`_certificate`).  So each result is
-bitwise identical to solving it alone, whatever the batch and its order;
-:func:`solve_sdp` is the one-objective case.  A row that gets no Newton
-step (it has no NT scaling, or its Schur system is singular, as read off
-the LU pivots by :func:`_solve_each`) ends at its pre-step iterate, and
-only its own problem ends.
+Schur-ridge rules are decided elementwise, and the certificate's first tests
+run on the stack (:func:`_may_certify`), so only a row that passes one checks
+the rest alone (:func:`_certificate`).  So each result is bitwise identical
+to solving it alone, whatever the batch and its order; :func:`solve_sdp` is
+the one-objective case.  A row that gets no Newton step (it has no NT
+scaling, or its Schur system is singular, as read off the LU pivots by
+:func:`_solve_each`) ends at its pre-step iterate, and only its own problem
+ends.
 
 A solve ends with a verdict or goes to the finish.  The verdict comes,
-while tau is below kappa, from a certificate of its iterate that passes its
-check (:func:`_certificate`), as ``infeasible`` or ``unbounded``.  Every
-other solve, whose path error reaches ``TOL``, whose iterate reaches the
-float floor or which runs ``MAX_ITER`` passes, takes (x, X, Z) / tau to the
-finish.  The finish's Gauss-Newton steps (:func:`_finish`) converge
+while tau is at or below kappa, from a certificate of its iterate that
+passes its check (:func:`_certificate`), as ``infeasible`` or ``unbounded``.
+The start iterate, where tau = kappa, is probed too: a pencil whose Z = I
+already projects to a Farkas matrix ends on the first pass, whatever c.
+Every other solve, whose path error reaches ``TOL``, whose iterate reaches
+the float floor or which runs ``MAX_ITER`` passes, takes (x, X, Z) / tau to
+the finish.  The finish's Gauss-Newton steps (:func:`_finish`) converge
 quadratically near a strictly complementary optimum, so the path phase
 hands over at ``TOL`` = 1e-8, above the float floor (a path error of 3e-10
 to 1e-9 at m = 24).  Each step solves the KKT system in X's eigenbasis
@@ -58,8 +61,13 @@ t(k) = k (k + 1) / 2, and rank_X is :func:`rank_of`'s.  The steps stop once
 the KKT residual reaches the rounding level of X Z, eps ||X||_F ||Z||_F,
 which two steps reach on nearly every row; ``ACCEPT`` then judges the
 finished pair ``optimal`` or ``numerical_failure``, the only place either
-is set.  Objectives run in chunks whose largest per-row stack stays under
-``CHUNK_BYTES``.  These numerics are module constants, not options.
+is set.  A solution's residuals and value are read off the products of
+the finished stack (:func:`_residuals`), as are the norms of A0..An, which
+scale the errors and the ray's check.  Objectives run in chunks whose
+largest per-row stack stays under ``CHUNK_BYTES``.  These numerics are
+module constants, not options.  :func:`psdbound.pencil.adjoint` is no
+longer called here; it stays importable from this module only as the hook
+the benchmark's tracer wraps to count adjoint calls.
 """
 
 from __future__ import annotations
@@ -71,7 +79,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .pencil import Pencil, adjoint
+from .pencil import Pencil, adjoint  # noqa: F401  (the tracer's hook; see above)
 
 RANK_EPS = 1e-6
 
@@ -106,17 +114,23 @@ class SdpSolution:
     """Primal/dual certificate pair for one solve.
 
     ``residuals`` is (primal feasibility ||A0 + A(x) - X||_F,
-    dual feasibility ||A*(Z) + c||_2, complementarity trace(X Z)).
+    dual feasibility ||A*(Z) + c||_2, complementarity trace(X Z)), the
+    square roots of <rd, rd> and <rp, rp> and the <X, Z> of the finished
+    stack's products (:func:`_residuals`), as ``value`` = c^T x is theirs:
+    A*(Z) is the stack's ``a_flat`` @ Z, which the pencil's own
+    :func:`~psdbound.pencil.adjoint` matches to rounding, not bitwise.
     ``ray`` is set for unbounded problems: a unit direction with A(ray) psd
     (within tolerance) and c^T ray > 0; ``farkas`` for infeasible ones: the
     iterate's Z projected onto the null space of A*, scaled to unit trace,
     and checked to be positive definite with ||A*(Z)|| <= TOL and
     <A0, Z> < 0 (see :func:`_certificate`).  With a certificate, ``x``,
     ``X``, ``Z`` and ``value`` = c^T x are the last iterate over tau, not an
-    optimum.  ``rank_X`` and ``rank_Z`` follow :func:`rank_of`, and the
-    descending spectra ride along for auditing them.  ``iterations`` counts
-    the path phase's passes and ``finish_steps`` the Gauss-Newton steps the
-    finish took (0 with a certificate, or when the first step is refused).
+    optimum: a certificate of the start iterate leaves x = 0, X = Z = I and
+    ``iterations`` = 1.  ``rank_X`` and ``rank_Z`` follow :func:`rank_of`,
+    and the descending spectra ride along for auditing them.  ``iterations``
+    counts the path phase's passes and ``finish_steps`` the Gauss-Newton
+    steps the finish took (0 with a certificate, or when the first step is
+    refused).
     """
 
     x: np.ndarray
@@ -320,6 +334,17 @@ def _gram_inverse(a_flat: np.ndarray) -> np.ndarray:
         return np.linalg.pinv(gram, hermitian=True)
 
 
+def _may_certify(a0: np.ndarray, a_flat: np.ndarray, h0: np.ndarray, cs: np.ndarray,
+                 xs: np.ndarray, Zs: np.ndarray) -> np.ndarray:
+    """Per row of a stack, whether its iterate passes :func:`_certificate`'s
+    first tests, <A0, Z> - A*(Z) . h0 < 0 or c^T x > 0, the only rows whose
+    certificate can pass its check.  Each product is the BLAS call the
+    certificate makes on the row alone, so the verdicts are bitwise its own."""
+    count, m = Zs.shape[:2]
+    az = (a_flat @ Zs.reshape(count, m * m, 1))[..., 0]
+    return (_dot(Zs, a0[None]) - _dot(az, h0[None]) < 0) | (_dot(cs, xs) > 0)
+
+
 def _certificate(a0: np.ndarray, a_flat: np.ndarray, gram_inv: np.ndarray, h0: np.ndarray,
                  scale0: float, c: np.ndarray, x: np.ndarray,
                  Z: np.ndarray) -> tuple[str, np.ndarray] | None:
@@ -331,8 +356,10 @@ def _certificate(a0: np.ndarray, a_flat: np.ndarray, gram_inv: np.ndarray, h0: n
     computed afresh, have ||A*(Z')|| <= TOL tr Z' and <A0, Z'> <=
     -||A*(Z')|| / TOL, so <A0 + A(x), Z'> < 0 for every x of norm below
     1 / TOL.  <A0, Z'> = <A0, Z> - A*(Z) . h0 rejects most candidates before
-    Z' is formed.  The certificate is Z' / tr Z'.  ``unbounded``: the ray
-    d = x / ||x|| has c^T d > 0 and A(d) psd to -1e-6 scale0.
+    Z' is formed; the solver runs that test and the ray's c^T x > 0 on its
+    stack first (:func:`_may_certify`).  The certificate is Z' / tr Z'.
+    ``unbounded``: the ray d = x / ||x|| has c^T d > 0 and A(d) psd to -1e-6
+    scale0.
     """
     az = a_flat @ Z.ravel()
     if float(np.vdot(a0, Z)) - float(az @ h0) < 0:
@@ -494,20 +521,21 @@ def _finish(
     return x, X, Z, steps, spectra
 
 
-def _solve_stack(pencil: Pencil, a_flat: np.ndarray, cs: np.ndarray) -> list[SdpSolution]:
+def _solve_stack(mats: np.ndarray, cs: np.ndarray) -> list[SdpSolution]:
     """The embedding's interior-point loop over one stack of objectives,
     then each problem's finish, verdict and solution.
 
-    Row j of the stacked iterates ``xs``, ``Xs``, ``Zs``, ``taus``,
-    ``kappas`` is problem ``rows[j]``.  When a problem's solve ends, its
-    last iterate over tau goes to its row of x, X, Z, and it leaves the
-    stack.  Its entry of ``verdicts`` is its certificate's status and
-    certificate, or None for a solve that goes to the finish."""
-    m, n = pencil.m, pencil.n
-    a0 = pencil.mats[0]
+    ``mats`` holds A0..An as (n + 1, m, m).  Row j of the stacked iterates
+    ``xs``, ``Xs``, ``Zs``, ``taus``, ``kappas`` is problem ``rows[j]``.
+    When a problem's solve ends, its last iterate over tau goes to its row
+    of x, X, Z, and it leaves the stack.  Its entry of ``verdicts`` is its
+    certificate's status and certificate, or None for a solve that goes to
+    the finish."""
+    n, m = len(mats) - 1, mats.shape[-1]
+    a0, a_flat = mats[0], mats[1:].reshape(n, m * m)  # row i of a_flat is A_{i+1}, raveled
     count = len(cs)
-    norm_a0 = float(np.linalg.norm(a0))
-    scale0 = max(1.0, *(float(np.linalg.norm(a)) for a in pencil.mats))
+    norms = np.sqrt(_dot(mats, mats)).tolist()  # ||A_i||_F, as np.linalg.norm's
+    norm_a0, scale0 = norms[0], max(1.0, *norms)
     gram_inv = _gram_inverse(a_flat)  # the Farkas candidate's projection
     h0 = gram_inv @ (a_flat @ a0.ravel())
     norm_c = np.sqrt(_dot(cs, cs))
@@ -540,8 +568,13 @@ def _solve_stack(pencil: Pencil, a_flat: np.ndarray, cs: np.ndarray) -> list[Sdp
         # call), or (x, Z) / tau has converged: the finish takes over
         ended = ~(np.isfinite(dots).all(axis=1) & np.isfinite(taus) & np.isfinite(kappas))
         ended |= path_err <= TOL
-        for j in (~ended & (taus < kappas)).nonzero()[0]:
-            # tau falls against kappa: the row ends once its iterate certifies
+        # tau at or below kappa, the start's iterate included: the row ends
+        # once its iterate certifies; the certificate's first tests run on
+        # the stack, and only a row that passes one checks the rest alone
+        probe = (~ended & (taus <= kappas)).nonzero()[0]
+        if probe.size:
+            probe = probe[_may_certify(a0, a_flat, h0, cl[probe], xs[probe], Zs[probe])]
+        for j in probe:
             verdicts[rows[j]] = _certificate(a0, a_flat, gram_inv, h0, scale0, cl[j], xs[j], Zs[j])
             ended[j] = verdicts[rows[j]] is not None
         rows, cl, xs, Xs, Zs, taus, kappas, rd, rp, dots, path_err = end(
@@ -615,25 +648,24 @@ def _solve_stack(pencil: Pencil, a_flat: np.ndarray, cs: np.ndarray) -> list[Sdp
     ok = (feas_p <= ACCEPT) & (feas_d <= ACCEPT) & (rel_gap <= ACCEPT) & (rel_comp <= 1e-6)
     w = w.reshape(2 * count, m)
     ranks = _ranks(w).tolist()
+    # <rd, rd>, <X, Z>, <rp, rp> and c^T x of each solution, as Python floats
+    rd_rd, x_z, rp_rp, values = dots[:, [0, 1, 6, 7]].T.tolist()
 
     solutions = []
     for k, (verdict, its, steps) in enumerate(
         zip(verdicts, iterations.tolist(), finish_steps.tolist())
     ):
         status, certificate = verdict or ((STATUS_OPTIMAL if ok[k] else STATUS_FAILURE), None)
-        # the reported residual goes through the pencil's own adjoint, a route
-        # apart from the stacked copy the iteration used
-        rp = -(cs[k] + adjoint(pencil, Z[k]))
         solutions.append(
             SdpSolution(
                 x=x[k].copy(),
                 X=X[k].copy(),
                 Z=Z[k].copy(),
-                value=float(cs[k] @ x[k]),
+                value=values[k],
                 status=status,
                 rank_X=ranks[k],
                 rank_Z=ranks[count + k],
-                residuals=(math.sqrt(dots[k, 0]), float(np.linalg.norm(rp)), float(dots[k, 1])),
+                residuals=(math.sqrt(rd_rd[k]), math.sqrt(rp_rp[k]), x_z[k]),
                 spectrum_X=w[k, ::-1].copy(),
                 spectrum_Z=w[count + k, ::-1].copy(),
                 iterations=its,
@@ -667,14 +699,14 @@ def solve_sdp_many(pencil: Pencil, objectives: Sequence[Sequence[float]]) -> lis
     bad = (~np.isfinite(cs)).any(axis=1).nonzero()[0]
     if bad.size:
         raise ValueError(f"objective {bad[0]} is not finite: {cs[bad[0]].tolist()}")
-    a_flat = np.array(pencil.mats[1:]).reshape(n, m * m)  # row i is A_{i+1}, raveled
+    mats = np.array(pencil.mats)
     # the larger per-row array: the scaled coefficients, or the finish's dense
     # system, whose worst case, a rank-0 row's, has all n + t(m) unknowns
     size = max(1, CHUNK_BYTES // (8 * max(n * m * m, (n + m * (m + 1) // 2) ** 2)))
     return [
         sol
         for k in range(0, len(cs), size)
-        for sol in _solve_stack(pencil, a_flat, cs[k : k + size])
+        for sol in _solve_stack(mats, cs[k : k + size])
     ]
 
 

@@ -39,6 +39,18 @@ class TestRandomPencil:
         assert np.var(diag) == pytest.approx(1.0, abs=0.08)
         assert np.var(off) == pytest.approx(0.5, abs=0.05)
 
+    @pytest.mark.parametrize("m, n", [(1, 1), (3, 2), (6, 7), (8, 11)])
+    def test_one_draw_is_the_one_at_a_time_stream(self, m, n):
+        # one standard_normal((n + 1, m, m)) draw gives the matrices n + 1
+        # random_symmetric draws give, and leaves the generator where they
+        # do: the trial's objective c comes next, the same
+        for key in range(20):
+            rng, ref = np.random.default_rng((7, key)), np.random.default_rng((7, key))
+            pencil = random_pencil(m, n, rng)
+            want = [random_symmetric(ref, m) for _ in range(n + 1)]
+            assert all(np.array_equal(a, b) for a, b in zip(pencil.mats, want, strict=True))
+            assert np.array_equal(rng.standard_normal(n), ref.standard_normal(n))
+
     def test_validation(self):
         with pytest.raises(ValueError):
             random_pencil(0, 1, 1)

@@ -130,6 +130,71 @@ class TestPencil:
         with pytest.raises(ValueError):
             Pencil.from_dict(data)
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(1, 7),
+        st.integers(0, 6),
+        st.integers(0, 2**32 - 1),
+        st.floats(-6, 6),
+        st.booleans(),
+    )
+    def test_stack_is_each_matrix_symmetrized(self, m, n, seed, log_scale, as_array):
+        # matrices within the symmetry tolerance, at magnitudes 1e-6 to 1e6,
+        # given as one array or as a tuple: the stack's mats are bitwise each
+        # matrix's own symmetrize, and read-only
+        rng = np.random.default_rng(seed)
+        g = rng.standard_normal((n + 1, m, m)) * 10.0**log_scale
+        g = g + g.mT + 1e-13 * np.fmax(1.0, np.abs(g).max()) * rng.uniform(-1, 1, g.shape)
+        p = Pencil(mats=g if as_array else tuple(g))
+        assert (p.m, p.n) == (m, n)
+        for got, want in zip(p.mats, per_matrix_mats(g), strict=True):
+            assert np.array_equal(got, want)
+            assert not got.flags.writeable
+            with pytest.raises(ValueError):
+                got[0, 0] = 1.0
+
+    @pytest.mark.parametrize(
+        "mats, message",
+        [
+            # NaN in A0 together with a non-square A1: A0's fault comes first
+            ((np.diag([np.nan, 1.0]), np.zeros((2, 3))), "non-finite"),
+            ((np.zeros((2, 3)), np.diag([np.nan, 1.0])), "square"),
+            # an asymmetric A2 after a finite A1
+            ((np.eye(2), np.diag([1.0, 2.0]), np.array([[1.0, 2.0], [1.0, 3.0]])), "not symmetric"),
+            ((np.eye(2), np.array([[0.0, 1.0], [0.0, 0.0]]), np.diag([np.inf, 1.0])), "not symmetric"),
+            ((np.eye(2), np.array([[np.inf, 1.0], [0.0, 1.0]])), "non-finite"),
+            ((np.zeros((0, 0)), np.eye(2)), "empty"),
+            ((np.eye(2), np.zeros((0, 0))), "empty"),
+            # mismatched shapes, raised only once every matrix passes its own check
+            ((np.eye(2), np.eye(3)), r"matrix 1 has shape \(3, 3\), expected \(2, 2\)"),
+            ((np.eye(2), np.eye(2), np.ones(2)), "square"),
+            ((np.eye(2), np.eye(3), np.array([[1.0, 2.0], [1.0, 3.0]])), "not symmetric"),
+            ((np.eye(3), np.eye(3), np.eye(2), np.eye(4)), r"matrix 2 has shape \(2, 2\)"),
+        ],
+    )
+    def test_first_faulty_matrix_keeps_its_message(self, mats, message):
+        # the message the per-matrix construction raised, for the same
+        # matrix: square, empty, non-finite and symmetric per matrix in
+        # order, then the shapes
+        with pytest.raises(ValueError, match=message) as want:
+            per_matrix_mats(mats)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError) as got:
+                Pencil(mats=mats)
+        assert str(got.value) == str(want.value)
+
+
+def per_matrix_mats(mats):
+    """The pencil's matrices as they were built one at a time: each
+    symmetrized alone, in order, then every shape checked against A0's."""
+    sym = [symmetrize(a) for a in mats]
+    m = sym[0].shape[0]
+    for idx, a in enumerate(sym):
+        if a.shape != (m, m):
+            raise ValueError(f"matrix {idx} has shape {a.shape}, expected {(m, m)}")
+    return sym
+
 
 class TestRankOf:
     def test_zero(self):
@@ -325,6 +390,13 @@ def strictly_feasible_pair(m, n, key):
     return p, -adjoint(p, g @ g.T / m + 0.1 * np.eye(m))
 
 
+def raw_trial(seed, trial):
+    """Trial ``trial`` of rank_frequency(6, 7, trials, seed): its raw
+    Gaussian pencil and objective."""
+    rng = np.random.default_rng((seed, trial))
+    return random_pencil(6, 7, rng), rng.standard_normal(7)
+
+
 def assert_certified(p, c, sol):
     """X, Z and x of an optimal solve checked through the pencil itself:
     X = A0 + A(x), A*(Z) + c = 0, X and Z psd, and a zero duality gap."""
@@ -480,6 +552,16 @@ class TestSolveSdpMany:
         for sol in assert_batch_equals_solo(p, cs):
             assert_farkas(p, sol)
 
+    def test_start_certificates_batch_equals_solo(self):
+        # a raw (6, 7) pencil whose start iterate Z = I already projects to a
+        # Farkas certificate: every row ends on the first pass, whatever its
+        # objective, with the same solution in a batch as alone
+        p, _ = raw_trial(7, 2)
+        cs = list(np.random.default_rng(2).standard_normal((20, 7)))
+        for sol in assert_batch_equals_solo(p, cs):
+            assert_farkas(p, sol)
+            assert sol.iterations == 1 and sol.value == 0.0
+
     def test_rows_leaving_on_different_passes(self):
         # objectives of norms 1e-3 to 1e3 on the duality-gap pencil: rows end
         # optimal (c2 < 0), unbounded (c2 > 0) and numerical_failure (c2 = 0)
@@ -533,15 +615,30 @@ class TestSolveSdpMany:
         assert {s.rank_X + s.rank_Z for s in sols} == {p.m}
 
     def test_reported_fields_match_their_definitions(self):
-        # residuals and ranks come from the stack's own products and spectra
+        # residuals, value and ranks are read off the stack's own products
+        # and spectra
         p, cs = pentagon_objectives(30, 8)
-        for c, sol in zip(cs, solve_sdp_many(p, cs)):
+        sols = solve_sdp_many(p, cs)
+        for c, sol in zip(cs, sols):
             assert sol.residuals[0] == pytest.approx(
                 np.linalg.norm(eval_pencil(p, sol.x) - sol.X), abs=1e-13
             )
-            assert sol.residuals[1] == np.linalg.norm(adjoint(p, sol.Z) + c)
             assert sol.residuals[2] == pytest.approx(np.vdot(sol.X, sol.Z), rel=1e-12, abs=1e-15)
             assert (sol.rank_X, sol.rank_Z) == (rank_of(sol.X), rank_of(sol.Z))
+        # the dual residual checked through the pencil's own adjoint, a route
+        # apart from the stack's A*(Z), to 1e-12 of its terms' size, and the
+        # value bitwise c^T x, also on raw (6, 7) draws that certify at the
+        # start or later
+        cases = [(p, c, sol) for c, sol in zip(cs, sols)]
+        for trial in range(10):
+            q, c = raw_trial(7, trial)
+            cases.append((q, c, solve_sdp(q, c)))
+        assert {sol.iterations for _, _, sol in cases if sol.status == "infeasible"} >= {1, 2}
+        for q, c, sol in cases:
+            az = adjoint(q, sol.Z)
+            want = np.linalg.norm(az + c)
+            assert abs(sol.residuals[1] - want) <= 1e-12 * (np.linalg.norm(c) + np.linalg.norm(az))
+            assert type(sol.value) is float and sol.value == c @ sol.x
 
     def test_chunks_do_not_change_results(self, monkeypatch):
         p, cs = pentagon_objectives(12, 11)
@@ -897,6 +994,70 @@ class TestSolveSdpMany:
             solve_sdp_many(p, [[1.0], [np.nan], [np.inf]])
         with pytest.raises(ValueError, match="objective 0 is not finite"):
             solve_sdp(p, [-np.inf])
+
+
+class TestStartPointCertificates:
+    def test_raw_tightness_draws_keep_their_statuses(self):
+        # the 300 raw (6, 7) draws of tightness --m 6, seeds 7-36: probing
+        # the start iterate x = 0, Z = I ends each draw whose start certifies
+        # on the first pass, with that certificate, and changes no status
+        statuses = dict.fromkeys(("infeasible", "numerical_failure", "optimal", "unbounded"), 0)
+        for seed in range(7, 37):
+            for status, count in rank_frequency(6, 7, 10, seed).statuses.items():
+                statuses[status] += count
+        assert statuses == {"infeasible": 275, "numerical_failure": 0, "optimal": 12, "unbounded": 13}
+        at_start = 0
+        for seed in range(7, 37):
+            for trial in range(10):
+                p, c = raw_trial(seed, trial)
+                sol = solve_sdp(p, c)
+                m, n = p.m, p.n
+                a0, a_flat = p.mats[0], np.array(p.mats[1:]).reshape(n, m * m)
+                gram_inv = sdp._gram_inverse(a_flat)
+                start = sdp._certificate(
+                    a0, a_flat, gram_inv, gram_inv @ (a_flat @ a0.ravel()), 1.0, c, np.zeros(n), np.eye(m)
+                )
+                if sol.status == "infeasible":
+                    assert_farkas(p, sol)
+                assert (sol.iterations == 1) == (start is not None)
+                if start is not None:
+                    assert sol.status == start[0] == "infeasible"
+                    assert np.array_equal(sol.farkas, start[1])
+                    at_start += 1
+        assert at_start >= 1
+
+    def test_stacked_first_tests_skip_only_refused_rows(self, monkeypatch):
+        # the stacked first tests of every probe the solver makes on raw
+        # (6, 7) draws, and of random iterates on their pencils: per row
+        # bitwise the certificate's own first tests, so a row they skip is
+        # one the certificate refuses
+        real, calls = sdp._may_certify, []
+
+        def record(*args):
+            calls.append([np.array(a) for a in args])
+            return real(*args)
+
+        monkeypatch.setattr(sdp, "_may_certify", record)
+        rng = np.random.default_rng(37)
+        for seed in (7, 8, 9):
+            for trial in range(10):
+                p, c = raw_trial(seed, trial)
+                solve_sdp(p, c)
+                a0, a_flat, h0 = calls[-1][:3]
+                g = rng.standard_normal((8, 6, 6))
+                cs, xs = rng.standard_normal((2, 8, 7))
+                calls.append([a0, a_flat, h0, cs, xs * rng.uniform(0, 2, (8, 1)), g @ g.mT])
+        verdicts = set()
+        for a0, a_flat, h0, cs, xs, Zs in calls:
+            gram_inv = sdp._gram_inverse(a_flat)
+            for k, passes in enumerate(real(a0, a_flat, h0, cs, xs, Zs).tolist()):
+                az = a_flat @ Zs[k].ravel()
+                first = float(np.vdot(a0, Zs[k])) - float(az @ h0) < 0 or float(cs[k] @ xs[k]) > 0
+                assert passes == first
+                verdicts.add(passes)
+                if not passes:
+                    assert sdp._certificate(a0, a_flat, gram_inv, h0, 1.0, cs[k], xs[k], Zs[k]) is None
+        assert verdicts == {False, True}
 
 
 def kkt_map(a0, a_flat, c, v):
